@@ -15,14 +15,18 @@
 //! Substrates: sparse connected `G(n, 8/n)` at n ∈ {256, 1024, 4096}
 //! and the Section 3.1 torus gadgets (the certification sweep's
 //! instance family), labelled by their actual vertex counts.
+//!
+//! A fourth arm, `torus_lane_balls`, is certification-shaped: 64-lane
+//! radius-2 batches over the n = 4056 torus with every lane's ball
+//! extracted via `lane_ball_into`, gated against `view::ball`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncg_constructions::TorusGrid;
 use ncg_graph::batch::{
-    batch_bfs_opts, BatchDistances, BatchOptions, BatchScratch, Direction, WORD_LANES,
+    batch_bfs, batch_bfs_opts, BatchDistances, BatchOptions, BatchScratch, Direction, WORD_LANES,
 };
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{generators, CsrGraph, Graph, NodeId, INFINITY};
+use ncg_graph::{generators, view, CsrGraph, Graph, NodeId, INFINITY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -122,5 +126,56 @@ fn bench_torus(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_gnp, bench_torus);
+/// The certification-shaped arm: radius-2 balls of every node in
+/// 64-lane batches, each lane's ball read out with `lane_ball_into` and
+/// handed to `visit` with its source.
+fn lane_ball_sweep(
+    csr: &CsrGraph,
+    scratch: &mut BatchScratch,
+    out: &mut BatchDistances,
+    sources: &mut Vec<NodeId>,
+    ball: &mut Vec<NodeId>,
+    mut visit: impl FnMut(NodeId, &[NodeId]),
+) {
+    let n = csr.node_count();
+    for lo in (0..n).step_by(WORD_LANES) {
+        sources.clear();
+        sources.extend(lo as NodeId..(lo + WORD_LANES).min(n) as NodeId);
+        batch_bfs(csr, sources, 2, scratch, out);
+        for (lane, &s) in sources.iter().enumerate() {
+            out.lane_ball_into(lane, ball);
+            visit(s, ball);
+        }
+    }
+}
+
+fn bench_torus_lane_balls(c: &mut Criterion) {
+    let torus = TorusGrid::closed(&[26, 26], 2).unwrap();
+    let g = torus.state().graph();
+    let n = g.node_count();
+    let csr = CsrGraph::from_graph(g);
+    let mut scratch = BatchScratch::new();
+    let mut out = BatchDistances::new();
+    let mut sources = Vec::with_capacity(WORD_LANES);
+    let mut ball = Vec::new();
+    // Gate before timing: every lane's ball equals the scalar
+    // `view::ball` of its source.
+    lane_ball_sweep(&csr, &mut scratch, &mut out, &mut sources, &mut ball, |s, ball| {
+        assert_eq!(ball, view::ball(g, s, 2), "lane ball of {s} diverges on torus/{n}")
+    });
+    let mut group = c.benchmark_group("bfs_kernels");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("torus_lane_balls", n), &csr, |b, csr| {
+        b.iter(|| {
+            let mut total = 0;
+            lane_ball_sweep(csr, &mut scratch, &mut out, &mut sources, &mut ball, |_, ball| {
+                total += ball.len()
+            });
+            black_box(total)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_gnp, bench_torus, bench_torus_lane_balls);
 criterion_main!(benches);

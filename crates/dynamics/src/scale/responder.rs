@@ -122,9 +122,9 @@ impl ScaleScratch {
     /// visited bookkeeping is epoch-stamped, so there is no `O(n)`
     /// buffer reset per call. That is the difference between a
     /// million-player round taking seconds and taking hours: the
-    /// whole-graph kernels ([`ncg_graph::bfs`], [`ncg_graph::batch`])
-    /// pay a full-array clear per (batch of) source(s), which
-    /// amortises for global metrics but not for a million tiny balls.
+    /// scalar whole-graph kernel ([`ncg_graph::bfs`]) pays a
+    /// full-array clear per source, which amortises for global metrics
+    /// but not for a million tiny balls.
     pub fn discover_ball(&mut self, g: &CsrGraph, u: NodeId, k: u32, out: &mut Vec<NodeId>) {
         self.begin_epoch(g.node_count());
         let epoch = self.epoch;

@@ -343,8 +343,9 @@ fn touched_of(u: NodeId, old: &[NodeId], new: &[NodeId], out: &mut Vec<NodeId>) 
 }
 
 /// Ball sizes of `min(64, n)` evenly spaced players via one batched
-/// BFS call — the only place the whole-graph kernel's `O(n)` setup is
-/// paid, once per run.
+/// BFS call, once per run. The arena's batch buffers are sized to `n`
+/// on its first run; after that a call costs in proportion to the 64
+/// balls it reaches, not to `n`.
 fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSample {
     let n = state.n();
     if n == 0 {

@@ -75,7 +75,9 @@ impl Default for BatchOptions {
 /// Reusable workspace of the batched kernel: frontier/next masks and
 /// node lists. Like `crate::bfs::DistanceBuffer`, create one per
 /// thread (or long-lived computation) and pass it to every call; it
-/// grows on demand and never shrinks.
+/// grows on demand and never shrinks. Every call leaves it zeroed, so
+/// the next call on a same-sized graph pays no `O(n)` memset; after a
+/// call that panicked, drop it (and its `BatchDistances`).
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     /// Node-major lane masks of the current frontier (bits = lanes
@@ -97,15 +99,20 @@ impl BatchScratch {
         Self::default()
     }
 
+    /// Sizes the scratch; it is all-zero between calls, so resizing
+    /// keeps it clean.
     fn reset(&mut self, n: usize, words: usize) {
-        self.frontier.clear();
         self.frontier.resize(n * words, 0);
-        self.next.clear();
         self.next.resize(n * words, 0);
-        self.frontier_nodes.clear();
-        self.next_nodes.clear();
-        self.in_next.clear();
         self.in_next.resize(n, false);
+    }
+
+    fn clear_frontier(&mut self, words: usize) {
+        for &u in &self.frontier_nodes {
+            let ubase = u as usize * words;
+            self.frontier[ubase..ubase + words].fill(0);
+        }
+        self.frontier_nodes.clear();
     }
 }
 
@@ -198,19 +205,17 @@ impl BatchDistances {
 
     /// Lane `l`'s visited set as ascending node ids — exactly the
     /// sorted ball `crate::view::ball_into` produces for the same
-    /// source and limit.
+    /// source and limit. Walks the union of all lanes' visited sets,
+    /// not the whole graph: `O(|union| + |ball| log |ball|)`.
     pub fn lane_ball_into(&self, lane: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        let (w, bit) = (lane / WORD_LANES, lane % WORD_LANES);
-        for v in 0..self.nodes {
-            if self.visited[v * self.words + w] >> bit & 1 != 0 {
-                out.push(v as NodeId);
-            }
-        }
+        out.extend(self.order.iter().filter(|&&v| self.lane_visited(lane, v)));
+        out.sort_unstable();
     }
 
-    /// Every node reached by *any* lane, in first-visit order — the
-    /// union sweep the dirty-ball invalidation consumes. Level order
+    /// Every node reached by *any* lane, in first-visit order: what
+    /// ball extraction walks and the next call's reset clears, so
+    /// neither costs `O(n)`. Level order
     /// is BFS order; *within* a level the order is
     /// traversal-dependent (frontier order top-down, ascending node
     /// scan bottom-up), so treat this as a set unless the direction
@@ -232,11 +237,17 @@ impl BatchDistances {
     }
 
     fn reset(&mut self, n: usize, lanes: usize, words: usize, with_dist: bool) {
+        // Only the previous union carries set bits; with those cleared
+        // the array is all-zero, so resizing keeps it clean.
+        for &v in &self.order {
+            let base = v as usize * self.words;
+            self.visited[base..base + self.words].fill(0);
+        }
+        self.order.clear();
+        self.visited.resize(n * words, 0);
         self.lanes = lanes;
         self.words = words;
         self.nodes = n;
-        self.visited.clear();
-        self.visited.resize(n * words, 0);
         self.counts.clear();
         self.ecc.clear();
         self.ecc.resize(lanes, 0);
@@ -244,7 +255,6 @@ impl BatchDistances {
         self.reached.resize(lanes, 0);
         self.status.clear();
         self.status.resize(lanes, 0);
-        self.order.clear();
         self.dist.clear();
         self.has_dist = with_dist;
         if with_dist {
@@ -342,12 +352,8 @@ pub fn batch_bfs_opts<A: Adjacency + ?Sized>(
         return;
     }
 
-    // Total degree, for the direction heuristic's density denominator
-    // (only worth computing when the heuristic can fire).
-    let total_deg: usize = match opts.direction {
-        Direction::Auto => (0..n as NodeId).map(|u| g.adjacent(u).len()).sum(),
-        Direction::TopDown => 0,
-    };
+    // Total degree, for the direction heuristic's density denominator.
+    let total_deg = g.degree_sum();
     let mut frontier_deg: usize = scratch.frontier_nodes.iter().map(|&u| g.adjacent(u).len()).sum();
 
     let mut depth = 0u32;
@@ -368,6 +374,9 @@ pub fn batch_bfs_opts<A: Adjacency + ?Sized>(
         depth += 1;
         commit_level(g, depth, words, scratch, out, &mut frontier_deg);
     }
+    // `next` is already clean: every level either committed (which
+    // swaps the cleared frontier in as `next`) or added nothing.
+    scratch.clear_frontier(words);
     out.finish();
 }
 
@@ -493,11 +502,7 @@ fn commit_level<A: Adjacency + ?Sized>(
         }
         *frontier_deg += g.adjacent(v).len();
     }
-    for &u in &scratch.frontier_nodes {
-        let ubase = u as usize * words;
-        scratch.frontier[ubase..ubase + words].fill(0);
-    }
-    scratch.frontier_nodes.clear();
+    scratch.clear_frontier(words);
     std::mem::swap(&mut scratch.frontier, &mut scratch.next);
     std::mem::swap(&mut scratch.frontier_nodes, &mut scratch.next_nodes);
 }

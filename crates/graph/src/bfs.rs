@@ -29,6 +29,8 @@ pub trait Adjacency {
     fn node_count(&self) -> usize;
     /// Sorted neighbour slice of `u`.
     fn adjacent(&self, u: NodeId) -> &[NodeId];
+    /// `Σ_u adjacent(u).len()`, i.e. twice the edge count, in `O(1)`.
+    fn degree_sum(&self) -> usize;
 }
 
 impl Adjacency for Graph {
@@ -40,6 +42,11 @@ impl Adjacency for Graph {
     #[inline]
     fn adjacent(&self, u: NodeId) -> &[NodeId] {
         self.neighbors(u)
+    }
+
+    #[inline]
+    fn degree_sum(&self) -> usize {
+        2 * self.edge_count()
     }
 }
 

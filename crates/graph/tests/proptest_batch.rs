@@ -8,7 +8,9 @@
 //! bit-identical to an independent scalar run of the same source —
 //! full distance rows, the derived aggregates (eccentricity, reach
 //! count, status sum, ball sizes), the sorted per-lane balls, and the
-//! visited union.
+//! visited union. A reuse property carries one scratch and one result
+//! buffer through calls of changing shape and checks each against a
+//! fresh-buffer run.
 
 use ncg_graph::batch::{batch_bfs_opts, BatchDistances, BatchOptions, BatchScratch, Direction};
 use ncg_graph::bfs::{bfs, bfs_skipping, DistanceBuffer};
@@ -17,7 +19,12 @@ use proptest::prelude::*;
 
 /// An arbitrary graph on up to `max_n` nodes via a random edge list.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (2..=max_n).prop_flat_map(|n| {
+    arb_graph_in(2, max_n)
+}
+
+/// An arbitrary graph on `min_n..=max_n` nodes via a random edge list.
+fn arb_graph_in(min_n: usize, max_n: usize) -> impl Strategy<Value = Graph> {
+    (min_n..=max_n).prop_flat_map(|n| {
         let max_edges = n * (n - 1) / 2;
         proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..=max_edges.min(60)).prop_map(
             move |pairs| {
@@ -40,6 +47,45 @@ fn arb_instance(max_n: usize) -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
         let sources = proptest::collection::vec(0..n, 1..=130);
         (Just(g), sources)
     })
+}
+
+/// One call of a scratch-reuse sequence: a graph on `min_n..=max_n`
+/// nodes, 130 candidate sources (each call keeps a prefix), and the
+/// option selectors (limit, skip, top-down, distances).
+type Call = (Graph, Vec<NodeId>, (usize, usize, bool, bool));
+
+fn arb_call(min_n: usize, max_n: usize) -> impl Strategy<Value = Call> {
+    arb_graph_in(min_n, max_n).prop_flat_map(|g| {
+        let n = g.node_count() as NodeId;
+        let sources = proptest::collection::vec(0..n, 130);
+        (Just(g), sources, (0usize..5, 0usize..3, any::<bool>(), any::<bool>()))
+    })
+}
+
+/// Asserts that two runs of the same call agree on everything a caller
+/// can read: rows (when materialised), aggregates, balls, the union.
+fn assert_same_run(reused: &BatchDistances, fresh: &BatchDistances, distances: bool) {
+    prop_assert_eq!(reused.lanes(), fresh.lanes());
+    prop_assert_eq!(reused.node_count(), fresh.node_count());
+    prop_assert_eq!(reused.union_visited(), fresh.union_visited());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for lane in 0..fresh.lanes() {
+        prop_assert_eq!(reused.ecc(lane), fresh.ecc(lane));
+        prop_assert_eq!(reused.reached(lane), fresh.reached(lane));
+        prop_assert_eq!(reused.status_sum(lane), fresh.status_sum(lane));
+        for radius in [0u32, 1, 2, u32::MAX] {
+            prop_assert_eq!(reused.ball_size(lane, radius), fresh.ball_size(lane, radius));
+        }
+        reused.lane_ball_into(lane, &mut a);
+        fresh.lane_ball_into(lane, &mut b);
+        prop_assert_eq!(&a, &b, "lane {} ball", lane);
+        for v in 0..fresh.node_count() as NodeId {
+            prop_assert_eq!(reused.lane_visited(lane, v), fresh.lane_visited(lane, v));
+        }
+        if distances {
+            prop_assert_eq!(reused.lane_distances(lane), fresh.lane_distances(lane));
+        }
+    }
 }
 
 /// The scalar reference for one lane: the distance row a skip-aware,
@@ -177,5 +223,41 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch(
+        calls in (
+            arb_call(20, 40),
+            arb_call(2, 8),
+            arb_call(24, 40),
+            arb_call(2, 6),
+            arb_call(10, 30),
+        ),
+    ) {
+        // One scratch and one result buffer carried through calls whose
+        // graph size grows and shrinks and whose lane count moves the
+        // mask stride 1 → 1 → 2 → 3 → 1 words: each call must read
+        // exactly like a run on fresh buffers, so no bit a previous
+        // call set may survive its sparse reset.
+        let (c0, c1, c2, c3, c4) = calls;
+        let mut scratch = BatchScratch::new();
+        let mut reused = BatchDistances::new();
+        for ((g, pool, (limit_ix, skip_sel, top_down, distances)), lanes) in
+            [c0, c1, c2, c3, c4].into_iter().zip([1usize, 64, 65, 130, 3])
+        {
+            let n = g.node_count();
+            let opts = BatchOptions {
+                limit: [0u32, 1, 2, 3, u32::MAX][limit_ix],
+                skip: [None, Some(0), Some(n as NodeId - 1)][skip_sel],
+                direction: if top_down { Direction::TopDown } else { Direction::Auto },
+                distances,
+            };
+            let sources = &pool[..lanes];
+            batch_bfs_opts(&g, sources, &opts, &mut scratch, &mut reused);
+            let mut fresh = BatchDistances::new();
+            batch_bfs_opts(&g, sources, &opts, &mut BatchScratch::new(), &mut fresh);
+            assert_same_run(&reused, &fresh, distances);
+        }
     }
 }
