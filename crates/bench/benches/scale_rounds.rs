@@ -11,6 +11,10 @@
 //!   `n = 2·10^4`, the shape of one `scale-dynamics --quick` cell:
 //!   round one is dense (everyone is dirty), later rounds shrink to
 //!   the balls the previous round touched.
+//! * `scale_rounds/run_20k_alpha3` — the same run at α = 3, the
+//!   benchmark ledger's `scale_er` cell. At α = 1 almost nobody
+//!   proposes; at α = 3 every round does, so the responder's
+//!   add/drop/swap pricing carries the run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::GameSpec;
@@ -39,6 +43,15 @@ fn bench_scale_rounds(c: &mut Criterion) {
         b.iter(|| {
             let mut state = small.clone();
             run_scale(&mut state, &capped, &mut arena)
+        })
+    });
+
+    let mut alpha3 = ScaleConfig::new(GameSpec::max(3.0, 2));
+    alpha3.max_rounds = 4;
+    group.bench_function("run_20k_alpha3", |b| {
+        b.iter(|| {
+            let mut state = small.clone();
+            run_scale(&mut state, &alpha3, &mut arena)
         })
     });
     group.finish();

@@ -21,7 +21,7 @@ mod responder;
 mod runner;
 mod state;
 
-pub use responder::{collect_ball, respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
+pub use responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
 pub use runner::{
     run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleRoundStats, ScaleRunResult, ViewSample,
 };

@@ -8,10 +8,9 @@
 use ncg_core::deviation::{current_total, evaluate_total, EvalScratch};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
 use ncg_dynamics::scale::{
-    collect_ball, respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleResponderConfig,
-    ScaleScratch, ScaleState,
+    respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleResponderConfig, ScaleScratch,
+    ScaleState,
 };
-use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{generators, NodeId};
 use ncg_solver::front::best_response_with;
 use ncg_solver::{Mode, SolverScratch};
@@ -27,6 +26,15 @@ fn tree_state(n: usize, seed: u64) -> GameState {
     GameState::from_graph_random_ownership(&tree, &mut rng)
 }
 
+/// A sparse `G(n, p)` instance (average degree about 3, possibly
+/// disconnected) with coin-toss ownership: balls with cycles, which
+/// trees never have.
+fn gnp_state(n: usize, seed: u64) -> GameState {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let graph = generators::gnp(n, 3.0 / n as f64, &mut rng).unwrap();
+    GameState::from_graph_random_ownership(&graph, &mut rng)
+}
+
 /// A responder configuration wide enough that truncation never hides
 /// candidates on these test sizes.
 fn exhaustive_cfg() -> ScaleResponderConfig {
@@ -40,12 +48,11 @@ fn exhaustive_cfg() -> ScaleResponderConfig {
 fn check_all_players(gs: &GameState, spec: &GameSpec) -> Vec<(NodeId, f64, f64)> {
     let ss = ScaleState::from_game_state(gs);
     let mut scratch = ScaleScratch::new();
-    let mut buf = DistanceBuffer::new();
     let mut ball = Vec::new();
     let mut solver = SolverScratch::new();
     let mut out = Vec::new();
     for u in 0..gs.n() as NodeId {
-        collect_ball(ss.graph(), u, spec.k, &mut buf, &mut ball);
+        scratch.discover_ball(ss.graph(), u, spec.k, &mut ball);
         let mv = respond(&ss, spec, &exhaustive_cfg(), u, &ball, &mut scratch);
         let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
         let current = current_total(spec, &view);
@@ -105,9 +112,10 @@ proptest! {
         ai in 0usize..4,
         k in 2u32..4,
         sum in any::<bool>(),
+        gnp in any::<bool>(),
     ) {
         let alpha = [0.3, 0.8, 1.5, 5.0][ai];
-        let gs = tree_state(n, seed);
+        let gs = if gnp { gnp_state(n, seed) } else { tree_state(n, seed) };
         let spec = if sum { GameSpec::sum(alpha, k) } else { GameSpec::max(alpha, k) };
         check_all_players(&gs, &spec);
     }
