@@ -1,20 +1,23 @@
 //! Scalar vs bit-parallel batched BFS kernels on the
 //! `StateMetrics`-shaped workload: an all-sources sweep accumulating
-//! per-source eccentricity, reach count, and status sum — exactly the
-//! per-player quantities the metrics epilogue, the Figure 5 view-size
-//! statistics, and the LKE certification sweep derive.
+//! per-source eccentricity, reach count, and status sum.
 //!
 //! Three arms per substrate: the scalar CSR per-source kernel (one
-//! frontier per source), the 64-lane batched kernel pinned top-down,
-//! and the batched kernel with the Beamer-style direction heuristic
-//! (`Direction::Auto`). The aggregates of all three arms are asserted
-//! equal *before* timing starts — the same bit-identicality the parity
-//! proptests (`ncg-graph/tests/proptest_batch.rs`) and the CI
-//! `determinism` job (`NCG_BATCH_BFS=1` vs `0`) gate.
+//! frontier per source, the kernel `StateMetrics::measure` runs), the
+//! 64-lane batched kernel pinned top-down, and the batched kernel with
+//! the Beamer-style direction heuristic (`Direction::Auto`). The
+//! aggregates of all three arms are asserted equal *before* timing
+//! starts — the same bit-identicality the parity proptests
+//! (`ncg-graph/tests/proptest_batch.rs`) gate.
 //!
-//! Substrates: sparse connected `G(n, 8/n)` at n ∈ {256, 1024, 4096}
-//! and the Section 3.1 torus gadgets (the certification sweep's
-//! instance family), labelled by their actual vertex counts.
+//! Substrates, labelled by their actual vertex counts: sparse
+//! connected `G(n, 8/n)` at n ∈ {256, 1024, 4096}; uniform random trees
+//! at n ∈ {200, 1000}, the initial states of the paper's Section 5
+//! dynamics; and the Section 3.1 torus gadgets, the certification
+//! sweep's instance family. On `G(n, p)` the 64 lanes share most of
+//! each frontier and batching wins; on trees they share almost none
+//! and the scalar arm wins, which is why measurement and view builds
+//! stay scalar (DESIGN.md §12).
 //!
 //! A fourth arm, `torus_lane_balls`, is certification-shaped: 64-lane
 //! radius-2 batches over the n = 4056 torus with every lane's ball
@@ -32,8 +35,7 @@ use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 /// The scalar arm: one full BFS per source on the CSR layout, folding
-/// the per-source aggregates exactly as `StateMetrics::measure`'s
-/// scalar path does.
+/// the per-source aggregates exactly as `StateMetrics::measure` does.
 fn scalar_sweep(csr: &CsrGraph, buf: &mut DistanceBuffer) -> (u64, u64, u64) {
     let n = csr.node_count();
     let (mut ecc, mut reached, mut status) = (0u64, 0u64, 0u64);
@@ -117,6 +119,14 @@ fn bench_gnp(c: &mut Criterion) {
     }
 }
 
+fn bench_tree(c: &mut Criterion) {
+    for n in [200usize, 1000] {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let g = generators::random_tree(n, &mut rng);
+        bench_substrate(c, "tree", &g);
+    }
+}
+
 fn bench_torus(c: &mut Criterion) {
     // Closed tori near the gnp sizes (`n = 6δ²` at ℓ = 2):
     // δ = 6 → 216 vertices, δ = 13 → 1014, δ = 26 → 4056.
@@ -177,5 +187,5 @@ fn bench_torus_lane_balls(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gnp, bench_torus, bench_torus_lane_balls);
+criterion_group!(benches, bench_gnp, bench_tree, bench_torus, bench_torus_lane_balls);
 criterion_main!(benches);

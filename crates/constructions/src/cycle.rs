@@ -8,7 +8,7 @@
 //! `PoA = Ω(n / (1 + α))`.
 
 use ncg_core::{GameSpec, GameState};
-use ncg_solver::is_lke_par;
+use ncg_solver::is_lke;
 
 /// The Lemma 3.1 profile: an `n`-cycle, player `u` owning the edge to
 /// `(u+1) mod n`.
@@ -26,7 +26,7 @@ pub fn lemma_premise(n: usize, alpha: f64, k: u32) -> bool {
 /// parameters (exact best responses for every player, fanned out over
 /// the work-stealing pool with per-worker solver scratch).
 pub fn certify(n: usize, spec: &GameSpec) -> bool {
-    is_lke_par(&cycle_equilibrium(n), spec)
+    is_lke(&cycle_equilibrium(n), spec)
 }
 
 /// The PoA witnessed by the cycle: measured social cost over the

@@ -16,7 +16,7 @@
 use ncg_core::{GameSpec, GameState};
 use ncg_graph::generators::{high_girth, HighGirthParams};
 use ncg_graph::metrics;
-use ncg_solver::is_lke_par;
+use ncg_solver::is_lke;
 use rand::Rng;
 
 /// A high-girth equilibrium candidate: the graph, the ownership
@@ -56,7 +56,7 @@ impl HighGirthGadget {
     /// Certifies the LKE property with exact best responses (players
     /// fanned out over the work-stealing pool).
     pub fn certify(&self, spec: &GameSpec) -> bool {
-        is_lke_par(&self.state, spec)
+        is_lke(&self.state, spec)
     }
 
     /// The PoA this gadget witnesses (social cost / optimum).

@@ -7,14 +7,11 @@
 //! [`crate::deviation`]'s worst-case semantics. With `k` at least the
 //! diameter the view is the whole graph and LKE coincides with NE.
 //!
-//! Two checkers are provided:
-//!
-//! * [`is_lke_exhaustive`] — enumerates *all* `2^{|view|−1}` candidate
-//!   strategies per player. Exact but exponential: intended for unit
-//!   tests and gadget certification on small views (candidate cap 20).
-//! * [`is_lke_with`] — delegates to a [`BestResponder`] (the efficient
-//!   solver lives in `ncg-solver`), making the check `n` best-response
-//!   calls.
+//! [`is_lke_exhaustive`] enumerates *all* `2^{|view|−1}` candidate
+//! strategies per player. It is exact but exponential: the test oracle
+//! for small views (candidate cap 20). The efficient certifier,
+//! `ncg_solver::is_lke`, asks an exact [`BestResponder`] once per
+//! player instead.
 
 use ncg_graph::NodeId;
 
@@ -147,34 +144,6 @@ pub fn is_ne_exhaustive(state: &GameState, spec: &GameSpec) -> Result<bool, TooL
     is_lke_exhaustive(state, &full)
 }
 
-/// LKE check via a (typically exact) best responder: `n` view builds
-/// and best-response calls.
-pub fn is_lke_with<B: BestResponder>(
-    state: &GameState,
-    spec: &GameSpec,
-    responder: &mut B,
-) -> bool {
-    improving_player_with(state, spec, responder).is_none()
-}
-
-/// First player with an improving deviation according to `responder`,
-/// or `None` if the profile is stable for it.
-pub fn improving_player_with<B: BestResponder>(
-    state: &GameState,
-    spec: &GameSpec,
-    responder: &mut B,
-) -> Option<(NodeId, Deviation)> {
-    for u in 0..state.n() as NodeId {
-        let view = PlayerView::build(state, u, spec.k);
-        let current = current_total(spec, &view);
-        let best = responder.best_response(spec, &view);
-        if GameSpec::strictly_better(best.total_cost, current) {
-            return Some((u, best));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +242,11 @@ mod tests {
         let spec = GameSpec::max(2.0, 2);
         let mut responder =
             |spec: &GameSpec, view: &PlayerView| best_response_exhaustive(spec, view).unwrap();
-        assert!(is_lke_with(&state, &spec, &mut responder));
+        for u in 0..6 {
+            let view = PlayerView::build(&state, u, spec.k);
+            let expected = best_response_exhaustive(&spec, &view).unwrap();
+            assert_eq!(responder.best_response(&spec, &view), expected, "player {u}");
+        }
     }
 
     #[test]

@@ -66,13 +66,6 @@ pub trait UsageCost: std::fmt::Debug + Sync {
     /// path): `None` when the player does not reach everyone.
     fn distance_usage(&self, reaches_all: bool, ecc: u32, distances: &[u32]) -> Option<u64>;
 
-    /// Usage from the batched BFS kernel's per-lane aggregates
-    /// (`ncg_graph::batch`): `ecc` is the largest finite distance and
-    /// `status` the sum of finite distances of the lane. Must agree
-    /// with [`UsageCost::distance_usage`] on consistent inputs — the
-    /// bit-parity contract of the batched metrics path.
-    fn aggregate_usage(&self, reaches_all: bool, ecc: u32, status: u64) -> Option<u64>;
-
     /// Per-vertex usages on the true (full-knowledge) graph.
     fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>>;
 
@@ -113,10 +106,6 @@ impl UsageCost for Eccentricity {
     }
 
     fn distance_usage(&self, reaches_all: bool, ecc: u32, _distances: &[u32]) -> Option<u64> {
-        reaches_all.then_some(ecc as u64)
-    }
-
-    fn aggregate_usage(&self, reaches_all: bool, ecc: u32, _status: u64) -> Option<u64> {
         reaches_all.then_some(ecc as u64)
     }
 
@@ -168,10 +157,6 @@ impl UsageCost for Status {
 
     fn distance_usage(&self, reaches_all: bool, _ecc: u32, distances: &[u32]) -> Option<u64> {
         reaches_all.then(|| distances.iter().map(|&d| d as u64).sum())
-    }
-
-    fn aggregate_usage(&self, reaches_all: bool, _ecc: u32, status: u64) -> Option<u64> {
-        reaches_all.then_some(status)
     }
 
     fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>> {

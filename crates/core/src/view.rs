@@ -131,8 +131,8 @@ impl PlayerView {
     /// `lane_ball_into` emits, and what `ncg_graph::view::ball`
     /// produces). Field-for-field identical to a fresh
     /// [`PlayerView::build`]; the ball just skips the per-player BFS,
-    /// which the batched prefetch paths have already answered 64
-    /// players at a time.
+    /// which LKE certification has already answered 64 players at a
+    /// time.
     ///
     /// # Panics
     /// Panics (in debug) if `ball` is not the radius-`k` ball of `u`.

@@ -2,26 +2,21 @@
 //! each round and reports in Figures 5–10.
 
 use ncg_core::{social, GameSpec, GameState};
-use ncg_graph::batch::{batch_bfs, batch_enabled, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{CsrGraph, NodeId, INFINITY};
+use ncg_graph::{CsrGraph, INFINITY};
 use serde::{Deserialize, Serialize};
 
 /// Reusable workspace of the measurement pass: the frozen CSR, the
-/// scalar BFS buffer, the batched kernel's scratch + result, and the
-/// per-player usage vector. One per repetition (the sweep engine's
-/// [`crate::CacheArena`] owns one), threaded through
-/// [`StateMetrics::measure_with`] so the per-cell epilogue re-allocates
-/// nothing — the same discipline `DistanceBuffer` brings to a single
-/// BFS.
+/// BFS buffer, and the per-player usage vector. One per repetition
+/// (the sweep engine's [`crate::CacheArena`] owns one), threaded
+/// through [`StateMetrics::measure_with`] so the per-cell epilogue
+/// re-allocates nothing — the same discipline `DistanceBuffer` brings
+/// to a single BFS.
 #[derive(Debug, Clone, Default)]
 pub struct MeasureScratch {
     csr: CsrGraph,
     buf: DistanceBuffer,
-    batch: BatchScratch,
-    dists: BatchDistances,
     usages: Vec<Option<u64>>,
-    sources: Vec<NodeId>,
 }
 
 impl MeasureScratch {
@@ -74,6 +69,11 @@ impl StateMetrics {
     /// duplicate sweep of the per-cell epilogue (ROADMAP follow-up;
     /// parity-tested against `ncg_graph::metrics::diameter`,
     /// `ncg_graph::view::ball`, and the `ncg_core::social` BFS path).
+    ///
+    /// The sweep is scalar on purpose: on the random trees the paper's
+    /// dynamics start from, 64 scattered lanes share almost no
+    /// frontier and the batched kernel is about twice as slow
+    /// (DESIGN.md §12).
     pub fn measure(state: &GameState, spec: &GameSpec) -> Self {
         Self::measure_with(state, spec, &mut MeasureScratch::new())
     }
@@ -81,19 +81,6 @@ impl StateMetrics {
     /// [`StateMetrics::measure`] with caller-provided scratch: the
     /// sweep epilogue's hot path, one scratch per repetition.
     pub fn measure_with(state: &GameState, spec: &GameSpec, scratch: &mut MeasureScratch) -> Self {
-        Self::measure_with_policy(state, spec, scratch, batch_enabled())
-    }
-
-    /// [`StateMetrics::measure_with`] with the kernel choice pinned
-    /// explicitly — the in-process A/B hook of the bit-parity tests
-    /// (toggling `NCG_BATCH_BFS` inside a test process would race the
-    /// once-read environment).
-    pub fn measure_with_policy(
-        state: &GameState,
-        spec: &GameSpec,
-        scratch: &mut MeasureScratch,
-        batched: bool,
-    ) -> Self {
         let g = state.graph();
         let n = state.n();
         scratch.csr.refreeze(g);
@@ -103,58 +90,20 @@ impl StateMetrics {
         let mut connected = true;
         scratch.usages.clear();
         let usage_cost = spec.objective.usage_cost();
-        if batched {
-            // ⌈n/64⌉ lane-group passes instead of n scalar BFS: every
-            // per-player quantity falls out of the per-lane aggregates
-            // (level histogram), bit-identical to the scalar loop.
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + WORD_LANES).min(n);
-                scratch.sources.clear();
-                scratch.sources.extend(lo as u32..hi as u32);
-                batch_bfs(
-                    &scratch.csr,
-                    &scratch.sources,
-                    u32::MAX,
-                    &mut scratch.batch,
-                    &mut scratch.dists,
-                );
-                for lane in 0..hi - lo {
-                    let ecc = scratch.dists.ecc(lane);
-                    let reaches_all = scratch.dists.reached(lane) == n;
-                    connected &= reaches_all;
-                    ecc_max = ecc_max.max(ecc);
-                    let size = scratch.dists.ball_size(lane, spec.k);
-                    min_view = min_view.min(size);
-                    view_total += size;
-                    scratch.usages.push(usage_cost.aggregate_usage(
-                        reaches_all,
-                        ecc,
-                        scratch.dists.status_sum(lane),
-                    ));
-                }
-                lo = hi;
-            }
-        } else {
-            for u in 0..n as u32 {
-                let ecc = scratch.csr.bfs(u, &mut scratch.buf);
-                let reaches_all = scratch.buf.visited().len() == n;
-                connected &= reaches_all;
-                ecc_max = ecc_max.max(ecc);
-                let size = scratch
-                    .buf
-                    .distances()
-                    .iter()
-                    .filter(|&&d| d != INFINITY && d <= spec.k)
-                    .count();
-                min_view = min_view.min(size);
-                view_total += size;
-                scratch.usages.push(usage_cost.distance_usage(
-                    reaches_all,
-                    ecc,
-                    scratch.buf.distances(),
-                ));
-            }
+        for u in 0..n as u32 {
+            let ecc = scratch.csr.bfs(u, &mut scratch.buf);
+            let reaches_all = scratch.buf.visited().len() == n;
+            connected &= reaches_all;
+            ecc_max = ecc_max.max(ecc);
+            let size =
+                scratch.buf.distances().iter().filter(|&&d| d != INFINITY && d <= spec.k).count();
+            min_view = min_view.min(size);
+            view_total += size;
+            scratch.usages.push(usage_cost.distance_usage(
+                reaches_all,
+                ecc,
+                scratch.buf.distances(),
+            ));
         }
         if n == 0 {
             min_view = 0;
@@ -174,50 +123,6 @@ impl StateMetrics {
             avg_view: if n == 0 { 0.0 } else { view_total as f64 / n as f64 },
             unfairness: social::unfairness_with_usages(state, spec, usages),
         }
-    }
-
-    /// Convenience: the view-size statistics alone, which Figure 5
-    /// plots (min and mean over players). Same lane-grouped (or, with
-    /// `NCG_BATCH_BFS=0`, CSR bounded-BFS) path as
-    /// [`StateMetrics::measure`].
-    pub fn view_sizes(state: &GameState, k: u32) -> (usize, f64) {
-        let n = state.n();
-        if n == 0 {
-            return (0, 0.0);
-        }
-        let mut scratch = MeasureScratch::new();
-        scratch.csr.refreeze(state.graph());
-        let mut min = usize::MAX;
-        let mut total = 0usize;
-        if batch_enabled() {
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + WORD_LANES).min(n);
-                scratch.sources.clear();
-                scratch.sources.extend(lo as u32..hi as u32);
-                batch_bfs(
-                    &scratch.csr,
-                    &scratch.sources,
-                    k,
-                    &mut scratch.batch,
-                    &mut scratch.dists,
-                );
-                for lane in 0..hi - lo {
-                    let size = scratch.dists.reached(lane);
-                    min = min.min(size);
-                    total += size;
-                }
-                lo = hi;
-            }
-        } else {
-            for u in 0..n as u32 {
-                scratch.csr.bfs_bounded(u, k, &mut scratch.buf);
-                let size = scratch.buf.visited().len();
-                min = min.min(size);
-                total += size;
-            }
-        }
-        (min, total as f64 / n as f64)
     }
 }
 
@@ -247,12 +152,12 @@ mod tests {
     #[test]
     fn view_sizes_on_cycle() {
         let state = GameState::cycle_successor(10);
-        let (min, avg) = StateMetrics::view_sizes(&state, 2);
-        assert_eq!(min, 5);
-        assert!((avg - 5.0).abs() < 1e-12);
-        let (min, avg) = StateMetrics::view_sizes(&state, 1000);
-        assert_eq!(min, 10);
-        assert!((avg - 10.0).abs() < 1e-12);
+        let m = StateMetrics::measure(&state, &GameSpec::max(1.0, 2));
+        assert_eq!(m.min_view, 5);
+        assert!((m.avg_view - 5.0).abs() < 1e-12);
+        let m = StateMetrics::measure(&state, &GameSpec::max(1.0, 1000));
+        assert_eq!(m.min_view, 10);
+        assert!((m.avg_view - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -290,6 +195,8 @@ mod tests {
             .collect();
         states.push(GameState::from_strategies(4, vec![vec![1], vec![], vec![3], vec![]]));
         states.push(GameState::cycle_successor(11));
+        states.push(GameState::cycle_successor(130));
+        states.push(GameState::from_strategies(0, vec![]));
         for (i, state) in states.iter().enumerate() {
             for spec in [GameSpec::max(1.3, 2), GameSpec::sum(2.1, 3)] {
                 let m = StateMetrics::measure(state, &spec);
@@ -316,60 +223,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_measure_is_bit_identical_to_scalar() {
-        // The 64-lane batched path and the per-vertex scalar path must
-        // agree on every field — including the f64 averages — on
-        // connected, disconnected, empty, and >64-node profiles (the
-        // last exercising multiple lane groups and a partial one).
+    fn csr_path_matches_reference_diameter_and_balls() {
+        // Parity of the CSR measurement path against the per-vertex
+        // `Graph` reference implementations it replaced, including the
+        // empty state and a 130-cycle.
         use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let mut states: Vec<GameState> = (0..3)
-            .map(|t| {
-                let g = ncg_graph::generators::gnp(70, 0.03 + 0.03 * t as f64, &mut rng).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
+        let mut states: Vec<GameState> = (0..4)
+            .map(|trial| {
+                let g =
+                    ncg_graph::generators::gnp(40, 0.05 + 0.03 * trial as f64, &mut rng).unwrap();
                 GameState::from_graph_random_ownership(&g, &mut rng)
             })
             .collect();
-        states.push(GameState::from_strategies(4, vec![vec![1], vec![], vec![3], vec![]]));
         states.push(GameState::cycle_successor(130));
         states.push(GameState::from_strategies(0, vec![]));
-        let mut scratch = MeasureScratch::new();
         for (i, state) in states.iter().enumerate() {
-            for spec in [GameSpec::max(1.3, 2), GameSpec::sum(2.1, 3)] {
-                let batched = StateMetrics::measure_with_policy(state, &spec, &mut scratch, true);
-                let scalar = StateMetrics::measure_with_policy(state, &spec, &mut scratch, false);
-                assert_eq!(batched, scalar, "batched parity (state {i}, {:?})", spec.objective);
-            }
-        }
-    }
-
-    #[test]
-    fn csr_path_matches_reference_diameter_and_balls() {
-        // Parity of the CSR measurement path against the per-vertex
-        // `Graph` reference implementations it replaced.
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
-        for trial in 0..4 {
-            let g = ncg_graph::generators::gnp(40, 0.05 + 0.03 * trial as f64, &mut rng).unwrap();
-            let state = GameState::from_graph_random_ownership(&g, &mut rng);
             for k in [1u32, 2, 3, 1000] {
                 let spec = GameSpec::max(1.0, k);
-                let m = StateMetrics::measure(&state, &spec);
+                let m = StateMetrics::measure(state, &spec);
                 assert_eq!(
                     m.diameter,
                     ncg_graph::metrics::diameter(state.graph()),
-                    "diameter parity (trial {trial}, k={k})"
+                    "diameter parity (state {i}, k={k})"
                 );
-                let mut min = usize::MAX;
-                let mut total = 0usize;
-                for u in 0..state.n() as u32 {
-                    let size = ncg_graph::view::ball(state.graph(), u, k).len();
-                    min = min.min(size);
-                    total += size;
-                }
-                assert_eq!(m.min_view, min, "min view parity (trial {trial}, k={k})");
-                let avg = total as f64 / state.n() as f64;
-                assert!((m.avg_view - avg).abs() < 1e-12, "avg view parity (trial {trial}, k={k})");
-                assert_eq!(StateMetrics::view_sizes(&state, k), (min, avg));
+                let sizes: Vec<usize> = (0..state.n() as u32)
+                    .map(|u| ncg_graph::view::ball(state.graph(), u, k).len())
+                    .collect();
+                let min = sizes.iter().copied().min().unwrap_or(0);
+                let avg = if sizes.is_empty() {
+                    0.0
+                } else {
+                    sizes.iter().sum::<usize>() as f64 / sizes.len() as f64
+                };
+                assert_eq!(m.min_view, min, "min view parity (state {i}, k={k})");
+                assert!((m.avg_view - avg).abs() < 1e-12, "avg view parity (state {i}, k={k})");
             }
         }
     }

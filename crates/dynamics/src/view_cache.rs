@@ -32,7 +32,6 @@
 //! *and* the solver call for her entirely.
 
 use ncg_core::{EdgeDiff, GameState, PlayerView, ViewScratch};
-use ncg_graph::batch::{batch_bfs, batch_enabled, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::bfs::{bfs_multi_bounded, DistanceBuffer};
 use ncg_graph::NodeId;
 
@@ -65,18 +64,9 @@ pub struct ViewCache {
     k: u32,
     views: Vec<Option<PlayerView>>,
     dirty: Vec<bool>,
-    /// Players whose cached view was rebuilt by the round-start
-    /// [`ViewCache::prefetch`] and not invalidated since: their next
-    /// [`ViewCache::refresh`] consumes the slot as-is.
-    fresh: Vec<bool>,
-    batch: bool,
     scratch: ViewScratch,
     bfs: DistanceBuffer,
     touched: Vec<NodeId>,
-    batch_scratch: BatchScratch,
-    batch_dists: BatchDistances,
-    prefetch_sources: Vec<NodeId>,
-    ball: Vec<NodeId>,
     stats: CacheStats,
 }
 
@@ -88,27 +78,11 @@ impl ViewCache {
             k,
             views: vec![None; n],
             dirty: vec![true; n],
-            fresh: vec![false; n],
-            batch: batch_enabled(),
             scratch: ViewScratch::new(),
             bfs: DistanceBuffer::new(),
             touched: Vec::new(),
-            batch_scratch: BatchScratch::new(),
-            batch_dists: BatchDistances::default(),
-            prefetch_sources: Vec::new(),
-            ball: Vec::new(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Pins whether [`ViewCache::prefetch`] uses the 64-lane batched
-    /// ball kernel (`true`) or is a no-op (`false`, the scalar path).
-    /// Defaults to [`ncg_graph::batch::batch_enabled`]; the dynamics
-    /// runner pins it from its config so in-process A/B comparisons
-    /// need no environment mutation.
-    #[inline]
-    pub fn set_batch_bfs(&mut self, on: bool) {
-        self.batch = on;
     }
 
     /// The knowledge radius the cache was built for.
@@ -132,8 +106,6 @@ impl ViewCache {
         }
         self.dirty.clear();
         self.dirty.resize(n, true);
-        self.fresh.clear();
-        self.fresh.resize(n, false);
         self.touched.clear();
         self.stats = CacheStats::default();
     }
@@ -156,78 +128,14 @@ impl ViewCache {
     /// The caller is expected to solve on the returned view; the
     /// clean-skip invariant relies on it.
     pub fn refresh(&mut self, state: &GameState, u: NodeId) -> &PlayerView {
-        // Rebuild accounting happens at *consume* time whether the
-        // view was prefetched or is rebuilt here — `rebuilds` counts
-        // views the solver actually ran on, which is what the
-        // skip-proof tests pin against solver calls.
         self.stats.rebuilds += 1;
         self.dirty[u as usize] = false;
-        if self.fresh[u as usize] {
-            self.fresh[u as usize] = false;
-            debug_assert_eq!(
-                self.views[u as usize].as_ref(),
-                Some(&PlayerView::build(state, u, self.k)),
-                "prefetched view of player {u} is stale"
-            );
-            return self.views[u as usize].as_ref().expect("fresh implies built");
-        }
         let slot = &mut self.views[u as usize];
         match slot {
             Some(view) => view.rebuild(state, u, self.k, &mut self.scratch),
             None => *slot = Some(PlayerView::build_with(state, u, self.k, &mut self.scratch)),
         }
         slot.as_ref().expect("slot filled above")
-    }
-
-    /// Rebuilds the views of every currently-dirty player in 64-lane
-    /// batched ball sweeps over the *current* graph, marking them
-    /// fresh so their next [`ViewCache::refresh`] is a pointer return.
-    /// Sound only at a point where the state will not change before
-    /// those refreshes consume the views — the runner calls it at the
-    /// top of each round, and any mid-round move's invalidation sweep
-    /// clears the fresh bit of every player it reaches, so a view is
-    /// consumed fresh only if nothing in her ball moved since the
-    /// prefetch. No-op unless batching is on ([`ViewCache::set_batch_bfs`]);
-    /// touches neither the dirty bits nor the statistics.
-    pub fn prefetch(&mut self, state: &GameState) {
-        if !self.batch {
-            return;
-        }
-        self.prefetch_sources.clear();
-        self.prefetch_sources.extend(
-            (0..state.n() as NodeId).filter(|&u| self.dirty[u as usize] && !self.fresh[u as usize]),
-        );
-        let mut lo = 0usize;
-        while lo < self.prefetch_sources.len() {
-            let hi = (lo + WORD_LANES).min(self.prefetch_sources.len());
-            batch_bfs(
-                state.graph(),
-                &self.prefetch_sources[lo..hi],
-                self.k,
-                &mut self.batch_scratch,
-                &mut self.batch_dists,
-            );
-            for (lane, &u) in self.prefetch_sources[lo..hi].iter().enumerate() {
-                self.batch_dists.lane_ball_into(lane, &mut self.ball);
-                let slot = &mut self.views[u as usize];
-                match slot {
-                    Some(view) => {
-                        view.rebuild_from_ball(state, u, self.k, &self.ball, &mut self.scratch);
-                    }
-                    None => {
-                        *slot = Some(PlayerView::build_from_ball(
-                            state,
-                            u,
-                            self.k,
-                            &self.ball,
-                            &mut self.scratch,
-                        ));
-                    }
-                }
-                self.fresh[u as usize] = true;
-            }
-            lo = hi;
-        }
     }
 
     /// Applies player `u`'s accepted move through the cache: computes
@@ -310,9 +218,6 @@ impl ViewCache {
         bfs_multi_bounded(state.graph(), &self.touched, self.k, &mut self.bfs);
         for &v in self.bfs.visited() {
             self.dirty[v as usize] = true;
-            // A prefetched view inside the invalidation radius is no
-            // longer trustworthy; force a scalar rebuild at refresh.
-            self.fresh[v as usize] = false;
         }
     }
 
@@ -421,43 +326,6 @@ mod tests {
         cache.reset(8, 2);
         for u in 0..8 {
             assert_eq!(cache.refresh(&state_a, u), &PlayerView::build(&state_a, u, 2));
-        }
-    }
-
-    #[test]
-    fn prefetched_views_match_fresh_builds_and_are_invalidated_by_moves() {
-        let mut state = GameState::cycle_successor(70);
-        let k = 2;
-        let mut cache = ViewCache::new(70, k);
-        cache.set_batch_bfs(true);
-        // Round-start prefetch over >64 dirty players (two lane
-        // groups, one partial): every refresh must consume the
-        // prefetched slot and still equal a plain build.
-        cache.prefetch(&state);
-        for u in 0..70u32 {
-            assert_eq!(
-                cache.refresh(&state, u),
-                &PlayerView::build(&state, u, k),
-                "prefetched view of player {u} diverges"
-            );
-        }
-        assert_eq!(cache.stats().rebuilds, 70, "rebuilds counted at consume time");
-        // A move invalidates prefetched views inside the sweep radius;
-        // the follow-up prefetch + refresh still match plain builds.
-        cache.apply_move(&mut state, 10, vec![40]);
-        cache.prefetch(&state);
-        for u in 0..70u32 {
-            if !cache.is_clean(u) {
-                assert_eq!(cache.refresh(&state, u), &PlayerView::build(&state, u, k));
-            }
-        }
-        // With batching pinned off, prefetch is a no-op and refresh
-        // takes the scalar path — same views either way.
-        let mut scalar = ViewCache::new(70, k);
-        scalar.set_batch_bfs(false);
-        scalar.prefetch(&state);
-        for u in 0..70u32 {
-            assert_eq!(scalar.refresh(&state, u), cache.view(u).unwrap());
         }
     }
 

@@ -92,9 +92,9 @@ proptest! {
 
 /// Thread-count invariance of the trait-dispatched path: the same run
 /// executed inside rayon pools of 1, 2 and 4 threads must produce
-/// identical outcomes, final strategies and traces (the adaptive
-/// `ParallelPolicy` may fan out differently, but the canonical-rule
-/// engines make the results bit-identical regardless).
+/// identical outcomes, final strategies and traces (the
+/// `ParallelPolicy` fans large solves out differently per pool size,
+/// but the canonical-rule engines make the results bit-identical).
 #[test]
 fn front_dynamics_invariant_under_pool_size() {
     let mut rng = ChaCha8Rng::seed_from_u64(909);

@@ -5,11 +5,10 @@
 //! witnessed PoA (`SC/OPT`), and the theory bound at the same
 //! parameters.
 //!
-//! This sweep was the last caller that re-solved every construction
-//! from a cold scratch on a single core. Certification now routes
-//! through `ncg_solver::is_lke_par`: the `n` best responses of each
-//! gadget fan out over the work-stealing pool with one `Responder`
-//! (hence one warm `SolverScratch`) per worker, and a found violation
+//! Certification routes through `ncg_solver::is_lke`: the players of
+//! each gadget fan out over the work-stealing pool in 64-lane groups
+//! (one batched ball sweep per group) with one `Responder` (hence one
+//! warm `SolverScratch`) per worker, and a found violation
 //! short-circuits the remaining players. (Inside pool workers the
 //! individual solves stay sequential — the player fan-out is the
 //! parallelism; the §8 frontier split serves top-level callers.) The

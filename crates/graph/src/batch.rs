@@ -507,22 +507,6 @@ fn commit_level<A: Adjacency + ?Sized>(
     std::mem::swap(&mut scratch.frontier_nodes, &mut scratch.next_nodes);
 }
 
-/// Whether the batched kernels are enabled for this process: the
-/// `NCG_BATCH_BFS` escape hatch (`0`/`false`/`off` disables; default
-/// on). Read once — per-process A/B is how CI byte-diffs the two
-/// paths; in-process tests toggle the explicit policy parameters of
-/// the adopters instead of racing the environment.
-pub fn batch_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| batch_enabled_setting(std::env::var("NCG_BATCH_BFS").ok().as_deref()))
-}
-
-/// Pure parser behind [`batch_enabled`], testable without touching the
-/// process environment.
-pub fn batch_enabled_setting(raw: Option<&str>) -> bool {
-    !matches!(raw.map(str::trim), Some("0") | Some("false") | Some("off"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,16 +623,5 @@ mod tests {
         let mut union: Vec<NodeId> = out.union_visited().to_vec();
         union.sort_unstable();
         assert_eq!(union, vec![0, 1, 2, 4, 5]);
-    }
-
-    #[test]
-    fn env_setting_parser() {
-        assert!(batch_enabled_setting(None));
-        assert!(batch_enabled_setting(Some("1")));
-        assert!(batch_enabled_setting(Some("yes")));
-        assert!(!batch_enabled_setting(Some("0")));
-        assert!(!batch_enabled_setting(Some(" 0 ")));
-        assert!(!batch_enabled_setting(Some("false")));
-        assert!(!batch_enabled_setting(Some("off")));
     }
 }

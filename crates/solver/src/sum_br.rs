@@ -29,7 +29,7 @@ use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, MoveRulePolicy, PlayerView};
 
 use crate::front::hill_climb;
-use crate::{Mode, SolverScratch, ADAPTIVE_FLOOR};
+use crate::{Mode, SolverScratch};
 
 /// Computes a SumNCG best response: the exact branch-and-bound in
 /// [`Mode::Exact`], hill climbing in [`Mode::Greedy`]. Never returns
@@ -79,16 +79,12 @@ pub fn sum_best_response_with(
 /// contract).
 fn branch_and_bound(spec: &GameSpec, view: &PlayerView, scratch: &mut SolverScratch) -> Deviation {
     scratch.sum.prepare(spec, view);
-    let workers = scratch.parallel.workers_for(view.len(), &scratch.estimate);
-    let solve_start = std::time::Instant::now();
+    let workers = scratch.parallel.workers(view.len());
     let inc = if workers > 1 {
         scratch.sum.solve_parallel(workers, scratch.parallel.per_worker)
     } else {
         scratch.sum.solve()
     };
-    if workers <= 1 && view.len() >= ADAPTIVE_FLOOR {
-        scratch.estimate.record(view.len(), solve_start.elapsed().as_nanos() as u64);
-    }
     let total_cost = evaluate_total(spec, view, &inc.strategy, &mut scratch.eval);
     debug_assert_eq!(
         total_cost.to_bits(),

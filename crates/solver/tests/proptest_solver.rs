@@ -218,7 +218,7 @@ proptest! {
         let mut seq = SolverScratch::new();
         seq.parallel = ParallelPolicy::sequential();
         let mut par = SolverScratch::new();
-        par.parallel = ParallelPolicy { min_ground: 0, per_worker: 2, adaptive: false };
+        par.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
         let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         for u in (0..state.n() as NodeId).step_by(7) {
             let view = PlayerView::build(&state, u, k);
@@ -300,7 +300,7 @@ proptest! {
         let mut seq = SolverScratch::new();
         seq.parallel = ParallelPolicy::sequential();
         let mut warm = SolverScratch::new();
-        warm.parallel = ParallelPolicy { min_ground: 0, per_worker: 2, adaptive: false };
+        warm.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
         for u in (0..state.n() as NodeId).step_by(7) {
             let view = PlayerView::build(&state, u, k);
             let a = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut seq);
@@ -313,7 +313,7 @@ proptest! {
                 // Cold scratch, same pool: warm reuse must be invisible.
                 let c = pool.install(|| {
                     let mut cold = SolverScratch::new();
-                    cold.parallel = ParallelPolicy { min_ground: 0, per_worker: 2, adaptive: false };
+                    cold.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
                     sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut cold)
                 });
                 prop_assert_eq!(&a.strategy_local, &b.strategy_local, "u = {}", u);
