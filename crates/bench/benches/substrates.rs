@@ -8,6 +8,7 @@ use ncg_graph::{generators, metrics, view};
 use ncg_solver::bitset::BitSet;
 use ncg_solver::dominating::DominationInstance;
 use ncg_solver::engine::DominationEngine;
+use ncg_solver::max_br::RingGrowth;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -102,14 +103,16 @@ fn bench_dominating(c: &mut Criterion) {
 /// The best-response access pattern: one domination solve per
 /// eccentricity guess over *nested* coverage (radius-`r` balls,
 /// `r = 0..R`). `exact_bnb_incremental` drives one persistent
-/// [`DominationEngine`] across the guesses — BFS-order cursor growth,
-/// allocations recycled via `reset` — while `exact_bnb_rebuild`
-/// re-scans the distance matrix and reconstructs a fresh
-/// [`DominationInstance`] (coverage clones and all) per guess, exactly
-/// as the seed `max_br.rs` loop did. Identical solves, different
-/// setup — the gap is the engine rearchitecture's win (the
-/// whole-path version is `max_best_response/er100_full_view` vs
-/// `…_rebuild` in `best_response.rs`).
+/// [`DominationEngine`] across the guesses, fed by the reduction's
+/// production [`RingGrowth`] (one word-level ring insert per source
+/// and radius, allocations recycled via `reset`), while
+/// `exact_bnb_rebuild` re-scans the distance matrix and reconstructs a
+/// fresh [`DominationInstance`] (coverage clones and all) per guess,
+/// exactly as the seed `max_br.rs` loop did. Identical solves —
+/// asserted per radius before timing — different setup: the gap is
+/// the engine rearchitecture's win (the whole-path version is
+/// `max_best_response/er100_full_view` vs `…_rebuild` in
+/// `best_response.rs`).
 fn bench_dominating_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("dominating_set");
     group.sample_size(10);
@@ -124,42 +127,26 @@ fn bench_dominating_incremental(c: &mut Criterion) {
             buf.distances().to_vec()
         })
         .collect();
-    // Per-source visit orders (non-decreasing distance) for the cursor
-    // growth, as `sweep_minus_center` records them in the solver.
-    let orders: Vec<Vec<(u32, u32)>> = (0..n)
-        .map(|s| {
-            let mut o: Vec<(u32, u32)> = (0..n as u32).map(|v| (dist[s][v as usize], v)).collect();
-            o.sort_unstable();
-            o
-        })
-        .collect();
     let radii = 0..6u32;
-    group.bench_function("exact_bnb_incremental", |b| {
-        let mut engine = DominationEngine::new(BitSet::full(n), &[]);
-        let mut cursors = vec![0usize; n];
-        b.iter(|| {
-            engine.reset(BitSet::full(n), &[]);
-            cursors.iter_mut().for_each(|c| *c = 0);
-            let mut total = 0usize;
-            for r in radii.clone() {
-                for (s, cursor) in cursors.iter_mut().enumerate() {
-                    while *cursor < n && orders[s][*cursor].0 <= r {
-                        engine.add_pair(s as u32, orders[s][*cursor].1);
-                        *cursor += 1;
-                    }
-                }
-                if let Some(sol) = engine.solve_exact(usize::MAX) {
-                    total += sol.len();
-                }
-            }
-            total
-        })
-    });
-    group.bench_function("exact_bnb_rebuild", |b| {
-        b.iter(|| {
-            let mut covers: Vec<BitSet> = vec![BitSet::new(n); n];
-            let mut total = 0usize;
-            for r in radii.clone() {
+    // Each arm returns its per-radius solutions.
+    let mut engine = DominationEngine::new(BitSet::full(n), &[]);
+    let mut rings = RingGrowth::default();
+    let mut incremental = || -> Vec<Option<Vec<u32>>> {
+        engine.reset(BitSet::full(n), &[]);
+        rings.reset(&g, None);
+        radii
+            .clone()
+            .map(|r| {
+                rings.grow_to(&mut engine, r);
+                engine.solve_exact(usize::MAX)
+            })
+            .collect()
+    };
+    let rebuild = || -> Vec<Option<Vec<u32>>> {
+        let mut covers: Vec<BitSet> = vec![BitSet::new(n); n];
+        radii
+            .clone()
+            .map(|r| {
                 for s in 0..n {
                     for v in 0..n as u32 {
                         if dist[s][v as usize] == r {
@@ -172,13 +159,13 @@ fn bench_dominating_incremental(c: &mut Criterion) {
                     universe: BitSet::full(n),
                     forced: vec![],
                 };
-                if let Some(sol) = inst.solve_exact(usize::MAX) {
-                    total += sol.len();
-                }
-            }
-            total
-        })
-    });
+                inst.solve_exact(usize::MAX)
+            })
+            .collect()
+    };
+    assert_eq!(incremental(), rebuild(), "ring growth must solve exactly the rebuilt instances");
+    group.bench_function("exact_bnb_incremental", |b| b.iter(&mut incremental));
+    group.bench_function("exact_bnb_rebuild", |b| b.iter(&rebuild));
     group.finish();
 }
 

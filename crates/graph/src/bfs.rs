@@ -1,8 +1,8 @@
 //! Breadth-first search kernels.
 //!
 //! The BFS routines here are the hot path of the whole workspace: every
-//! eccentricity, view extraction and dominating-set reduction bottoms
-//! out in them. They therefore follow the allocation discipline from
+//! eccentricity, view extraction and deviation evaluation bottoms out
+//! in them. They therefore follow the allocation discipline from
 //! the performance guides: a caller-provided [`DistanceBuffer`] is
 //! reused across calls and nothing is allocated per BFS.
 //!
@@ -10,9 +10,9 @@
 //! on [`Graph`] or on [`crate::CsrGraph`] — are thin wrappers around
 //! **one** batched frontier sweep (the private `bfs_kernel`),
 //! parameterised over the [`Adjacency`] representation. View extraction
-//! (`crate::view::ball`), the deviation evaluator's multi-source
-//! sweeps, and the best-response reduction's per-source APSP therefore
-//! share a single, monomorphised inner loop (see `DESIGN.md` §5).
+//! (`crate::view::ball`) and the deviation evaluator's multi-source
+//! sweeps therefore share a single, monomorphised inner loop (see
+//! `DESIGN.md` §5).
 
 use crate::{Graph, NodeId, INFINITY};
 
@@ -202,9 +202,9 @@ pub fn bfs_multi<A: Adjacency + ?Sized>(
 }
 
 /// Multi-source BFS truncated at distance `limit` (inclusive): the
-/// batched frontier sweep behind view extraction and the incremental
-/// best-response APSP. Duplicate sources are harmless; with `limit` 0
-/// only the sources themselves are visited.
+/// batched frontier sweep behind view extraction. Duplicate sources
+/// are harmless; with `limit` 0 only the sources themselves are
+/// visited.
 pub fn bfs_multi_bounded<A: Adjacency + ?Sized>(
     g: &A,
     sources: &[NodeId],

@@ -5,8 +5,9 @@
 //! with word-level operations keeps that inner loop branch-free and
 //! allocation-free (cloning into a scratch is the only copy).
 
-/// Fixed-capacity set of `u32` elements `< capacity`, bit-packed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Fixed-capacity set of `u32` elements `< capacity`, bit-packed. The
+/// default is the empty set of capacity 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -192,6 +193,13 @@ impl BitSet {
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Raw mutable word access for word-level inserts (the engine's
+    /// ring insert, the ring growth's adjacency unions).
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 }
 

@@ -14,8 +14,8 @@
 //! dominators and branch on each of them, best-coverage-first. The
 //! search itself — bounds, scratch pools, and the incremental state
 //! that lets the reduction grow coverage across eccentricity guesses
-//! instead of rebuilding — lives in [`crate::engine`]; this module
-//! keeps the one-shot instance type and the greedy baseline.
+//! instead of rebuilding — lives in [`crate::engine`], as does the
+//! greedy baseline; this module keeps the one-shot instance type.
 
 use crate::bitset::BitSet;
 
@@ -59,6 +59,7 @@ impl DominationInstance {
         self.covers.len()
     }
 
+    #[cfg(test)]
     fn initial_covered(&self) -> BitSet {
         let mut covered = BitSet::new(self.n());
         for &f in &self.forced {
@@ -78,35 +79,14 @@ impl DominationInstance {
     }
 
     /// Greedy `(1 + ln n)`-approximation: repeatedly take the element
-    /// covering the most still-uncovered universe vertices.
+    /// covering the most still-uncovered universe vertices (ties to
+    /// the smallest element). Builds a throwaway
+    /// [`crate::engine::DominationEngine`], like
+    /// [`solve_exact`](Self::solve_exact).
     ///
     /// Returns `None` if infeasible.
     pub fn solve_greedy(&self) -> Option<Solution> {
-        let mut covered = self.initial_covered();
-        let mut chosen: Vec<u32> = Vec::new();
-        while covered.missing_from(&self.universe) > 0 {
-            let mut best: Option<(usize, u32)> = None;
-            for s in 0..self.n() as u32 {
-                let mut gain = 0usize;
-                // gain = |covers[s] ∩ universe ∖ covered|
-                for ((cw, uw), dw) in self.covers[s as usize]
-                    .words()
-                    .iter()
-                    .zip(self.universe.words())
-                    .zip(covered.words())
-                {
-                    gain += (cw & uw & !dw).count_ones() as usize;
-                }
-                if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
-                    best = Some((gain, s));
-                }
-            }
-            let (_, s) = best?; // None ⇒ infeasible
-            covered.union_with(&self.covers[s as usize]);
-            chosen.push(s);
-        }
-        chosen.sort_unstable();
-        Some(chosen)
+        crate::engine::DominationEngine::from_instance(self).solve_greedy()
     }
 
     /// Exact minimum via branch-and-bound.

@@ -7,14 +7,22 @@
 //! `s`). The seed implementation rebuilt the whole solver state —
 //! coverage clones, the dominator transpose, the packing order — from
 //! scratch at every `h`; the [`DominationEngine`] instead owns that
-//! state across guesses and mutates it monotonically via
-//! [`DominationEngine::add_pair`] (see `DESIGN.md` §4.3).
+//! state across guesses and mutates it monotonically: the reduction's
+//! ring growth ([`crate::max_br::RingGrowth`]) feeds each source's new
+//! ring through one word-level insert,
+//! [`DominationEngine::extend_cover`] (see `DESIGN.md` §4.3).
 //!
 //! The engine also carries every scratch buffer the branch-and-bound
 //! needs (one probe bitset and one candidate list **per recursion
 //! depth**, a marginal-gain array, a packing scratch), so repeated
 //! solves — thousands per dynamics round — allocate nothing after
 //! warm-up.
+//!
+//! Before any search, a **root gate** answers the guesses the root
+//! alone decides: an already-dominated universe, and any guess whose
+//! static bound `⌈uncovered / max_cover⌉` already reaches the cutoff —
+//! both without building the incumbent. The gate returns exactly what
+//! the full search would.
 //!
 //! Search improvements over the seed branch-and-bound (each is
 //! admissible, so optimality is preserved — the property suite checks
@@ -60,11 +68,11 @@ use crate::dominating::{DominationInstance, Solution};
 ///
 /// Construction: [`DominationEngine::new`] (or
 /// [`DominationEngine::reset`] to recycle allocations), then feed
-/// coverage pairs with [`add_pair`](DominationEngine::add_pair) —
-/// typically one BFS-order cursor sweep per radius. Solving never
+/// coverage with [`extend_cover`](DominationEngine::extend_cover) —
+/// typically one ring per source and radius. Solving never
 /// invalidates the incremental state, so the caller interleaves
-/// `add_pair` batches and [`solve_exact`](DominationEngine::solve_exact)
-/// calls freely.
+/// `extend_cover` batches and
+/// [`solve_exact`](DominationEngine::solve_exact) calls freely.
 #[derive(Debug, Clone)]
 pub struct DominationEngine {
     n: usize,
@@ -76,7 +84,8 @@ pub struct DominationEngine {
     /// [`Self::initial_covered`] as it arrives).
     forced: Vec<u32>,
     forced_set: BitSet,
-    /// Union of the forced elements' coverage, maintained by `add_pair`.
+    /// Union of the forced elements' coverage, maintained by
+    /// `extend_cover`.
     initial_covered: BitSet,
     /// Union of *all* coverage — feasibility is `any_cover ⊇ universe`.
     any_cover: BitSet,
@@ -85,7 +94,8 @@ pub struct DominationEngine {
     dominators: Vec<Vec<u32>>,
     /// …and as bitsets for the packing bound.
     dominator_sets: Vec<BitSet>,
-    /// `|covers[s] ∩ universe|` per element, maintained by `add_pair`.
+    /// `|covers[s] ∩ universe|` per element, maintained by
+    /// `extend_cover`.
     cover_sizes: Vec<u32>,
     /// `max(cover_sizes)` — the static fractional-bound denominator.
     max_cover: usize,
@@ -115,6 +125,11 @@ pub struct DominationEngine {
     /// [`DominationEngine::reset`]).
     shared_bound: Option<Arc<AtomicUsize>>,
 }
+
+/// [`DominationEngine::coverage_state`]'s snapshot.
+#[cfg(test)]
+pub(crate) type CoverageState<'a> =
+    (&'a [BitSet], &'a [Vec<u32>], &'a [BitSet], &'a [u32], usize, &'a BitSet, &'a BitSet);
 
 impl Default for DominationEngine {
     fn default() -> Self {
@@ -160,10 +175,10 @@ impl DominationEngine {
     /// reference (and bench baseline) for the incremental path.
     pub fn from_instance(inst: &DominationInstance) -> Self {
         let mut e = Self::new(inst.universe.clone(), &inst.forced);
+        let mut cover = BitSet::new(e.n);
         for (s, c) in inst.covers.iter().enumerate() {
-            for v in c.iter() {
-                e.add_pair(s as u32, v);
-            }
+            cover.clone_from(c);
+            e.extend_cover(s as u32, &mut cover);
         }
         e
     }
@@ -218,11 +233,55 @@ impl DominationEngine {
         }
     }
 
-    /// Records that choosing `s` dominates `v`, updating the dominator
-    /// transpose, the feasibility union, and (for forced `s`) the free
-    /// initial coverage. Idempotent; coverage only ever grows.
-    #[inline]
-    pub fn add_pair(&mut self, s: u32, v: u32) {
+    /// Records that choosing `s` dominates every vertex of `vs`, and
+    /// leaves in `vs` only the vertices `s` did not cover before — one
+    /// word-level insert of a whole ring. Each fresh universe vertex
+    /// `v` gets `s` appended to `dominators[v]` (in increasing `v`) and
+    /// inserted into `dominator_sets[v]`; the coverage size, the
+    /// feasibility union and, for a forced `s`, the free initial
+    /// coverage follow. Idempotent; coverage only ever grows.
+    ///
+    /// # Panics
+    /// Panics if `vs` is sized for a different ground set.
+    pub fn extend_cover(&mut self, s: u32, vs: &mut BitSet) {
+        assert_eq!(vs.capacity(), self.n, "ring sized for a different ground set");
+        let forced = self.forced_set.contains(s);
+        let cover = self.covers[s as usize].words_mut();
+        let any = self.any_cover.words_mut();
+        let initial = self.initial_covered.words_mut();
+        let universe = self.universe.words();
+        let mut added = 0u32;
+        for (i, w) in vs.words_mut().iter_mut().enumerate() {
+            let fresh = *w & !cover[i];
+            *w = fresh;
+            if fresh == 0 {
+                continue;
+            }
+            cover[i] |= fresh;
+            any[i] |= fresh;
+            if forced {
+                initial[i] |= fresh;
+            }
+            let mut dominated = fresh & universe[i];
+            added += dominated.count_ones();
+            while dominated != 0 {
+                let v = i * 64 + dominated.trailing_zeros() as usize;
+                self.dominators[v].push(s);
+                self.dominator_sets[v].insert(s);
+                dominated &= dominated - 1;
+            }
+        }
+        if added > 0 {
+            let size = &mut self.cover_sizes[s as usize];
+            *size += added;
+            self.max_cover = self.max_cover.max(*size as usize);
+        }
+    }
+
+    /// The one-pair insert the cursor feed used before ring growth,
+    /// kept as the reference [`Self::extend_cover`] must agree with.
+    #[cfg(test)]
+    pub(crate) fn add_pair(&mut self, s: u32, v: u32) {
         if self.covers[s as usize].insert(v) {
             self.any_cover.insert(v);
             if self.universe.contains(v) {
@@ -236,6 +295,22 @@ impl DominationEngine {
                 self.initial_covered.insert(v);
             }
         }
+    }
+
+    /// Everything a coverage feed maintains: covers, dominator lists
+    /// (in order) and sets, cover sizes, `max_cover`, the forced
+    /// elements' coverage and the feasibility union.
+    #[cfg(test)]
+    pub(crate) fn coverage_state(&self) -> CoverageState<'_> {
+        (
+            &self.covers,
+            &self.dominators,
+            &self.dominator_sets,
+            &self.cover_sizes,
+            self.max_cover,
+            &self.initial_covered,
+            &self.any_cover,
+        )
     }
 
     /// Whether every universe vertex currently has at least one
@@ -326,6 +401,24 @@ impl DominationEngine {
         Some(chosen)
     }
 
+    /// The answer the root alone decides, before any incumbent is
+    /// built: a universe the forced elements already dominate needs no
+    /// extra element (reported iff `cutoff > 0`), and once the static
+    /// fractional bound `⌈uncovered / max_cover⌉` reaches `cutoff`,
+    /// every cover — the greedy incumbent included — is too large.
+    /// Both are exactly the full search's answers; `None` means the
+    /// search has to run. Requires a feasible instance.
+    fn root_gate(&self, cutoff: usize) -> Option<Option<Solution>> {
+        let uncovered = self.initial_covered.missing_from(&self.universe);
+        if uncovered == 0 {
+            Some((cutoff > 0).then(Vec::new))
+        } else if uncovered.div_ceil(self.max_cover.max(1)) >= cutoff {
+            Some(None)
+        } else {
+            None
+        }
+    }
+
     /// Root setup shared by the sequential and parallel solvers:
     /// rebuilds the packing order and computes the pruned-greedy
     /// incumbent clamped to `cutoff`. Returns the incumbent solution
@@ -355,6 +448,9 @@ impl DominationEngine {
     pub fn solve_exact(&mut self, cutoff: usize) -> Option<Solution> {
         if !self.is_feasible() {
             return None;
+        }
+        if let Some(decided) = self.root_gate(cutoff) {
+            return decided;
         }
         let (mut best, mut best_len) = self.prepare_root(cutoff);
         let mut chosen: Vec<u32> = Vec::new();
@@ -410,6 +506,9 @@ impl DominationEngine {
         }
         if !self.is_feasible() {
             return None;
+        }
+        if let Some(decided) = self.root_gate(cutoff) {
+            return decided;
         }
         let (initial_best, initial_len) = self.prepare_root(cutoff);
         // Root state, then the canonical frontier split.
@@ -1058,16 +1157,8 @@ mod tests {
                 })
                 .collect();
             let inst = DominationInstance { covers, universe: BitSet::full(n), forced: vec![2] };
-            assert_eq!(
-                engine.solve_exact(usize::MAX).map(|s| s.len()),
-                inst.solve_exact(usize::MAX).map(|s| s.len()),
-                "radius {r}"
-            );
-            assert_eq!(
-                engine.solve_greedy().map(|s| s.len()),
-                inst.solve_greedy().map(|s| s.len()),
-                "greedy radius {r}"
-            );
+            assert_eq!(engine.solve_exact(usize::MAX), inst.solve_exact(usize::MAX), "radius {r}");
+            assert_eq!(engine.solve_greedy(), inst.solve_greedy(), "greedy radius {r}");
         }
     }
 

@@ -26,9 +26,10 @@
 //!   their uniform subset-move home turf, exact swap-neighbourhood
 //!   enumeration for swap games, enumeration-or-hill-climb for
 //!   non-uniform pricing.
-//! * [`SolverScratch`] — the reusable allocation bundle (BFS buffers,
-//!   APSP orders, the engine) threaded through the `*_with` entry
-//!   points; hold one per thread or long-lived computation.
+//! * [`SolverScratch`] — the reusable allocation bundle (evaluation
+//!   buffers, the reduction's ring growth, the engines) threaded
+//!   through the `*_with` entry points; hold one per thread or
+//!   long-lived computation.
 //! * [`Responder`] — a [`ncg_core::equilibrium::BestResponder`]
 //!   dispatching through [`front`], in [`Mode::Exact`] or
 //!   [`Mode::Greedy`] (the ablation axis). Owns a [`SolverScratch`],
@@ -64,7 +65,6 @@ use ncg_core::deviation::EvalScratch;
 use ncg_core::equilibrium::{BestResponder, Deviation};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
 use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
-use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
@@ -130,9 +130,10 @@ impl ParallelPolicy {
 }
 
 /// Reusable allocation bundle for the best-response engines: the
-/// deviation-evaluation scratch, the BFS buffer and flattened APSP
-/// orders of the reduction, and the incremental
-/// [`DominationEngine`](engine::DominationEngine) itself.
+/// deviation-evaluation scratch, the reduction's ring growth
+/// ([`max_br::RingGrowth`]: adjacency and ring bitsets of `H ∖ {u}`),
+/// the incremental [`DominationEngine`](engine::DominationEngine) and
+/// the [`SumEngine`](sum_engine::SumEngine).
 ///
 /// One scratch per thread (or per long-lived computation); thread it
 /// through [`max_br::max_best_response_with`] /
@@ -143,17 +144,7 @@ impl ParallelPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
     pub(crate) eval: EvalScratch,
-    pub(crate) buf: DistanceBuffer,
-    /// Per-source BFS visit orders on `H ∖ {center}`, flattened; node
-    /// ids and distances in non-decreasing distance order per source.
-    pub(crate) ord_node: Vec<NodeId>,
-    pub(crate) ord_dist: Vec<u32>,
-    /// `offsets[s]..offsets[s+1]` delimits source `s` in the flat
-    /// order arrays.
-    pub(crate) offsets: Vec<usize>,
-    /// Per-source consumption cursor of the incremental coverage
-    /// growth (advances monotonically with the eccentricity guess).
-    pub(crate) cursors: Vec<usize>,
+    pub(crate) rings: max_br::RingGrowth,
     pub(crate) engine: engine::DominationEngine,
     pub(crate) sum: sum_engine::SumEngine,
     /// When the exact solves behind this scratch fan out over the

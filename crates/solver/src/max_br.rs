@@ -18,21 +18,22 @@
 //! Because the coverage sets of consecutive guesses are nested
 //! (`covers[s]` is the radius-`(h−1)` ball around `s`), the whole
 //! per-`h` loop drives one persistent
-//! [`DominationEngine`](crate::engine::DominationEngine): the
-//! distance-bounded per-source BFS orders are computed once, and each
-//! guess merely advances a cursor per source, feeding the new
-//! distance-`(h−1)` pairs into the engine (`DESIGN.md` §4.3). The seed
-//! implementation cloned every coverage set and rebuilt the dominator
-//! transpose at every `h`.
+//! [`DominationEngine`]: [`RingGrowth`] holds the adjacency rows of
+//! `H ∖ {u}` as bitsets, and each guess grows every source's ball by
+//! one ring — the union of the adjacency rows of the previous ring,
+//! minus the ball — fed to the engine as one word-level insert
+//! (`DESIGN.md` §4.3). Rings grow only when a guess is solved, so the
+//! guesses the loop never reaches cost nothing.
 
-use ncg_core::deviation::{current_total, evaluate_max};
+use ncg_core::deviation::{current_total, evaluate_max, EvalScratch};
 use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, MoveRulePolicy, PlayerView};
-use ncg_graph::{CsrGraph, NodeId};
+use ncg_graph::{CsrGraph, Graph, NodeId};
 
 use crate::bitset::BitSet;
 use crate::bound::purchase_cutoff;
-use crate::{Mode, SolverScratch};
+use crate::engine::DominationEngine;
+use crate::{Mode, ParallelPolicy, SolverScratch};
 
 /// Computes the MaxNCG best response for `view` under `spec`.
 ///
@@ -49,14 +50,32 @@ pub fn max_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
 }
 
 /// [`max_best_response`] with caller-provided scratch: after warm-up,
-/// repeated calls (per-round dynamics, LKE sweeps) reuse the BFS
-/// buffers, the flattened APSP orders, and the incremental domination
-/// engine across views.
+/// repeated calls (per-round dynamics, LKE sweeps) reuse the ring
+/// growth's bitsets and the incremental domination engine across
+/// views.
 pub fn max_best_response_with(
     spec: &GameSpec,
     view: &PlayerView,
     mode: Mode,
     scratch: &mut SolverScratch,
+) -> Deviation {
+    let SolverScratch { eval, rings, engine, parallel, .. } = scratch;
+    rings.reset(&view.graph_minus_center, Some(view.center));
+    guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| rings.grow_to(engine, r))
+}
+
+/// The eccentricity-guess loop over `engine`, whose coverage
+/// `grow_to(engine, r)` grows to radius `r` (monotone in `r`). The
+/// production feed is [`RingGrowth`]; the tests drive the loop with
+/// the cursor feed it replaced.
+fn guess_loop(
+    spec: &GameSpec,
+    view: &PlayerView,
+    mode: Mode,
+    engine: &mut DominationEngine,
+    eval: &mut EvalScratch,
+    parallel: ParallelPolicy,
+    mut grow_to: impl FnMut(&mut DominationEngine, u32),
 ) -> Deviation {
     debug_assert!(
         spec.edge_cost.is_uniform() && spec.move_rule == MoveRulePolicy::AnySubset,
@@ -72,58 +91,141 @@ pub fn max_best_response_with(
     }
     // Eccentricity guesses at or above the current best total cost can
     // never win (any strategy with eccentricity h costs at least h),
-    // and eccentricities in H' never exceed |H| — so both the guess
-    // loop and the BFS sweep below are bounded by `h_cap`.
+    // and eccentricities in H' never exceed |H| — so the guess loop is
+    // bounded by `h_cap`.
     let h_cap = largest_useful_h(best.total_cost, n_local);
     if h_cap == 0 {
         return best;
     }
-    // Distance-bounded per-source sweep of H ∖ {center}, recording the
-    // BFS visit orders: coverage growth below is pure cursor
-    // advancement over these.
-    sweep_minus_center(scratch, view, h_cap - 1);
     // Universe: every vertex except the center.
     let mut universe = BitSet::full(n_local);
     universe.remove(view.center);
-    scratch.engine.reset(universe, &view.incoming);
+    engine.reset(universe, &view.incoming);
     // One fan-out decision per view, not per guess.
-    let workers = scratch.parallel.workers(n_local);
+    let workers = parallel.workers(n_local);
     for h in 1..=h_cap {
         if h as f64 >= best.total_cost - ncg_core::EPS {
             break;
         }
-        // Grow coverage to radius h−1: feed pairs at distance exactly
-        // h−1 to the engine (each source's cursor has already consumed
-        // everything closer).
-        grow_covers_to(scratch, h - 1);
         // Only solutions with α·extra + h < best are interesting
         // (shared cutoff arithmetic: crate::bound).
         let cutoff = purchase_cutoff(best.total_cost, h as f64, spec.alpha);
         if cutoff == 0 {
             continue;
         }
+        // Grow coverage to radius h−1: every source's balls up to
+        // `h − 1`, fed ring by ring.
+        grow_to(engine, h - 1);
         let solution = match mode {
             // Large views fan the branch-and-bound out over the
             // work-stealing pool per the scratch's policy; the
             // two-pass canonical rule keeps the result bit-identical
             // to the sequential solve (DESIGN.md §8).
             Mode::Exact if workers > 1 => {
-                scratch.engine.solve_exact_parallel(cutoff, workers, scratch.parallel.per_worker)
+                engine.solve_exact_parallel(cutoff, workers, parallel.per_worker)
             }
-            Mode::Exact => scratch.engine.solve_exact(cutoff),
-            Mode::Greedy => scratch.engine.solve_greedy().filter(|s| s.len() < cutoff),
+            Mode::Exact => engine.solve_exact(cutoff),
+            Mode::Greedy => engine.solve_greedy().filter(|s| s.len() < cutoff),
         };
         let Some(strategy) = solution else { continue };
         // `strategy` is already sorted with forced elements excluded.
         debug_assert!(strategy.iter().all(|s| !view.incoming.contains(s)));
         // Re-evaluate exactly (the true eccentricity may be < h).
-        let eval = evaluate_max(view, &strategy, &mut scratch.eval);
+        let eval = evaluate_max(view, &strategy, eval);
         let cost = spec.total_cost(strategy.len(), eval.usage());
         if is_better(spec, &strategy, cost, &best) {
             best = Deviation { strategy_local: strategy, total_cost: cost };
         }
     }
     best
+}
+
+/// Ring-by-ring coverage growth: feeds a [`DominationEngine`] the
+/// radius-`r` balls of a graph, one ring per source and radius.
+///
+/// The adjacency rows are bitsets, built once per [`reset`]; the ring
+/// of a source at radius `r` is the union of the adjacency rows of its
+/// radius-`(r − 1)` ring, minus its ball so far — which is exactly the
+/// engine's `covers[s]`, so the engine's coverage must come from this
+/// growth alone (reset both together). Each ring goes to the engine
+/// through one [`DominationEngine::extend_cover`], sources in
+/// increasing id within a radius, so dominator lists receive sources
+/// in (radius, source) order. Rings are grown only as far as
+/// [`grow_to`] is asked.
+///
+/// [`reset`]: RingGrowth::reset
+/// [`grow_to`]: RingGrowth::grow_to
+#[derive(Debug, Clone, Default)]
+pub struct RingGrowth {
+    /// `adj[v]`: the neighbours of `v`.
+    adj: Vec<BitSet>,
+    /// `rings[s]`: the vertices at distance exactly `fed − 1` from
+    /// `s` (before radius 0 is fed: `{s}`, or nothing for a
+    /// non-source).
+    rings: Vec<BitSet>,
+    next: BitSet,
+    /// How many radii (0, 1, …) have been fed to the engine.
+    fed: u32,
+}
+
+impl RingGrowth {
+    /// Re-targets the growth at `graph`, with every vertex but
+    /// `center` a source and nothing fed yet. Recycles the bitsets'
+    /// storage across graph sizes.
+    pub fn reset(&mut self, graph: &Graph, center: Option<NodeId>) {
+        let n = graph.node_count();
+        for rows in [&mut self.adj, &mut self.rings] {
+            rows.truncate(n);
+            for row in rows.iter_mut() {
+                row.reset(n);
+            }
+            rows.resize_with(n, || BitSet::new(n));
+        }
+        for v in 0..n as NodeId {
+            for &w in graph.neighbors(v) {
+                self.adj[v as usize].insert(w);
+            }
+            if Some(v) != center {
+                self.rings[v as usize].insert(v);
+            }
+        }
+        self.next.reset(n);
+        self.fed = 0;
+    }
+
+    /// Grows `engine`'s coverage to the radius-`r` balls, feeding the
+    /// rings not fed yet. Monotone: a radius already reached is a
+    /// no-op.
+    pub fn grow_to(&mut self, engine: &mut DominationEngine, r: u32) {
+        while self.fed <= r {
+            if self.fed == 0 {
+                for (s, ring) in self.rings.iter_mut().enumerate() {
+                    engine.extend_cover(s as u32, ring);
+                }
+            } else {
+                for s in 0..self.rings.len() {
+                    if self.rings[s].is_empty() {
+                        continue;
+                    }
+                    let next = self.next.words_mut();
+                    next.fill(0);
+                    for (i, &word) in self.rings[s].words().iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            let v = i * 64 + bits.trailing_zeros() as usize;
+                            for (nw, aw) in next.iter_mut().zip(self.adj[v].words()) {
+                                *nw |= aw;
+                            }
+                            bits &= bits - 1;
+                        }
+                    }
+                    engine.extend_cover(s as u32, &mut self.next);
+                    std::mem::swap(&mut self.rings[s], &mut self.next);
+                }
+            }
+            self.fed += 1;
+        }
+    }
 }
 
 /// The *seed* best-response loop, kept verbatim as the reference
@@ -216,59 +318,139 @@ fn is_better(_spec: &GameSpec, strategy: &[NodeId], cost: f64, best: &Deviation)
                     && *strategy < best.strategy_local[..])))
 }
 
-/// Bounded per-source BFS on `view.graph_minus_center`, recording each
-/// source's visit order (non-decreasing distance) into the scratch's
-/// flat arrays. The center is skipped as a source (it cannot be
-/// bought) and never appears as a target (it is detached in
-/// `H ∖ {center}`).
-///
-/// Runs on a frozen [`CsrGraph`] through the same batched frontier
-/// kernel as view extraction (`ncg_graph::bfs`): the reduction sweeps
-/// the whole adjacency once per source, which is exactly the access
-/// pattern the contiguous layout is for.
-fn sweep_minus_center(scratch: &mut SolverScratch, view: &PlayerView, limit: u32) {
-    let n = view.len();
-    let csr = CsrGraph::from_graph(&view.graph_minus_center);
-    scratch.ord_node.clear();
-    scratch.ord_dist.clear();
-    scratch.offsets.clear();
-    scratch.offsets.push(0);
-    for s in 0..n as NodeId {
-        if s != view.center {
-            csr.bfs_bounded(s, limit, &mut scratch.buf);
-            for &v in scratch.buf.visited() {
-                scratch.ord_node.push(v);
-                scratch.ord_dist.push(scratch.buf.dist(v));
-            }
-        }
-        scratch.offsets.push(scratch.ord_node.len());
-    }
-    scratch.cursors.clear();
-    scratch.cursors.extend_from_slice(&scratch.offsets[..n]);
-}
-
-/// Advances every source cursor through pairs at distance `≤ r`,
-/// feeding them to the engine. Monotone: call with increasing `r`.
-fn grow_covers_to(scratch: &mut SolverScratch, r: u32) {
-    let n = scratch.offsets.len() - 1;
-    for s in 0..n {
-        let end = scratch.offsets[s + 1];
-        let mut c = scratch.cursors[s];
-        while c < end && scratch.ord_dist[c] <= r {
-            scratch.engine.add_pair(s as u32, scratch.ord_node[c]);
-            c += 1;
-        }
-        scratch.cursors[s] = c;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ncg_core::equilibrium::best_response_exhaustive;
     use ncg_core::GameState;
+    use ncg_graph::bfs::DistanceBuffer;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The coverage feed ring growth replaced: bounded per-source BFS
+    /// visit orders of `H ∖ {center}` on a frozen CSR, consumed pair by
+    /// pair through one cursor per source.
+    #[derive(Default)]
+    struct CursorFeed {
+        buf: DistanceBuffer,
+        /// Per-source visit orders, flattened: node ids and distances
+        /// in non-decreasing distance order per source.
+        ord_node: Vec<NodeId>,
+        ord_dist: Vec<u32>,
+        /// `offsets[s]..offsets[s+1]` delimits source `s`.
+        offsets: Vec<usize>,
+        cursors: Vec<usize>,
+    }
+
+    impl CursorFeed {
+        fn sweep_minus_center(&mut self, view: &PlayerView, limit: u32) {
+            let n = view.len();
+            let csr = CsrGraph::from_graph(&view.graph_minus_center);
+            self.ord_node.clear();
+            self.ord_dist.clear();
+            self.offsets.clear();
+            self.offsets.push(0);
+            for s in 0..n as NodeId {
+                if s != view.center {
+                    csr.bfs_bounded(s, limit, &mut self.buf);
+                    for &v in self.buf.visited() {
+                        self.ord_node.push(v);
+                        self.ord_dist.push(self.buf.dist(v));
+                    }
+                }
+                self.offsets.push(self.ord_node.len());
+            }
+            self.cursors.clear();
+            self.cursors.extend_from_slice(&self.offsets[..n]);
+        }
+
+        fn grow_covers_to(&mut self, engine: &mut DominationEngine, r: u32) {
+            let n = self.offsets.len() - 1;
+            for s in 0..n {
+                let end = self.offsets[s + 1];
+                let mut c = self.cursors[s];
+                while c < end && self.ord_dist[c] <= r {
+                    engine.add_pair(s as u32, self.ord_node[c]);
+                    c += 1;
+                }
+                self.cursors[s] = c;
+            }
+        }
+    }
+
+    /// [`max_best_response_with`] driven by the cursor feed.
+    fn max_best_response_cursor_feed(
+        spec: &GameSpec,
+        view: &PlayerView,
+        mode: Mode,
+        scratch: &mut SolverScratch,
+    ) -> Deviation {
+        let mut feed = CursorFeed::default();
+        feed.sweep_minus_center(view, view.len() as u32);
+        let SolverScratch { eval, engine, parallel, .. } = scratch;
+        guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| {
+            feed.grow_covers_to(engine, r)
+        })
+    }
+
+    #[test]
+    fn ring_growth_matches_the_cursor_feed_at_every_radius() {
+        // Views of one, two and three words, seen by players with at
+        // least one incoming edge (so `forced` is non-empty).
+        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        let mut ring_scratch = SolverScratch::new();
+        let mut cursor_scratch = SolverScratch::new();
+        for n in [10usize, 63, 64, 65, 129] {
+            let g = ncg_graph::generators::gnp_connected(n, 5.0 / n as f64, 500, &mut rng).unwrap();
+            let state = GameState::from_graph_random_ownership(&g, &mut rng);
+            let players: Vec<NodeId> = (0..n as NodeId)
+                .filter(|&u| !PlayerView::build(&state, u, 1).incoming.is_empty())
+                .take(3)
+                .collect();
+            assert!(!players.is_empty(), "n = {n}: no player with incoming edges");
+            for &u in &players {
+                for k in [3u32, 1000] {
+                    let view = PlayerView::build(&state, u, k);
+                    let tag = format!("n = {n}, u = {u}, k = {k}");
+                    let mut universe = BitSet::full(view.len());
+                    universe.remove(view.center);
+                    let mut by_rings = DominationEngine::new(universe.clone(), &view.incoming);
+                    let mut by_cursors = DominationEngine::new(universe, &view.incoming);
+                    let mut rings = RingGrowth::default();
+                    rings.reset(&view.graph_minus_center, Some(view.center));
+                    let mut feed = CursorFeed::default();
+                    feed.sweep_minus_center(&view, view.len() as u32);
+                    for r in 0..=view.len() as u32 {
+                        rings.grow_to(&mut by_rings, r);
+                        feed.grow_covers_to(&mut by_cursors, r);
+                        assert_eq!(
+                            by_rings.coverage_state(),
+                            by_cursors.coverage_state(),
+                            "{tag}, radius {r}"
+                        );
+                    }
+                    for alpha in [0.3, 1.5, 6.0] {
+                        let spec = GameSpec::max(alpha, k);
+                        for mode in [Mode::Exact, Mode::Greedy] {
+                            let a = max_best_response_with(&spec, &view, mode, &mut ring_scratch);
+                            let b = max_best_response_cursor_feed(
+                                &spec,
+                                &view,
+                                mode,
+                                &mut cursor_scratch,
+                            );
+                            assert_eq!(a.strategy_local, b.strategy_local, "{tag}, α = {alpha}");
+                            assert_eq!(
+                                a.total_cost.to_bits(),
+                                b.total_cost.to_bits(),
+                                "{tag}, α = {alpha}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn assert_matches_exhaustive(state: &GameState, spec: &GameSpec) {
         for u in 0..state.n() as NodeId {

@@ -17,6 +17,60 @@ fn arb_elems(cap: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0..cap as u32, 0..cap)
 }
 
+/// The radius-`r` ball system of `g`: `covers[s]` is the radius-`r`
+/// ball around `s`, and every vertex must be dominated.
+fn ball_instance(g: &ncg_graph::Graph, r: u32, forced: Vec<u32>) -> DominationInstance {
+    let n = g.node_count();
+    let csr = ncg_graph::CsrGraph::from_graph(g);
+    let mut buf = ncg_graph::bfs::DistanceBuffer::with_capacity(n);
+    let covers = (0..n as u32)
+        .map(|s| {
+            csr.bfs_bounded(s, r, &mut buf);
+            BitSet::from_elems(n, buf.visited().iter().copied())
+        })
+        .collect();
+    DominationInstance { covers, universe: BitSet::full(n), forced }
+}
+
+proptest! {
+    // Each case runs 4·(n + 2) solves of a 63–70-element instance,
+    // ~1 s for a radius-1 case in a debug build (sparser graphs take
+    // far longer): four cases keep the debug tier-1 run within
+    // seconds; the weekly deep run raises the count.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every cutoff gets exactly the unbounded optimum's answer — the
+    /// root gate (which answers low cutoffs without an incumbent)
+    /// included — sequentially and in 1-, 2- and 4-thread pools, on
+    /// radius-0..2 ball systems across the word boundary.
+    #[test]
+    fn every_cutoff_agrees_with_the_unbounded_optimum(
+        seed in 0u64..10_000,
+        n in 63usize..71,
+        radius in 0u32..3,
+        p in 0.25f64..0.45,
+        forced in any::<bool>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = ncg_graph::generators::gnp(n, p, &mut rng).unwrap();
+        let inst = ball_instance(&g, radius, if forced { vec![n as u32 - 2] } else { vec![] });
+        let mut engine = DominationEngine::from_instance(&inst);
+        let optimum = engine.solve_exact(usize::MAX);
+        let pools: Vec<(usize, rayon::ThreadPool)> = [1usize, 2, 4]
+            .into_iter()
+            .map(|t| (t, rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap()))
+            .collect();
+        for cutoff in 0..=n + 1 {
+            let expected = optimum.clone().filter(|s| s.len() < cutoff);
+            prop_assert_eq!(&engine.solve_exact(cutoff), &expected, "cutoff {}", cutoff);
+            for (threads, pool) in &pools {
+                let got = pool.install(|| engine.solve_exact_parallel(cutoff, *threads, 3));
+                prop_assert_eq!(&got, &expected, "cutoff {}, {} threads", cutoff, threads);
+            }
+        }
+    }
+}
+
 proptest! {
     // Capped so a full `cargo test -q` stays fast and deterministic;
     // override with PROPTEST_CASES (and PROPTEST_SEED) for deeper runs.
