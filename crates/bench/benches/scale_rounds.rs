@@ -2,10 +2,11 @@
 //! states through the CSR-native responder path.
 //!
 //! * `scale_rounds/round_50k` — one simultaneous round on
-//!   `G(5·10^4, avg deg 10)`: every player proposes against the
-//!   frozen round-start network, conflicts resolve in canonical
-//!   order, and the CSR rebuilds wholesale. This is the unit of work
-//!   the `--smoke` CI lane times at `n = 10^5` and the `--full` tier
+//!   `G(5·10^4, avg deg 10)`: window by window, every player not
+//!   already marked by an accepted move proposes against the frozen
+//!   round-start network, conflicts resolve in canonical order, and
+//!   the CSR rebuilds wholesale. This is the unit of work the
+//!   `--smoke` CI lane times at `n = 10^5` and the `--full` tier
 //!   scales to `10^6`.
 //! * `scale_rounds/run_20k` — a short capped run (4 rounds) at
 //!   `n = 2·10^4`, the shape of one `scale-dynamics --quick` cell:

@@ -3,27 +3,53 @@
 //!
 //! ## Round structure (`RoundMode::Simultaneous`)
 //!
-//! 1. **Propose** — every dirty player computes a greedy best
-//!    response against the *frozen* start-of-round network, in
-//!    parallel over fixed-size chunks. Chunk boundaries depend only on
-//!    the dirty list, never on the worker count, and the vendored
-//!    rayon map preserves input order, so the proposal list is
-//!    byte-identical for any `NCG_THREADS`.
-//! 2. **Resolve** — proposals are scanned once in canonical player
-//!    order. A proposal is *accepted* unless its player lies within
-//!    distance `k` of the touched set (mover + strategy symmetric
-//!    difference) of an earlier accepted move — in which case the
-//!    proposal was computed on stale information and is *conflicted*
-//!    (dropped, player retried next round). Acceptance is safe: a
-//!    changed edge is incident to a touched node, so any path from an
-//!    unconflicted player through a changed edge is longer than `k`,
-//!    her radius-`k` ball is bit-identical in the frozen and updated
-//!    networks, and her proposal's exact cost delta still holds.
+//! The dirty list is taken in canonical player order, one fixed-size
+//! window of players at a time. A player is *marked* once she lies
+//! within distance `k`, in the frozen start-of-round network, of the
+//! touched set (mover + strategy symmetric difference) of a move
+//! accepted earlier in the round. For each window:
+//!
+//! 1. **Propose** — players already marked are *skipped*: their ball
+//!    may have changed this round, so the resolve would drop anything
+//!    they proposed. Every other player computes a greedy best
+//!    response against the *frozen* network, in parallel, one item per
+//!    player. The window does not depend on the worker count and the
+//!    vendored rayon map preserves input order, so proposals and
+//!    counters are byte-identical for any `NCG_THREADS`.
+//! 2. **Resolve** — the window's proposals are scanned in canonical
+//!    player order. A proposal is *accepted*, extending the marks,
+//!    unless its player is marked by a lower-id move accepted in the
+//!    same window — then it was computed on stale information and is
+//!    *conflicted* (dropped, player retried next round). Acceptance is
+//!    safe: a changed edge is incident to a touched node, so any path
+//!    from an unmarked player through a changed edge is longer than
+//!    `k`, her radius-`k` ball is bit-identical in the frozen and
+//!    updated networks, and her proposal's exact cost delta still
+//!    holds.
+//!
+//! After the last window:
+//!
 //! 3. **Apply** — accepted moves land in one `O(n + m)` SoA rebuild.
-//! 4. **Dirty** — the next round's dirty set is the union of the
-//!    radius-`k` balls of all touched nodes in the frozen *and* the
-//!    updated network, plus the conflicted players. Everyone else
+//! 4. **Dirty** — the marks are the next round's dirty set: the
+//!    radius-`k` ball of the round's touched nodes. Every changed edge
+//!    joins two touched nodes, so a shortest path to the touched set,
+//!    cut at the first touched node it meets, uses no changed edge:
+//!    the ball is the same in the frozen and the updated network. It
+//!    holds every skipped and conflicted player; everyone outside it
 //!    kept their ball bit-identical and provably stands pat.
+//!
+//! **The window size changes no output.** Marks only grow within a
+//! round, and only accepted moves of lower-id players add them. A
+//! player marked when her window starts would be dropped by the
+//! resolve if she were priced, so skipping her changes no acceptance,
+//! and she is dirty next round either way. By induction over
+//! canonical order, the accepted moves, their order, the marks, the
+//! next dirty set and the profile fingerprint are the same for every
+//! window size, up to one window holding the whole dirty list — the
+//! all-at-once round. Convergence ("no proposal") is unchanged too:
+//! the lowest-id player with an improving response has no accepted
+//! move before her, so she is never skipped. Only the counters
+//! `skipped`, `proposals` and `conflicts` depend on the window.
 //!
 //! `RoundMode::Sequential` is the small-`n` reference mode: players
 //! move one at a time in ascending order within a round (each seeing
@@ -51,10 +77,12 @@ use super::responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
 use super::state::{ApplyScratch, ScaleState};
 use crate::Outcome;
 
-/// Players whose proposals one parallel task computes. Fixed — chunk
-/// boundaries must not depend on the worker count, or artifacts would
-/// differ across `NCG_THREADS`.
-const PROPOSAL_CHUNK: usize = 4096;
+/// Dirty players per resolve window. Any size accepts the same moves
+/// (see the module doc); smaller windows skip more players an earlier
+/// window already marked, larger ones give the workers more to share
+/// per parallel call. Fixed, because the per-round counters depend on
+/// it and must not depend on the worker count.
+const WINDOW: usize = 512;
 
 /// How players take turns within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +125,21 @@ impl ScaleConfig {
 /// Per-round accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleRoundStats {
-    /// Players that responded this round.
+    /// Players dirty at the start of the round: each is either priced
+    /// or skipped.
     pub dirty: usize,
-    /// Strictly improving proposals collected.
+    /// Responses actually priced that strictly improve: `applied +
+    /// conflicts`. Skipped players are not priced, so this is not the
+    /// number of dirty players who could improve.
     pub proposals: usize,
+    /// Dirty players left unpriced because a move accepted in an
+    /// earlier window had already marked them (simultaneous mode only).
+    pub skipped: usize,
     /// Proposals applied after conflict resolution.
     pub applied: usize,
-    /// Proposals dropped as conflicted (simultaneous mode only).
+    /// Proposals dropped inside their own window, because a lower-id
+    /// move accepted in that window marked the player (simultaneous
+    /// mode only).
     pub conflicts: usize,
 }
 
@@ -131,8 +167,11 @@ pub struct ScaleRunResult {
     pub rounds: Vec<ScaleRoundStats>,
     /// Total moves applied.
     pub total_moves: usize,
-    /// Total strictly improving proposals (applied + conflicted).
+    /// Total strictly improving proposals priced (applied +
+    /// conflicted).
     pub total_proposals: usize,
+    /// Total dirty players skipped unpriced.
+    pub total_skipped: usize,
     /// Total conflicted proposals.
     pub total_conflicts: usize,
     /// Sampled ball statistics of the final network.
@@ -300,9 +339,7 @@ pub struct ScaleArena {
     dirty: Vec<NodeId>,
     next_dirty: Vec<NodeId>,
     touched: Vec<NodeId>,
-    touched_all: Vec<NodeId>,
     accepted: Vec<(NodeId, Vec<NodeId>)>,
-    conflicted: Vec<NodeId>,
     seen: HashMap<ProfileFp, usize>,
     batch: BatchScratch,
     dists: BatchDistances,
@@ -363,88 +400,76 @@ fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSampl
     }
 }
 
-/// One simultaneous round. Returns the stats; mutates `state`, the
-/// arena's dirty bookkeeping, and the profile fingerprint.
+/// One simultaneous round, resolved `window` dirty players at a time.
+/// Returns the stats; mutates `state`, the arena's dirty bookkeeping,
+/// and the profile fingerprint.
 fn simultaneous_round(
     state: &mut ScaleState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
     fp: &mut ProfileFp,
+    window: usize,
 ) -> ScaleRoundStats {
     let k = config.spec.k;
     let n = state.n();
     let dirty_count = arena.dirty.len();
+    let (mut proposals, mut skipped, mut conflicts) = (0usize, 0usize, 0usize);
 
-    // Phase 1: proposals against the frozen network, in parallel over
-    // fixed-size chunks (order-preserving map ⇒ canonical order).
-    let chunks: Vec<Vec<NodeId>> = arena.dirty.chunks(PROPOSAL_CHUNK).map(|c| c.to_vec()).collect();
+    arena.mark.begin(n);
+    arena.accepted.clear();
     let spec = &config.spec;
     let rcfg = &config.responder;
     let pool = &arena.pool;
     let frozen: &ScaleState = state;
-    let proposals: Vec<ScaleMove> = chunks
-        .into_par_iter()
-        .map_init(
-            || PoolGuard::take(pool),
-            |guard, chunk| {
-                let ws = guard.get();
-                let mut out = Vec::new();
-                for &u in &chunk {
+    for players in arena.dirty.chunks(window) {
+        // Phase 1: skip the players already marked; the rest propose
+        // against the frozen network in parallel (order-preserving map
+        // ⇒ canonical order).
+        let live: Vec<NodeId> =
+            players.iter().copied().filter(|&u| !arena.mark.is_marked(u)).collect();
+        skipped += players.len() - live.len();
+        let moves: Vec<Option<ScaleMove>> = live
+            .into_par_iter()
+            .map_init(
+                || PoolGuard::take(pool),
+                |guard, u| {
+                    let ws = guard.get();
                     ws.responder.discover_ball(frozen.graph(), u, k, &mut ws.ball);
-                    if let Some(mv) = respond(frozen, spec, rcfg, u, &ws.ball, &mut ws.responder) {
-                        out.push(mv);
-                    }
-                }
-                out
-            },
-        )
-        .collect::<Vec<Vec<ScaleMove>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+                    respond(frozen, spec, rcfg, u, &ws.ball, &mut ws.responder)
+                },
+            )
+            .collect();
 
-    let proposal_count = proposals.len();
-    if proposal_count == 0 {
-        return ScaleRoundStats { dirty: dirty_count, proposals: 0, applied: 0, conflicts: 0 };
-    }
-
-    // Phase 2: canonical-order conflict resolution on the frozen
-    // network (proposals arrive ascending by player).
-    arena.mark.begin(n);
-    arena.accepted.clear();
-    arena.conflicted.clear();
-    arena.touched_all.clear();
-    for mv in proposals {
-        if arena.mark.is_marked(mv.player) {
-            arena.conflicted.push(mv.player);
-            continue;
+        // Phase 2: resolve the window in canonical order on the frozen
+        // network, extending the marks.
+        for mv in moves.into_iter().flatten() {
+            proposals += 1;
+            if arena.mark.is_marked(mv.player) {
+                conflicts += 1;
+                continue;
+            }
+            let old = frozen.strategy(mv.player);
+            touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
+            fp.apply(mv.player, old, &mv.strategy);
+            arena.mark.mark_ball(frozen.graph(), &arena.touched, k);
+            arena.accepted.push((mv.player, mv.strategy));
         }
-        let old = state.strategy(mv.player);
-        touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
-        fp.apply(mv.player, old, &mv.strategy);
-        arena.mark.mark_ball(state.graph(), &arena.touched, k);
-        arena.touched_all.extend_from_slice(&arena.touched);
-        arena.accepted.push((mv.player, mv.strategy));
     }
     let applied = arena.accepted.len();
-    let conflicts = arena.conflicted.len();
+    let stats = ScaleRoundStats { dirty: dirty_count, proposals, skipped, applied, conflicts };
+    if proposals == 0 {
+        return stats;
+    }
 
     // Phase 3: one batched SoA rebuild.
-    arena.next_dirty.clear();
-    arena.next_dirty.extend_from_slice(&arena.mark.marked);
     state.apply_moves(&arena.accepted, &mut arena.apply);
 
-    // Phase 4: dirty set for the next round = frozen-ball ∪ new-ball
-    // of everything touched, plus the conflicted players.
-    arena.mark.begin(n);
-    arena.mark.mark_ball(state.graph(), &arena.touched_all, k);
-    arena.next_dirty.extend_from_slice(&arena.mark.marked);
-    arena.next_dirty.extend_from_slice(&arena.conflicted);
-    arena.next_dirty.sort_unstable();
-    arena.next_dirty.dedup();
-    std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
-
-    ScaleRoundStats { dirty: dirty_count, proposals: proposal_count, applied, conflicts }
+    // Phase 4: the marks are the next round's dirty set (see the
+    // module doc); they hold every skipped and conflicted player.
+    arena.dirty.clear();
+    arena.dirty.extend_from_slice(&arena.mark.marked);
+    arena.dirty.sort_unstable();
+    stats
 }
 
 /// One sequential round: ascending order, each mover immediately
@@ -485,7 +510,7 @@ fn sequential_round(
     arena.dirty.extend_from_slice(&arena.mark.marked);
     arena.dirty.sort_unstable();
     arena.dirty.dedup();
-    ScaleRoundStats { dirty: dirty_count, proposals: applied, applied, conflicts: 0 }
+    ScaleRoundStats { dirty: dirty_count, proposals: applied, skipped: 0, applied, conflicts: 0 }
 }
 
 /// Runs the scale-tier dynamics to convergence, a detected cycle, or
@@ -497,6 +522,21 @@ pub fn run_scale(
     config: &ScaleConfig,
     arena: &mut ScaleArena,
 ) -> ScaleRunResult {
+    run_rounds(state, config, arena, |state, arena, fp| match config.mode {
+        RoundMode::Simultaneous => simultaneous_round(state, config, arena, fp, WINDOW),
+        RoundMode::Sequential => sequential_round(state, config, arena, fp),
+    })
+}
+
+/// [`run_scale`]'s round loop, with the round itself supplied by the
+/// caller (the tests drive it with other windows and with the
+/// all-at-once oracle).
+fn run_rounds(
+    state: &mut ScaleState,
+    config: &ScaleConfig,
+    arena: &mut ScaleArena,
+    mut round: impl FnMut(&mut ScaleState, &mut ScaleArena, &mut ProfileFp) -> ScaleRoundStats,
+) -> ScaleRunResult {
     let n = state.n();
     arena.seen.clear();
     let mut fp = ProfileFp::of_state(state);
@@ -507,35 +547,188 @@ pub fn run_scale(
     let mut rounds = Vec::new();
     let mut total_moves = 0usize;
     let mut total_proposals = 0usize;
+    let mut total_skipped = 0usize;
     let mut total_conflicts = 0usize;
     let mut outcome = Outcome::MaxRoundsExceeded { rounds: config.max_rounds };
-    for round in 1..=config.max_rounds {
-        let stats = match config.mode {
-            RoundMode::Simultaneous => simultaneous_round(state, config, arena, &mut fp),
-            RoundMode::Sequential => sequential_round(state, config, arena, &mut fp),
-        };
+    for round_no in 1..=config.max_rounds {
+        let stats = round(state, arena, &mut fp);
         rounds.push(stats);
         total_moves += stats.applied;
         total_proposals += stats.proposals;
+        total_skipped += stats.skipped;
         total_conflicts += stats.conflicts;
         if stats.proposals == 0 {
-            outcome = Outcome::Converged { rounds: round };
+            outcome = Outcome::Converged { rounds: round_no };
             break;
         }
         if let Some(&first_seen) = arena.seen.get(&fp) {
-            outcome = Outcome::Cycled { first_seen, repeated_at: round };
+            outcome = Outcome::Cycled { first_seen, repeated_at: round_no };
             break;
         }
-        arena.seen.insert(fp, round);
+        arena.seen.insert(fp, round_no);
     }
     let view_sample = sample_views(state, config.spec.k, arena);
-    ScaleRunResult { outcome, rounds, total_moves, total_proposals, total_conflicts, view_sample }
+    ScaleRunResult {
+        outcome,
+        rounds,
+        total_moves,
+        total_proposals,
+        total_skipped,
+        total_conflicts,
+        view_sample,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ncg_core::GameState;
+    use ncg_graph::generators;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The all-at-once round the windows replaced, kept as the oracle
+    /// of [`windows_accept_exactly_the_all_at_once_moves`]: every dirty
+    /// player proposes against the frozen network, the proposals
+    /// resolve in canonical order, and the next dirty set is built
+    /// the long way — touched balls in the frozen *and* the updated
+    /// network, plus the conflicted players.
+    fn all_at_once_round(
+        state: &mut ScaleState,
+        config: &ScaleConfig,
+        arena: &mut ScaleArena,
+        fp: &mut ProfileFp,
+    ) -> ScaleRoundStats {
+        let k = config.spec.k;
+        let n = state.n();
+        let dirty_count = arena.dirty.len();
+        let ws = &mut arena.seq;
+        let mut proposals = Vec::new();
+        for &u in &arena.dirty {
+            ws.responder.discover_ball(state.graph(), u, k, &mut ws.ball);
+            proposals.extend(respond(
+                state,
+                &config.spec,
+                &config.responder,
+                u,
+                &ws.ball,
+                &mut ws.responder,
+            ));
+        }
+        let proposal_count = proposals.len();
+        if proposal_count == 0 {
+            return ScaleRoundStats {
+                dirty: dirty_count,
+                proposals: 0,
+                skipped: 0,
+                applied: 0,
+                conflicts: 0,
+            };
+        }
+
+        arena.mark.begin(n);
+        arena.accepted.clear();
+        let mut touched_all = Vec::new();
+        let mut conflicted = Vec::new();
+        for mv in proposals {
+            if arena.mark.is_marked(mv.player) {
+                conflicted.push(mv.player);
+                continue;
+            }
+            let old = state.strategy(mv.player);
+            touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
+            fp.apply(mv.player, old, &mv.strategy);
+            arena.mark.mark_ball(state.graph(), &arena.touched, k);
+            touched_all.extend_from_slice(&arena.touched);
+            arena.accepted.push((mv.player, mv.strategy));
+        }
+        let applied = arena.accepted.len();
+
+        arena.next_dirty.clear();
+        arena.next_dirty.extend_from_slice(&arena.mark.marked);
+        state.apply_moves(&arena.accepted, &mut arena.apply);
+        arena.mark.begin(n);
+        arena.mark.mark_ball(state.graph(), &touched_all, k);
+        arena.next_dirty.extend_from_slice(&arena.mark.marked);
+        arena.next_dirty.extend_from_slice(&conflicted);
+        arena.next_dirty.sort_unstable();
+        arena.next_dirty.dedup();
+        std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
+        ScaleRoundStats {
+            dirty: dirty_count,
+            proposals: proposal_count,
+            skipped: 0,
+            applied,
+            conflicts: conflicted.len(),
+        }
+    }
+
+    /// A sparse `G(n, avg_deg/(n-1))` state, edge ownership alternating
+    /// between the endpoints.
+    fn gnp_state(n: usize, avg_deg: f64, seed: u64) -> ScaleState {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        generators::gnp_edges(n, avg_deg / (n - 1) as f64, &mut rng, &mut edges).unwrap();
+        let owned: Vec<(NodeId, NodeId)> = edges
+            .into_iter()
+            .enumerate()
+            .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
+            .collect();
+        ScaleState::from_owned_edges(n, &owned)
+    }
+
+    /// Any window accepts exactly the all-at-once round's moves: same
+    /// final state, outcome, move count, view sample and per-round
+    /// dirty/applied counts. One window holding the whole dirty list
+    /// is the all-at-once round itself, counters included.
+    #[test]
+    fn windows_accept_exactly_the_all_at_once_moves() {
+        // (n, average degree, α, k, seed): every n spans at least two
+        // production windows.
+        let cases = [
+            (3_000, 6.0, 1.0, 2, 1),
+            (3_000, 6.0, 3.0, 2, 2),
+            (2_000, 8.0, 5.0, 2, 3),
+            (1_500, 6.0, 3.0, 3, 4),
+            (1_200, 6.0, 5.0, 3, 5),
+            (800, 6.0, 1.0, 3, 6),
+        ];
+        let mut skipped_somewhere = false;
+        for (n, avg_deg, alpha, k, seed) in cases {
+            let initial = gnp_state(n, avg_deg, seed);
+            let mut config = ScaleConfig::new(GameSpec::max(alpha, k));
+            config.max_rounds = 3;
+            let run = |round: &mut dyn FnMut(
+                &mut ScaleState,
+                &mut ScaleArena,
+                &mut ProfileFp,
+            ) -> ScaleRoundStats| {
+                let mut state = initial.clone();
+                let result = run_rounds(&mut state, &config, &mut ScaleArena::new(), round);
+                (state, result)
+            };
+            let (oracle_state, oracle) = run(&mut |s, a, fp| all_at_once_round(s, &config, a, fp));
+            for window in [1, 7, WINDOW, usize::MAX] {
+                let (state, result) =
+                    run(&mut |s, a, fp| simultaneous_round(s, &config, a, fp, window));
+                let case = format!("n {n}, α {alpha}, k {k}, window {window}");
+                assert!(state == oracle_state, "{case}: final states differ");
+                assert_eq!(result.outcome, oracle.outcome, "{case}");
+                assert_eq!(result.total_moves, oracle.total_moves, "{case}");
+                assert_eq!(result.view_sample, oracle.view_sample, "{case}");
+                assert_eq!(result.rounds.len(), oracle.rounds.len(), "{case}");
+                for (r, o) in result.rounds.iter().zip(&oracle.rounds) {
+                    assert_eq!((r.dirty, r.applied), (o.dirty, o.applied), "{case}");
+                    assert_eq!(r.proposals, r.applied + r.conflicts, "{case}");
+                    if window == usize::MAX {
+                        assert_eq!(r, o, "{case}: one window is the all-at-once round");
+                    }
+                }
+                skipped_somewhere |= window == WINDOW && result.total_skipped > 0;
+            }
+        }
+        assert!(skipped_somewhere, "no case skipped a player at the production window");
+    }
 
     fn successor_path(n: usize) -> ScaleState {
         let strategies: Vec<Vec<NodeId>> =

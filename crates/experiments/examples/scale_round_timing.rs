@@ -1,9 +1,10 @@
 //! Times one simultaneous round of the approximate scale tier on
 //! G(10^6, avg deg 10) — the tentpole throughput demo of DESIGN.md
-//! §13. The first round is the worst case (every player is dirty and
-//! responds); later rounds shrink to the balls the previous round
-//! touched. Work parallelises over fixed 4096-player chunks, so
-//! wall-clock scales with cores while artifacts stay byte-identical.
+//! §13. The first round is the worst case (every player is dirty);
+//! later rounds shrink to the balls the previous round touched.
+//! Players an earlier resolve window already marked are skipped
+//! unpriced; the rest respond in parallel, so wall-clock scales with
+//! cores while artifacts stay byte-identical.
 //!
 //! ```text
 //! cargo run --release -p ncg-experiments --example scale_round_timing
@@ -24,8 +25,9 @@ fn main() {
     let t1 = Instant::now();
     let result = run_scale(&mut state, &config, &mut arena);
     println!(
-        "one simultaneous round: {:.1?} ({} proposals, {} applied, {} conflicts)",
+        "one simultaneous round: {:.1?} ({} skipped, {} proposals, {} applied, {} conflicts)",
         t1.elapsed(),
+        result.total_skipped,
         result.total_proposals,
         result.total_moves,
         result.total_conflicts

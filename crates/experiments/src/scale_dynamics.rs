@@ -12,13 +12,13 @@
 //! grid (`n = 10^5`, four rounds) is the CI scale lane.
 //!
 //! Reported per `(α, k)` cell, mean ± 95% CI over repetitions:
-//! rounds executed, moves applied, conflicted proposals, final
-//! maximum degree, and the sampled average view size (a deterministic
-//! 64-player ball sample — exhaustive view statistics are `O(n·m)`
-//! and unaffordable at this tier). Convergence within the round cap
-//! is reported as a rate. Cells stream through the same journal /
-//! shard / merge / work-queue machinery as every other sweep, and
-//! artifacts are byte-identical for any `NCG_THREADS`.
+//! rounds executed, moves applied, final maximum degree, and the
+//! sampled average view size (a deterministic 64-player ball sample —
+//! exhaustive view statistics are `O(n·m)` and unaffordable at this
+//! tier). Convergence within the round cap is reported as a rate.
+//! Cells stream through the same journal / shard / merge / work-queue
+//! machinery as every other sweep, and artifacts are byte-identical
+//! for any `NCG_THREADS`.
 
 use ncg_core::Objective;
 
