@@ -499,11 +499,12 @@ fn sequential_round(
         let old = state.strategy(u);
         touched_of(u, old, &mv.strategy, &mut arena.touched);
         fp.apply(u, old, &mv.strategy);
-        // Union of pre- and post-move balls of the touched set, all
-        // accumulated in one mark epoch.
+        // One pass, before the move: every changed edge joins two
+        // touched nodes, so the touched set's radius-k ball is the same
+        // in the old and the new network. The epoch accumulates the
+        // union over the round's moves.
         arena.mark.mark_ball(state.graph(), &arena.touched, k);
         state.apply_moves(&[(u, mv.strategy)], &mut arena.apply);
-        arena.mark.mark_ball(state.graph(), &arena.touched, k);
         applied += 1;
     }
     arena.dirty.clear();

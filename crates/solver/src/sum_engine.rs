@@ -67,12 +67,16 @@
 //!   sweep direction between passes, with a bounded adjustment phase
 //!   near the prune threshold — is the strongest bound in the
 //!   p-median-like mid-α regime where the packing and gain bounds
-//!   stay loose, and its residual facility slacks feed two further
-//!   cuts: *reduced-cost fixing* (buying candidate `i` costs at least
-//!   `dual + slack_i`, so high-slack candidates drop from `U`
-//!   entirely) and a per-layer *integral lift* (at a fixed purchase
-//!   count `t` the cost is `α·(|I|+t)` plus an integer, so the
-//!   fractional dual floor rounds up onto each layer's grid).
+//!   stay loose. Only the root starts it cold; every other node starts
+//!   from its parent's final duals, clipped to its own outside options,
+//!   which stay feasible for the child (DESIGN.md §9), so a child's
+//!   ascent resumes where its parent's stopped. Its residual facility
+//!   slacks feed two further cuts: *reduced-cost fixing* (buying
+//!   candidate `i` costs at least `dual + slack_i`, so high-slack
+//!   candidates drop from `U` entirely) and a per-layer *integral
+//!   lift* (at a fixed purchase count `t` the cost is `α·(|I|+t)` plus
+//!   an integer, so the fractional dual floor rounds up onto each
+//!   layer's grid).
 //!
 //! Layers that survive the cost bounds still face the comparator:
 //! a size-`|I|+t` completion is explored only if it can be strictly
@@ -135,6 +139,9 @@ struct SumNode {
     chosen: Vec<NodeId>,
     best: Vec<u32>,
     und: Vec<NodeId>,
+    /// Starting duals of the node's ascent: its parent's final duals,
+    /// empty at the root (cold start).
+    duals: Vec<f64>,
 }
 
 /// Outcome of processing one node (bounds, reductions, stop
@@ -156,9 +163,9 @@ enum SumStep {
 ///
 /// One engine lives inside each [`SolverScratch`](crate::SolverScratch)
 /// and is re-[`prepare`](SumEngine::prepare)d per view: distance rows,
-/// per-depth pools and node scratch are grow-only, so warm restarts
-/// across dynamics rounds never allocate after the first solve at a
-/// given size.
+/// per-depth pools and node scratch are grow-only, so dynamics rounds
+/// never allocate after the first solve at a given size. Only
+/// allocations carry over: no solve reads another's results.
 #[derive(Debug, Clone)]
 pub struct SumEngine {
     n: usize,
@@ -181,6 +188,9 @@ pub struct SumEngine {
     /// taken with `mem::take` around recursion, restored after).
     best_pool: Vec<Vec<u32>>,
     und_pool: Vec<Vec<NodeId>>,
+    /// Starting duals of each depth's node: empty at the root, the
+    /// parent's final duals below it.
+    dual_pool: Vec<Vec<f64>>,
     /// DFS path of included candidates (branch + forced includes).
     chosen: Vec<NodeId>,
     // Per-node scratch, reused across the whole tree.
@@ -216,6 +226,9 @@ pub struct SumEngine {
     /// floats order as unsigned integers) shared across workers of a
     /// parallel solve.
     shared_bound: Option<Arc<AtomicU64>>,
+    /// Test-only audit of every node's dual ascent.
+    #[cfg(test)]
+    audit: Option<tests::AscentAudit>,
 }
 
 impl Default for SumEngine {
@@ -232,6 +245,7 @@ impl Default for SumEngine {
             buf: DistanceBuffer::new(),
             best_pool: Vec::new(),
             und_pool: Vec::new(),
+            dual_pool: Vec::new(),
             chosen: Vec::new(),
             und_min: Vec::new(),
             unmet: Vec::new(),
@@ -253,6 +267,8 @@ impl Default for SumEngine {
             forced: Vec::new(),
             record_buf: Vec::new(),
             shared_bound: None,
+            #[cfg(test)]
+            audit: None,
         }
     }
 }
@@ -261,7 +277,7 @@ impl SumEngine {
     /// Loads a view: one BFS per non-center vertex on `H ∖ {u}` into
     /// the flat row matrix, the incoming-edge residual, the
     /// Proposition 2.2 limits, and the current strategy as the seed
-    /// incumbent. Buffers are reused across calls (warm restart).
+    /// incumbent. Buffers are reused across calls (allocations only).
     ///
     /// The view must have at least two vertices (callers shortcut the
     /// singleton view).
@@ -336,6 +352,7 @@ impl SumEngine {
             chosen: Vec::new(),
             best: self.base.clone(),
             und: (0..self.n as NodeId).filter(|&v| v != self.center).collect(),
+            duals: Vec::new(),
         };
         let items = self.expand_frontier(root, &mut inc, workers * per_worker.max(1));
         if items.is_empty() {
@@ -364,7 +381,8 @@ impl SumEngine {
     }
 
     /// Fills depth-0 pools with the root node (empty strategy,
-    /// incoming-only residuals, every non-center vertex a candidate).
+    /// incoming-only residuals, every non-center vertex a candidate,
+    /// no starting duals).
     fn load_root_at_depth_zero(&mut self) {
         self.chosen.clear();
         self.acquire_depth(0);
@@ -375,6 +393,7 @@ impl SumEngine {
         self.und_pool[0].clear();
         let center = self.center;
         self.und_pool[0].extend((0..self.n as NodeId).filter(|&v| v != center));
+        self.dual_pool[0].clear();
     }
 
     /// Solves one frontier subproblem on this (worker-local) engine,
@@ -388,6 +407,8 @@ impl SumEngine {
         self.best_pool[0].extend_from_slice(&node.best);
         self.und_pool[0].clear();
         self.und_pool[0].extend_from_slice(&node.und);
+        self.dual_pool[0].clear();
+        self.dual_pool[0].extend_from_slice(&node.duals);
         self.recurse(0, &mut inc);
         inc
     }
@@ -396,6 +417,7 @@ impl SumEngine {
         while self.best_pool.len() <= depth {
             self.best_pool.push(Vec::new());
             self.und_pool.push(Vec::new());
+            self.dual_pool.push(Vec::new());
         }
     }
 
@@ -410,25 +432,31 @@ impl SumEngine {
     /// dual-feasible `v` (client values below their outside cost whose
     /// overshoots `Σ_j (v_j − row_c[j])⁺` stay within α per facility)
     /// certifies `α·|I| + (n−1) + Σ_j v_j` as a cost lower bound for
-    /// every completion, by weak LP duality. Values start at the
-    /// slack-free floor `min(best, undmin, cap)` — which is exactly
-    /// LB₀ — and rise breakpoint by breakpoint in client order until
-    /// facility slacks pin them, a deterministic procedure that is
-    /// near-exact on tree views where the additive gain bounds stay
-    /// loose. When the ascent bound lands just below the prune
-    /// threshold (`bound − lb ≤ adjust_window`), an Erlenkotter-style
-    /// adjustment phase kicks in: clients paying into two or more
-    /// slack-exhausted facilities drop back one breakpoint, freeing
-    /// slack that a re-ascent redistributes to blocked clients, and
-    /// the move is kept only when the dual total strictly rises. The
-    /// small safety margin absorbs float drift so the returned value
-    /// is always admissible.
+    /// every completion, by weak LP duality.
+    ///
+    /// The root (`start` empty) starts at the slack-free floor
+    /// `min(best, undmin, cap)`, which is exactly LB₀. Every other node
+    /// starts from its parent's final duals `start`, clipped to its own
+    /// outside options and raised to its own floor: that vector is
+    /// feasible for the child (DESIGN.md §9), and each slack is
+    /// recomputed exactly from it, because the child's candidate list
+    /// is a different list. Values then rise breakpoint by breakpoint
+    /// in client order, for at most 48 passes, until facility slacks
+    /// pin them, a deterministic procedure that is near-exact on tree
+    /// views where the additive gain bounds stay loose. When the ascent bound lands just below
+    /// the prune threshold (`bound − lb ≤ adjust_window`), an
+    /// Erlenkotter-style adjustment phase kicks in: clients paying into
+    /// two or more slack-exhausted facilities drop back one breakpoint,
+    /// freeing slack that a re-ascent redistributes to blocked clients,
+    /// and the move is kept only when the dual total strictly rises.
+    /// The small safety margin absorbs float drift so the returned
+    /// value is always admissible.
     fn dual_ascent(
         &mut self,
         best: &[u32],
         und: &[NodeId],
         und_min: &[u32],
-        passes: u32,
+        start: &[f64],
         bound: f64,
         adjust_window: f64,
     ) -> f64 {
@@ -442,13 +470,25 @@ impl SumEngine {
         v.clear();
         v.extend((0..n).map(|j| {
             if j == center {
-                0.0
-            } else {
-                best[j].min(und_min[j]).min(cap) as f64
+                return 0.0;
+            }
+            let floor = best[j].min(und_min[j]).min(cap) as f64;
+            match start.get(j) {
+                Some(&parent) => parent.min(best[j].min(cap) as f64).max(floor),
+                None => floor,
             }
         }));
         slack.clear();
-        slack.resize(und.len(), alpha);
+        slack.extend(und.iter().map(|&c| {
+            let row = &rows[c as usize * n..(c as usize + 1) * n];
+            let mut over = 0.0;
+            for (&vj, &d) in v.iter().zip(row) {
+                if d != INFINITY && vj > d as f64 {
+                    over += vj - d as f64;
+                }
+            }
+            alpha - over
+        }));
         const TOL: f64 = 1e-9;
         // One converging ascent: raise each client to its next
         // breakpoint or until a paying facility's slack pins it,
@@ -506,7 +546,7 @@ impl SumEngine {
             }
             sum
         };
-        let mut sum = ascent(&mut v, &mut slack, passes);
+        let mut sum = ascent(&mut v, &mut slack, 48);
         let fixed = alpha * self.chosen.len() as f64 + (n - 1) as f64 - 1e-6;
         if fixed + sum <= bound && bound - (fixed + sum) <= adjust_window {
             // Adjustment phase: a client paying into ≥ 2 tight
@@ -651,12 +691,15 @@ impl SumEngine {
     /// Bounds, reductions and the stop evaluation for one node; `best`
     /// and `und` are mutated in place (forced includes tighten
     /// residuals, eliminations shrink the candidate list) and
-    /// `self.chosen` grows by any forced includes. Shared by the
-    /// sequential recursion and the parallel frontier expansion.
+    /// `self.chosen` grows by any forced includes. `start` holds the
+    /// node's starting duals (empty at the root); on a branch,
+    /// `self.dual_v` holds its final duals. Shared by the sequential
+    /// recursion and the parallel frontier expansion.
     fn process_node(
         &mut self,
         best: &mut [u32],
         und: &mut Vec<NodeId>,
+        start: &[f64],
         inc: &mut SumIncumbent,
     ) -> SumStep {
         let n = self.n;
@@ -891,7 +934,9 @@ impl SumEngine {
             // it also lifts the per-`t` curve below.
             let window =
                 if self.chosen.len() <= 6 { self.spec.alpha.mul_add(2.0, 6.0) } else { 0.0 };
-            let dual_lb = self.dual_ascent(best, und, &und_min, 48, bound, window);
+            let dual_lb = self.dual_ascent(best, und, &und_min, start, bound, window);
+            #[cfg(test)]
+            self.audit_ascent(best, und, dual_lb, !start.is_empty());
             if dual_lb > bound {
                 break SumStep::Pruned;
             }
@@ -1163,9 +1208,15 @@ impl SumEngine {
     fn recurse(&mut self, depth: usize, inc: &mut SumIncumbent) {
         let mut best = std::mem::take(&mut self.best_pool[depth]);
         let mut und = std::mem::take(&mut self.und_pool[depth]);
+        let start = std::mem::take(&mut self.dual_pool[depth]);
         let mark = self.chosen.len();
-        if let SumStep::Branch(c) = self.process_node(&mut best, &mut und, inc) {
+        if let SumStep::Branch(c) = self.process_node(&mut best, &mut und, &start, inc) {
             self.acquire_depth(depth + 1);
+            // Both children start their ascent from this node's final
+            // duals: the include child's recursion hands the entry back
+            // unchanged, so the exclude child reads the same vector.
+            self.dual_pool[depth + 1].clear();
+            self.dual_pool[depth + 1].extend_from_slice(&self.dual_v);
             // Include child first: the greedy descent reaches a strong
             // incumbent fast, sharpening both bounds for the excludes.
             self.fill_child(depth + 1, &best, &und, c, true);
@@ -1178,6 +1229,7 @@ impl SumEngine {
         self.chosen.truncate(mark);
         self.best_pool[depth] = best;
         self.und_pool[depth] = und;
+        self.dual_pool[depth] = start;
     }
 
     /// Copies a child node into the pools at `depth`: parent residuals
@@ -1221,7 +1273,7 @@ impl SumEngine {
             let mut branched = false;
             for mut node in items {
                 std::mem::swap(&mut self.chosen, &mut node.chosen);
-                let step = self.process_node(&mut node.best, &mut node.und, inc);
+                let step = self.process_node(&mut node.best, &mut node.und, &node.duals, inc);
                 std::mem::swap(&mut self.chosen, &mut node.chosen);
                 if let SumStep::Branch(c) = step {
                     branched = true;
@@ -1240,8 +1292,14 @@ impl SumEngine {
                         chosen: inc_chosen,
                         best: inc_best,
                         und: child_und.clone(),
+                        duals: self.dual_v.clone(),
                     });
-                    next.push(SumNode { chosen: node.chosen, best: node.best, und: child_und });
+                    next.push(SumNode {
+                        chosen: node.chosen,
+                        best: node.best,
+                        und: child_und,
+                        duals: self.dual_v.clone(),
+                    });
                 }
             }
             items = next;
@@ -1261,6 +1319,69 @@ mod tests {
     use ncg_core::GameState;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// How many dual ascents [`SumEngine::audit_ascent`] checked, and
+    /// how many of them started from a parent's duals.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct AscentAudit {
+        nodes: usize,
+        warm: usize,
+    }
+
+    impl SumEngine {
+        /// Called after every dual ascent when `self.audit` is set.
+        /// Asserts that the final duals are feasible for the node —
+        /// each client at most its outside option `min(best, cap)`,
+        /// each undecided facility's overshoot at most α — and that
+        /// the ascent bound is at most the cost of `I ∪ T` for every
+        /// `T ⊆ U`, found by enumeration.
+        pub(super) fn audit_ascent(
+            &mut self,
+            best: &[u32],
+            und: &[NodeId],
+            dual_lb: f64,
+            warm: bool,
+        ) {
+            if self.audit.is_none() {
+                return;
+            }
+            let (n, center, alpha) = (self.n, self.center as usize, self.spec.alpha);
+            let clients = || (0..n).filter(move |&j| j != center);
+            let v = &self.dual_v;
+            for j in clients() {
+                let outside = best[j].min(self.cap) as f64;
+                assert!(v[j] <= outside + 1e-9, "client {j}: dual {} > outside {outside}", v[j]);
+            }
+            for &c in und {
+                let row = self.row(c);
+                let over: f64 = clients().map(|j| (v[j] - row[j] as f64).max(0.0)).sum();
+                assert!(over <= alpha + 1e-9, "facility {c}: overshoot {over} > α = {alpha}");
+            }
+            // Residuals of `I ∪ T` for every subset mask of `und`, each
+            // built from the mask without its lowest candidate.
+            let mut dist = best.to_vec();
+            let mut min_cost = f64::INFINITY;
+            for mask in 0usize..1 << und.len() {
+                if mask > 0 {
+                    let from = (mask & (mask - 1)) * n;
+                    let row = self.row(und[mask.trailing_zeros() as usize]);
+                    for j in 0..n {
+                        dist.push(dist[from + j].min(row[j]));
+                    }
+                }
+                let d = &dist[mask * n..(mask + 1) * n];
+                if clients().all(|j| d[j] != INFINITY) {
+                    let usage = clients().map(|j| 1 + d[j] as u64).sum();
+                    let bought = self.chosen.len() + mask.count_ones() as usize;
+                    min_cost = min_cost.min(self.spec.total_cost(bought, Some(usage)));
+                }
+            }
+            assert!(dual_lb <= min_cost, "dual bound {dual_lb} > cheapest completion {min_cost}");
+            let audit = self.audit.as_mut().expect("checked above");
+            audit.nodes += 1;
+            audit.warm += usize::from(warm);
+        }
+    }
 
     fn solve_for(state: &GameState, spec: &GameSpec, u: NodeId) -> (SumIncumbent, PlayerView) {
         let view = PlayerView::build(state, u, spec.k);
@@ -1294,6 +1415,44 @@ mod tests {
     }
 
     #[test]
+    fn every_ascent_is_feasible_and_admissible() {
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        let mut total = AscentAudit::default();
+        for case in 0..6 {
+            let n = 8 + case % 4;
+            let g = if case % 2 == 0 {
+                ncg_graph::generators::random_tree(n, &mut rng)
+            } else {
+                ncg_graph::generators::gnp_connected(n, 0.3, 100, &mut rng).unwrap()
+            };
+            let state = GameState::from_graph_random_ownership(&g, &mut rng);
+            for alpha in [0.5, 1.0, 2.5, 40.0] {
+                for k in [2u32, 1000] {
+                    let spec = GameSpec::sum(alpha, k);
+                    for u in 0..state.n() as NodeId {
+                        let view = PlayerView::build(&state, u, k);
+                        let mut engine = SumEngine {
+                            audit: Some(AscentAudit::default()),
+                            ..SumEngine::default()
+                        };
+                        engine.prepare(&spec, &view);
+                        let seq = engine.solve();
+                        let audit = engine.audit.take().expect("set above");
+                        total.nodes += audit.nodes;
+                        total.warm += audit.warm;
+                        // The parallel frontier hands each subproblem its
+                        // starting duals; worker snapshots audit too.
+                        engine.audit = Some(AscentAudit::default());
+                        engine.prepare(&spec, &view);
+                        assert_eq!(engine.solve_parallel(2, 2), seq, "u={u} α={alpha} k={k}");
+                    }
+                }
+            }
+        }
+        assert!(total.warm > 0 && total.nodes > total.warm, "{total:?}");
+    }
+
+    #[test]
     fn star_center_is_optimal_beyond_the_enumeration_cap() {
         // 29 candidates — far beyond both the old 14-candidate sum cap
         // and core's EXHAUSTIVE_CAP. With α = 2 < n the star center's
@@ -1312,7 +1471,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let g = ncg_graph::generators::gnp_connected(20, 0.15, 100, &mut rng).unwrap();
         let state = GameState::from_graph_random_ownership(&g, &mut rng);
-        for alpha in [0.3, 1.0, 3.0] {
+        for alpha in [0.3, 1.0, 3.0, 40.0] {
             let spec = GameSpec::sum(alpha, 1000);
             for u in (0..state.n() as NodeId).step_by(3) {
                 let view = PlayerView::build(&state, u, spec.k);
