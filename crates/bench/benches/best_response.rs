@@ -3,7 +3,8 @@
 //! and the incremental engine against the seed per-`h` rebuild loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncg_core::{GameSpec, GameState, PlayerView};
+use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
+use ncg_graph::NodeId;
 use ncg_solver::{max_br, sum_br, Mode, SolverScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -113,6 +114,26 @@ fn bench_view_build(c: &mut Criterion) {
     for k in [2u32, 4, 1000] {
         group.bench_with_input(BenchmarkId::new("er200_k", k), &k, |b, &k| {
             b.iter(|| PlayerView::build(&er, 17, k))
+        });
+    }
+    // The dynamics refresh path (`ViewCache::refresh`): one warm slot
+    // and one scratch rebuilt in place for every player in turn, on
+    // the ledger's `tree_local` shape (200-node random tree, k = 2)
+    // and `er_full` shape (G(70, 0.15), full knowledge).
+    let sweeps = [
+        ("rebuild_all_tree200_k2", tree_state(200, 5), 2u32),
+        ("rebuild_all_er70_k1000", er_state(70, 0.15, 6), 1000),
+    ];
+    for (name, state, k) in sweeps {
+        let mut scratch = ViewScratch::new();
+        let mut slot = PlayerView::build_with(&state, 0, k, &mut scratch);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for u in 0..state.n() as NodeId {
+                    slot.rebuild(&state, u, k, &mut scratch);
+                }
+                slot.len()
+            })
         });
     }
     group.finish();

@@ -133,7 +133,7 @@ fn bench_dominating_incremental(c: &mut Criterion) {
     let mut rings = RingGrowth::default();
     let mut incremental = || -> Vec<Option<Vec<u32>>> {
         engine.reset(BitSet::full(n), &[]);
-        rings.reset(&g, None);
+        rings.reset(n, None, |v| g.neighbors(v).iter().copied());
         radii
             .clone()
             .map(|r| {

@@ -16,10 +16,11 @@
 //!
 //! The implementation never materialises `H'`: since every path from
 //! `u` starts with one of her incident edges, `d_{H'}(u,v) = 1 +
-//! min_{s ∈ σ'_u ∪ incoming(u)} d_{H∖u}(s,v)`, one multi-source BFS on
-//! the precomputed [`PlayerView::graph_minus_center`].
+//! min_{s ∈ σ'_u ∪ incoming(u)} d_{H∖u}(s,v)`, one multi-source BFS in
+//! `H ∖ {u}` — the view's CSR read with the center skipped
+//! ([`PlayerView::bfs_minus_center`]).
 
-use ncg_graph::bfs::{bfs_multi, DistanceBuffer};
+use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{NodeId, INFINITY};
 
 use crate::{GameSpec, PlayerView};
@@ -76,7 +77,7 @@ fn multi_source_distances<'a>(
     scratch.sources.clear();
     scratch.sources.extend_from_slice(strategy_local);
     scratch.sources.extend_from_slice(&view.incoming);
-    bfs_multi(&view.graph_minus_center, &scratch.sources, &mut scratch.buf);
+    view.bfs_minus_center(&scratch.sources, &mut scratch.buf);
     scratch.buf.distances()
 }
 

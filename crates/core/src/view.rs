@@ -1,28 +1,36 @@
 //! Player views: the radius-`k` ball a player actually knows.
 //!
 //! A [`PlayerView`] snapshots everything Propositions 2.1/2.2 need to
-//! evaluate deviations: the induced ball subgraph `H`, the center's
-//! current purchases and incoming edges (both mapped to local ids),
-//! the center-to-node distances, and — precomputed because every
-//! candidate evaluation needs it — the graph `H ∖ {center}`.
+//! evaluate deviations: the induced ball subgraph `H` as one ball-local
+//! [`ncg_graph::CsrGraph`], the center's current purchases and incoming edges
+//! (both mapped to local ids), and the center-to-node distances.
+//!
+//! Every deviation is priced on `H ∖ {center}`. That graph is never
+//! materialised: it is the same CSR read with the center skipped, and
+//! [`PlayerView::bfs_minus_center`] and
+//! [`PlayerView::neighbors_minus_center`] are the only two places that
+//! know it.
 
-use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::view::{view_subgraph_into, Subgraph};
-use ncg_graph::{Graph, NodeId, INFINITY};
+use ncg_graph::bfs::{bfs_skipping, DistanceBuffer};
+use ncg_graph::view::{ball_into, StampMap, Subgraph};
+use ncg_graph::{NodeId, INFINITY};
 
 use crate::GameState;
 
-/// Reusable workspace for building [`PlayerView`]s: the BFS buffer and
-/// the ball scratch of the subgraph extraction.
+/// Reusable workspace for building [`PlayerView`]s: the BFS buffer, the
+/// ball, and the epoch-stamped global→local id map of the induced-ball
+/// build.
 ///
 /// One per thread (the dynamics view cache owns one); threading it
 /// through [`PlayerView::build_with`] / [`PlayerView::rebuild`] makes
-/// view (re)construction allocation-free after warm-up.
+/// view (re)construction allocation-free after warm-up. The id map is
+/// sized to the whole state, once.
 #[derive(Debug, Clone, Default)]
 pub struct ViewScratch {
     buf: DistanceBuffer,
     ball: Vec<NodeId>,
     globals: Vec<NodeId>,
+    ids: StampMap,
 }
 
 impl ViewScratch {
@@ -44,7 +52,9 @@ impl ViewScratch {
 /// [`PlayerView::build`] would produce).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlayerView {
-    /// The induced ball subgraph `H` with its id mapping.
+    /// The induced ball subgraph `H` (one ball-local CSR, rows sorted)
+    /// with its id mapping. `H ∖ {center}` is this graph read with the
+    /// center skipped; see [`PlayerView::bfs_minus_center`].
     pub sub: Subgraph,
     /// The player, in local coordinates.
     pub center: NodeId,
@@ -61,9 +71,6 @@ pub struct PlayerView {
     /// (equal to the distance in the full graph, since shortest paths
     /// to nodes at distance `≤ k` stay inside the ball).
     pub dist: Vec<u32>,
-    /// `H ∖ {center}`: the view with the center detached, the graph on
-    /// which candidate strategies are evaluated via multi-source BFS.
-    pub graph_minus_center: ncg_graph::Graph,
 }
 
 impl PlayerView {
@@ -101,41 +108,48 @@ impl PlayerView {
     /// The allocation-free skeleton every build entry point fills in.
     fn empty(u: NodeId, k: u32) -> Self {
         PlayerView {
-            sub: Subgraph { graph: Graph::new(0), local_to_global: Vec::new() },
+            sub: Subgraph::default(),
             center: 0,
             center_global: u,
             k,
             purchases: Vec::new(),
             incoming: Vec::new(),
             dist: Vec::new(),
-            graph_minus_center: Graph::new(0),
         }
     }
 
     /// Overwrites this view with the view of player `u` at radius `k`
     /// in the current state, reusing every allocation the old contents
-    /// held (subgraph, adjacency lists, distance and strategy
-    /// buffers). The result is field-for-field identical to a fresh
-    /// [`PlayerView::build`] — the incremental dynamics engine's
-    /// refresh path, property-tested in `ncg-dynamics`.
+    /// held (CSR, id map, distance and strategy buffers). The result
+    /// is field-for-field identical to a fresh [`PlayerView::build`] —
+    /// the incremental dynamics engine's refresh path, property-tested
+    /// in `ncg-dynamics`.
+    ///
+    /// One bounded BFS on the global graph finds the ball; its
+    /// distances are the view's `dist`.
     ///
     /// # Panics
     /// Panics if `u` is out of range.
     pub fn rebuild(&mut self, state: &GameState, u: NodeId, k: u32, scratch: &mut ViewScratch) {
-        view_subgraph_into(state.graph(), u, k, &mut scratch.buf, &mut scratch.ball, &mut self.sub);
-        self.rebuild_tail(state, u, k, scratch);
+        let ViewScratch { buf, ball, globals, ids } = scratch;
+        ball_into(state.graph(), u, k, buf, ball);
+        self.load_ball(state, u, k, ball, ids, globals);
+        self.dist.clear();
+        self.dist.extend(ball.iter().map(|&v| buf.dist(v)));
     }
 
     /// [`PlayerView::rebuild`] with the radius-`k` ball of `u` already
     /// computed (ascending global ids — what the batched BFS kernel's
     /// `lane_ball_into` emits, and what `ncg_graph::view::ball`
     /// produces). Field-for-field identical to a fresh
-    /// [`PlayerView::build`]; the ball just skips the per-player BFS,
-    /// which LKE certification has already answered 64 players at a
-    /// time.
+    /// [`PlayerView::build`]; the ball just skips the per-player BFS on
+    /// the global graph, which LKE certification has already answered
+    /// 64 players at a time. `dist` comes from one BFS on the view's
+    /// CSR.
     ///
     /// # Panics
-    /// Panics (in debug) if `ball` is not the radius-`k` ball of `u`.
+    /// Panics if `ball` misses the center or one of her neighbours, and
+    /// (in debug) if it is not exactly the radius-`k` ball of `u`.
     pub fn rebuild_from_ball(
         &mut self,
         state: &GameState,
@@ -144,43 +158,66 @@ impl PlayerView {
         ball: &[NodeId],
         scratch: &mut ViewScratch,
     ) {
-        debug_assert!(ball.binary_search(&u).is_ok(), "ball must contain its center");
         debug_assert_eq!(
             ball,
             ncg_graph::view::ball(state.graph(), u, k),
             "precomputed ball disagrees with a scalar ball for player {u}"
         );
-        ncg_graph::view::induced_subgraph_into(state.graph(), ball, &mut self.sub);
-        self.rebuild_tail(state, u, k, scratch);
-    }
-
-    /// The representation-independent rest of a (re)build: everything
-    /// after `self.sub` holds the induced ball subgraph.
-    fn rebuild_tail(&mut self, state: &GameState, u: NodeId, k: u32, scratch: &mut ViewScratch) {
-        let sub = &self.sub;
-        let center = sub.to_local(u).expect("center is always inside her own ball");
-        let to_local = |globals: &[NodeId], out: &mut Vec<NodeId>| {
-            out.clear();
-            out.extend(globals.iter().map(|&g| {
-                sub.to_local(g).expect("distance-1 neighbours are always inside the ball")
-            }));
-            out.sort_unstable();
-        };
-        to_local(state.strategy(u), &mut self.purchases);
-        state.incoming_into(u, &mut scratch.globals);
-        to_local(&scratch.globals, &mut self.incoming);
-        ncg_graph::bfs::bfs(&sub.graph, center, &mut scratch.buf);
+        self.load_ball(state, u, k, ball, &mut scratch.ids, &mut scratch.globals);
+        self.sub.graph.bfs(self.center, &mut scratch.buf);
         self.dist.clear();
         self.dist.extend_from_slice(scratch.buf.distances());
         debug_assert!(
             self.dist.iter().all(|&d| d != INFINITY),
             "every node of the ball must be reachable from its center"
         );
-        self.graph_minus_center.copy_from(&sub.graph);
-        self.graph_minus_center.detach_node(center);
-        self.center = center;
+    }
+
+    /// Everything of a (re)build but `dist`: the induced-ball CSR and
+    /// id maps, the center, and her purchases and incoming edges in
+    /// local ids.
+    fn load_ball(
+        &mut self,
+        state: &GameState,
+        u: NodeId,
+        k: u32,
+        ball: &[NodeId],
+        ids: &mut StampMap,
+        globals: &mut Vec<NodeId>,
+    ) {
+        self.sub.local_to_global.clear();
+        self.sub.local_to_global.extend_from_slice(ball);
+        self.sub.graph.rebuild_induced(state.graph(), ball, ids);
+        self.center = ids.get(u).expect("center is always inside her own ball");
+        // Local ids are order-isomorphic to global ids, so the sorted
+        // global lists map to sorted local lists.
+        let to_local =
+            |g: NodeId| ids.get(g).expect("distance-1 neighbours are always inside the ball");
+        self.purchases.clear();
+        self.purchases.extend(state.strategy(u).iter().map(|&g| to_local(g)));
+        state.incoming_into(u, globals);
+        self.incoming.clear();
+        self.incoming.extend(globals.iter().map(|&g| to_local(g)));
         self.center_global = u;
         self.k = k;
+    }
+
+    /// Multi-source BFS in `H ∖ {center}` from `sources` (local ids):
+    /// the center keeps `INFINITY` and no path passes through her. This
+    /// is the sweep every deviation is priced with (`d_{H'}(u, v) = 1 +`
+    /// the source distance of `v`, `H'` being the view after the
+    /// deviation). Returns the largest finite distance reached.
+    pub fn bfs_minus_center(&self, sources: &[NodeId], buf: &mut DistanceBuffer) -> u32 {
+        bfs_skipping(&self.sub.graph, sources, self.center, buf)
+    }
+
+    /// The neighbours of local node `v` in `H ∖ {center}`, ascending:
+    /// none for the center herself, and `v`'s row minus the center
+    /// otherwise.
+    pub fn neighbors_minus_center(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let center = self.center;
+        let row = if v == center { &[][..] } else { self.sub.graph.neighbors(v) };
+        row.iter().copied().filter(move |&w| w != center)
     }
 
     /// Number of nodes the player sees (including herself) — the
@@ -309,14 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn graph_minus_center_detaches_center_only() {
+    fn minus_center_reads_detach_the_center_only() {
         let s = GameState::cycle_successor(6);
         let v = PlayerView::build(&s, 0, 2);
-        assert_eq!(v.graph_minus_center.degree(v.center), 0);
-        // Remaining nodes keep their mutual edges: the ball of radius 2
-        // on a 6-cycle is a path of 5 nodes; minus the center, 4 edges
-        // minus the 2 incident to the center = 2.
-        assert_eq!(v.graph_minus_center.edge_count(), 2);
+        // The ball of radius 2 on a 6-cycle is a path of 5 nodes with
+        // the center in the middle; minus the center, 4 edges minus
+        // the 2 incident to the center = 2.
+        assert_eq!(v.sub.graph.edge_count(), 4);
+        assert_eq!(v.neighbors_minus_center(v.center).count(), 0);
+        let degrees: usize =
+            (0..v.len() as NodeId).map(|x| v.neighbors_minus_center(x).count()).sum();
+        assert_eq!(degrees, 2 * 2);
+        // A BFS from one side never crosses the center.
+        let mut buf = DistanceBuffer::new();
+        let left = v.sub.to_local(5).unwrap();
+        v.bfs_minus_center(&[left], &mut buf);
+        assert_eq!(buf.dist(v.center), INFINITY);
+        assert_eq!(buf.dist(v.sub.to_local(4).unwrap()), 1);
+        assert_eq!(buf.dist(v.sub.to_local(1).unwrap()), INFINITY);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! CSR-native greedy best-response for the million-node tier.
 //!
 //! The exact tier answers "what should player `u` do?" by building a
-//! [`PlayerView`](ncg_core::PlayerView) — a materialised `Graph` of
-//! the radius-`k` ball — and running an exact engine over it. At
-//! `n = 10^6` that allocates a graph per player per round. This
-//! responder never builds a `Graph`: it works on flat distance arrays
-//! produced by local BFS over an induced-ball CSR assembled in
-//! epoch-stamped scratch, and climbs the same
-//! add/drop/swap neighbourhood as [`ncg_solver::front::hill_climb`]
-//! with the identical cost → fewer-edges → lexicographic tie-break.
+//! [`PlayerView`](ncg_core::PlayerView) of the radius-`k` ball — kept
+//! per player in the dynamics view cache — and running an exact engine
+//! over it. At `n = 10^6` that is a view slot per player. This
+//! responder builds no view: it builds the same ball-local CSR with the
+//! same builder ([`CsrGraph::rebuild_induced`]) into one epoch-stamped
+//! scratch per worker, works on flat distance arrays produced by local
+//! BFS over it, and climbs the same add/drop/swap neighbourhood as
+//! [`ncg_solver::front::hill_climb`] with the identical cost →
+//! fewer-edges → lexicographic tie-break.
 //!
 //! **Approximation contract.** On balls with at most
 //! [`ScaleResponderConfig::exhaustive_ball`] candidates the
@@ -25,6 +26,7 @@
 //! never a false one.
 
 use ncg_core::{EdgeCostModel, GameSpec, MoveRulePolicy, Objective, EPS};
+use ncg_graph::view::StampMap;
 use ncg_graph::{CsrGraph, NodeId, INFINITY};
 use ncg_solver::bound::purchase_cutoff;
 
@@ -76,11 +78,8 @@ pub struct ScaleMove {
 /// instance per worker thread; `O(n)` once, then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ScaleScratch {
-    epoch: u32,
-    stamp: Vec<u32>,
-    local_of: Vec<u32>,
-    loc_offsets: Vec<u32>,
-    loc_targets: Vec<u32>,
+    ids: StampMap,
+    ball_graph: CsrGraph,
     dist0: Vec<u32>,
     base: Vec<u32>,
     row_tmp: Vec<u32>,
@@ -108,20 +107,6 @@ impl ScaleScratch {
         Self::default()
     }
 
-    /// Starts a new epoch of the global→local stamp map, growing it
-    /// to `n` slots if needed.
-    fn begin_epoch(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.local_of.resize(n, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
     /// Radius-`k` ball of `u` in `g`, sorted ascending into `out`.
     ///
     /// This costs `O(|ball| + ball edges)` — visited bookkeeping is
@@ -131,28 +116,26 @@ impl ScaleScratch {
     /// ([`ncg_graph::bfs`]) pays a full-array clear per source, which
     /// amortises for global metrics but not for a million tiny balls.
     pub fn discover_ball(&mut self, g: &CsrGraph, u: NodeId, k: u32, out: &mut Vec<NodeId>) {
-        self.begin_epoch(g.node_count());
-        let epoch = self.epoch;
+        // The id map doubles as the distance store during discovery;
+        // `respond` restarts it for the ball's local ids afterwards.
+        let dist = &mut self.ids;
+        dist.restart(g.node_count());
         out.clear();
-        // `local_of` doubles as the distance store during discovery;
-        // `respond` re-stamps it with its own epoch afterwards.
         self.queue.clear();
-        self.stamp[u as usize] = epoch;
-        self.local_of[u as usize] = 0;
+        dist.insert(u, 0);
         self.queue.push(u);
         out.push(u);
         let mut head = 0usize;
         while head < self.queue.len() {
             let v = self.queue[head];
             head += 1;
-            let d = self.local_of[v as usize];
+            let d = dist.get(v).expect("queued nodes carry their distance");
             if d == k {
                 continue;
             }
             for &w in g.neighbors(v) {
-                if self.stamp[w as usize] != epoch {
-                    self.stamp[w as usize] = epoch;
-                    self.local_of[w as usize] = d + 1;
+                if dist.get(w).is_none() {
+                    dist.insert(w, d + 1);
                     self.queue.push(w);
                     out.push(w);
                 }
@@ -186,15 +169,8 @@ impl ScaleScratch {
 /// Unbounded BFS over the local induced-ball CSR from a set of
 /// sources, optionally deleting one node (`skip`); distances land in
 /// `dist` (resized to the ball, `INFINITY` where unreached).
-fn local_bfs(
-    offsets: &[u32],
-    targets: &[u32],
-    skip: u32,
-    sources: &[u32],
-    dist: &mut Vec<u32>,
-    queue: &mut Vec<u32>,
-) {
-    let b = offsets.len() - 1;
+fn local_bfs(g: &CsrGraph, skip: u32, sources: &[u32], dist: &mut Vec<u32>, queue: &mut Vec<u32>) {
+    let b = g.node_count();
     dist.clear();
     dist.resize(b, INFINITY);
     queue.clear();
@@ -209,7 +185,7 @@ fn local_bfs(
         let v = queue[head];
         head += 1;
         let d = dist[v as usize] + 1;
-        for &w in &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
+        for &w in g.neighbors(v) {
             if w != skip && dist[w as usize] == INFINITY {
                 dist[w as usize] = d;
                 queue.push(w);
@@ -231,13 +207,9 @@ fn build_fields(
     scratch: &mut ScaleScratch,
 ) -> u32 {
     let b = ball.len();
-    scratch.begin_epoch(state.n());
     let ScaleScratch {
-        epoch,
-        stamp,
-        local_of,
-        loc_offsets,
-        loc_targets,
+        ids,
+        ball_graph,
         dist0,
         base,
         row_tmp,
@@ -251,42 +223,25 @@ fn build_fields(
         sel,
         ..
     } = scratch;
-    let epoch = *epoch;
-    for (i, &g) in ball.iter().enumerate() {
-        local_of[g as usize] = i as u32;
-        stamp[g as usize] = epoch;
-    }
-    let center = ball.binary_search(&u).expect("ball must contain the center") as u32;
-
-    // Induced-ball CSR in local ids. Rows stay sorted because global
-    // adjacency rows are sorted and local ids are order-isomorphic.
-    loc_offsets.clear();
-    loc_offsets.push(0);
-    loc_targets.clear();
-    let graph = state.graph();
-    for &g in ball {
-        for &w in graph.neighbors(g) {
-            if stamp[w as usize] == epoch {
-                loc_targets.push(local_of[w as usize]);
-            }
-        }
-        loc_offsets.push(loc_targets.len() as u32);
-    }
+    // The exact tier's induced-ball CSR builder, in local ids.
+    ball_graph.rebuild_induced(state.graph(), ball, ids);
+    let center = ids.get(u).expect("ball must contain the center");
 
     // Center's distances inside the ball (= the exact tier's
     // `view.dist`: radius-k shortest paths never leave the ball).
-    local_bfs(loc_offsets, loc_targets, NO_SKIP, &[center], dist0, queue);
+    local_bfs(ball_graph, NO_SKIP, &[center], dist0, queue);
 
+    let to_local = |v: NodeId| ids.get(v).expect("neighbours of the center lie in the ball");
     purchases.clear();
-    purchases.extend(state.strategy(u).iter().map(|&v| local_of[v as usize]));
+    purchases.extend(state.strategy(u).iter().map(|&v| to_local(v)));
     state.incoming_into(u, incoming_globals);
     incoming.clear();
-    incoming.extend(incoming_globals.iter().map(|&v| local_of[v as usize]));
+    incoming.extend(incoming_globals.iter().map(|&v| to_local(v)));
 
     // Distance fields on the ball minus the center: one shared
     // multi-source row for the incoming sources, one row per possible
     // purchase endpoint (current purchases ∪ add candidates).
-    local_bfs(loc_offsets, loc_targets, center, incoming, base, queue);
+    local_bfs(ball_graph, center, incoming, base, queue);
 
     cand.clear();
     if b - 1 <= cfg.exhaustive_ball {
@@ -315,7 +270,7 @@ fn build_fields(
     src_ids.dedup();
     fields.clear();
     for &s in src_ids.iter() {
-        local_bfs(loc_offsets, loc_targets, center, &[s], row_tmp, queue);
+        local_bfs(ball_graph, center, &[s], row_tmp, queue);
         fields.extend_from_slice(row_tmp);
     }
     center

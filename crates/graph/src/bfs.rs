@@ -174,19 +174,22 @@ pub fn bfs_bounded<A: Adjacency + ?Sized>(
     bfs_kernel(g, &[source], limit, NO_NODE, buf)
 }
 
-/// BFS from `source` on `g` *with node `skip` deleted*.
+/// BFS from a *set* of sources on `g` *with node `skip` deleted*.
 ///
-/// Used by the best-response reduction, which works on `H ∖ {u}`
-/// without materialising the node-deleted graph. `skip` keeps distance
-/// `INFINITY` and its incident edges are ignored.
+/// The `H ∖ {u}` sweep of the best-response machinery (the deviation
+/// evaluator, the Sum engine's distance rows), which never
+/// materialises the node-deleted graph. `skip` keeps distance
+/// `INFINITY` (also when listed as a source) and its incident edges
+/// are ignored, so from sources other than `skip` the distances and the
+/// visit order equal [`bfs_multi`]'s on a copy of `g` with `skip`
+/// detached.
 pub fn bfs_skipping<A: Adjacency + ?Sized>(
     g: &A,
-    source: NodeId,
+    sources: &[NodeId],
     skip: NodeId,
     buf: &mut DistanceBuffer,
 ) -> u32 {
-    debug_assert_ne!(source, skip, "cannot BFS from the deleted node");
-    bfs_kernel(g, &[source], u32::MAX, skip, buf)
+    bfs_kernel(g, sources, u32::MAX, skip, buf)
 }
 
 /// BFS from a *set* of sources (multi-source BFS), all at distance 0.
@@ -300,13 +303,13 @@ mod tests {
         // path 0-1-2-3; skipping 1 disconnects 0 from {2,3}.
         let g = generators::path(4);
         let mut buf = DistanceBuffer::new();
-        bfs_skipping(&g, 0, 1, &mut buf);
+        bfs_skipping(&g, &[0], 1, &mut buf);
         assert_eq!(buf.dist(0), 0);
         assert_eq!(buf.dist(1), INFINITY);
         assert_eq!(buf.dist(2), INFINITY);
         // cycle 0-1-2-3-0; skipping 1 still reaches 2 the long way.
         let c = generators::cycle(4);
-        bfs_skipping(&c, 0, 1, &mut buf);
+        bfs_skipping(&c, &[0], 1, &mut buf);
         assert_eq!(buf.dist(2), 2);
         assert_eq!(buf.dist(3), 1);
         assert_eq!(buf.dist(1), INFINITY);

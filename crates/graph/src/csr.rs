@@ -10,6 +10,7 @@
 //! `ncg-bench/benches/substrates.rs` quantify the BFS win.
 
 use crate::bfs::{Adjacency, DistanceBuffer};
+use crate::view::StampMap;
 #[cfg(test)]
 use crate::INFINITY;
 use crate::{Graph, NodeId};
@@ -120,6 +121,38 @@ impl CsrGraph {
             self.offsets[u + 1] = write as u32;
         }
         self.targets.truncate(write);
+    }
+
+    /// Re-builds this CSR as the subgraph of `g` induced by `ball`
+    /// (global ids, strictly ascending): local node `i` is `ball[i]`.
+    /// Reuses the offsets/targets allocations.
+    ///
+    /// This is the one induced-ball builder of the workspace: the exact
+    /// tier's `PlayerView` and the scale tier's responder both build
+    /// their ball-local graph here. `ids` is restarted and left mapping
+    /// every ball node to its local id, so the whole build costs
+    /// `O(|ball| + Σ_{v ∈ ball} deg_g(v))`: one pass over the ball's
+    /// global adjacency rows, no binary search and no `O(n)` clear.
+    /// Rows come out sorted because global rows are sorted and local
+    /// ids are order-isomorphic to global ids.
+    pub fn rebuild_induced<A: Adjacency + ?Sized>(
+        &mut self,
+        g: &A,
+        ball: &[NodeId],
+        ids: &mut StampMap,
+    ) {
+        debug_assert!(ball.windows(2).all(|w| w[0] < w[1]), "ball must be strictly ascending");
+        ids.restart(g.node_count());
+        for (local, &v) in ball.iter().enumerate() {
+            ids.insert(v, local as NodeId);
+        }
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.targets.clear();
+        for &v in ball {
+            self.targets.extend(g.adjacent(v).iter().filter_map(|&w| ids.get(w)));
+            self.offsets.push(self.targets.len() as u32);
+        }
     }
 
     /// Number of nodes.

@@ -158,28 +158,6 @@ impl Graph {
         true
     }
 
-    /// Clears the graph to `n` edgeless nodes, **reusing** the
-    /// adjacency allocations of the previous contents.
-    ///
-    /// The incremental view rebuild (`ncg-core`'s `PlayerView::rebuild`)
-    /// calls this once per refreshed player; after warm-up no adjacency
-    /// list reallocates unless the ball grew past its previous size.
-    pub fn reset(&mut self, n: usize) {
-        for nbrs in &mut self.adj {
-            nbrs.clear();
-        }
-        self.adj.resize_with(n, Vec::new);
-        self.edge_count = 0;
-    }
-
-    /// Overwrites `self` with a copy of `src`, reusing `self`'s
-    /// allocations where possible (the `Vec::clone_from` discipline,
-    /// which derived `Clone` does not provide).
-    pub fn copy_from(&mut self, src: &Graph) {
-        self.adj.clone_from(&src.adj);
-        self.edge_count = src.edge_count;
-    }
-
     /// Iterator over all edges as `(u, v)` pairs with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
@@ -262,29 +240,6 @@ mod tests {
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.max_degree(), 0);
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn reset_clears_edges_and_resizes() {
-        let mut g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        g.reset(6);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.validate().is_ok());
-        g.add_edge(4, 5);
-        g.reset(2);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn copy_from_matches_clone() {
-        let src = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
-        let mut dst = Graph::from_edges(3, [(0, 2)]).unwrap();
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        assert!(dst.validate().is_ok());
     }
 
     #[test]

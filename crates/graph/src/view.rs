@@ -5,7 +5,7 @@
 //! machinery; the game layer (`ncg-core`) adds ownership on top.
 
 use crate::bfs::{bfs_bounded, DistanceBuffer};
-use crate::{Graph, NodeId, INFINITY};
+use crate::{CsrGraph, Graph, NodeId, INFINITY};
 
 /// The radius-`k` ball around `center`: all nodes at distance `≤ k`,
 /// sorted by node id.
@@ -31,16 +31,70 @@ pub fn ball_into(
     out.sort_unstable();
 }
 
+/// An epoch-stamped map from global node ids to `u32` values: the
+/// global→local id map of the ball-local graphs.
+///
+/// [`StampMap::restart`] forgets every entry by bumping an epoch
+/// counter instead of clearing `O(n)` slots, so a build that stamps
+/// only its ball costs `O(ball)`. A build that panics half-way leaves
+/// only entries of its own epoch, which the next restart retires.
+/// [`CsrGraph::rebuild_induced`] stores local ids here; the scale
+/// tier's ball discovery stores BFS distances in the same slots.
+#[derive(Debug, Clone, Default)]
+pub struct StampMap {
+    epoch: u32,
+    stamp: Vec<u32>,
+    value: Vec<u32>,
+}
+
+impl StampMap {
+    /// An empty map; it sizes itself on the first restart.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every entry and admits keys `< n`. Amortised `O(1)`:
+    /// the slots grow only past their previous size, and are zeroed
+    /// only when the epoch counter wraps.
+    pub fn restart(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.value.resize(n, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Maps `key` to `value` in the current epoch.
+    ///
+    /// # Panics
+    /// Panics if `key` is not below the `n` of the last restart.
+    #[inline]
+    pub fn insert(&mut self, key: NodeId, value: u32) {
+        self.stamp[key as usize] = self.epoch;
+        self.value[key as usize] = value;
+    }
+
+    /// The value of `key` in the current epoch, if it has one.
+    #[inline]
+    pub fn get(&self, key: NodeId) -> Option<u32> {
+        (self.stamp[key as usize] == self.epoch).then(|| self.value[key as usize])
+    }
+}
+
 /// An induced subgraph together with the mapping between local and
 /// global node identifiers.
 ///
 /// Local ids are dense `0..nodes.len()`, assigned in ascending global
-/// order, so `local_to_global` is sorted and `global_to_local` can use
-/// binary search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// order, so `local_to_global` is sorted, [`Subgraph::to_local`] can
+/// use binary search, and the CSR rows are sorted in both id spaces.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subgraph {
     /// The induced graph over local identifiers.
-    pub graph: Graph,
+    pub graph: CsrGraph,
     /// `local_to_global[l]` = global id of local node `l` (sorted).
     pub local_to_global: Vec<NodeId>,
 }
@@ -75,51 +129,19 @@ impl Subgraph {
 }
 
 /// The subgraph of `g` induced by `nodes` (global ids, any order,
-/// duplicates ignored).
+/// duplicates ignored), built by [`CsrGraph::rebuild_induced`].
 pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Subgraph {
-    let mut out = Subgraph { graph: Graph::new(0), local_to_global: Vec::new() };
-    induced_subgraph_into(g, nodes, &mut out);
-    out
-}
-
-/// [`induced_subgraph`] overwriting an existing [`Subgraph`], reusing
-/// its node-map and adjacency allocations (see [`Graph::reset`]).
-pub fn induced_subgraph_into(g: &Graph, nodes: &[NodeId], out: &mut Subgraph) {
-    out.local_to_global.clear();
+    let mut out = Subgraph::default();
     out.local_to_global.extend_from_slice(nodes);
     out.local_to_global.sort_unstable();
     out.local_to_global.dedup();
-    out.graph.reset(out.local_to_global.len());
-    for (lu, &gu) in out.local_to_global.iter().enumerate() {
-        for &gv in g.neighbors(gu) {
-            if gv > gu {
-                if let Ok(lv) = out.local_to_global.binary_search(&gv) {
-                    out.graph.add_edge(lu as NodeId, lv as NodeId);
-                }
-            }
-        }
-    }
+    out.graph.rebuild_induced(g, &out.local_to_global, &mut StampMap::new());
+    out
 }
 
 /// The view of `center` at radius `k`: induced subgraph of the ball.
 pub fn view_subgraph(g: &Graph, center: NodeId, k: u32) -> Subgraph {
     induced_subgraph(g, &ball(g, center, k))
-}
-
-/// [`view_subgraph`] writing into caller scratch: `ball_buf` holds the
-/// sorted ball on return, `buf` is the BFS workspace, `out` the
-/// overwritten subgraph. The allocation-free path of the incremental
-/// view rebuild.
-pub fn view_subgraph_into(
-    g: &Graph,
-    center: NodeId,
-    k: u32,
-    buf: &mut DistanceBuffer,
-    ball_buf: &mut Vec<NodeId>,
-    out: &mut Subgraph,
-) {
-    ball_into(g, center, k, buf, ball_buf);
-    induced_subgraph_into(g, ball_buf, out);
 }
 
 /// The `h`-th power of `g`: same nodes, an edge wherever the distance
@@ -164,7 +186,6 @@ pub fn ball_distances(g: &Graph, center: NodeId, k: u32) -> Vec<(NodeId, u32)> {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::metrics;
 
     #[test]
     fn ball_on_path_is_an_interval() {
@@ -189,7 +210,7 @@ mod tests {
         assert_eq!(sub.graph.edge_count(), 2);
         let l4 = sub.to_local(4).unwrap();
         assert_eq!(sub.graph.degree(l4), 0);
-        assert!(sub.graph.validate().is_ok());
+        assert_eq!(sub.graph.neighbors(1), &[0, 2]);
     }
 
     #[test]
@@ -216,7 +237,8 @@ mod tests {
         let g = generators::path(9);
         let sub = view_subgraph(&g, 4, 2);
         assert_eq!(sub.local_to_global, vec![2, 3, 4, 5, 6]);
-        assert_eq!(metrics::diameter(&sub.graph), Some(4));
+        let mut buf = DistanceBuffer::new();
+        assert_eq!(sub.graph.eccentricity(0, &mut buf), Some(4));
     }
 
     #[test]
@@ -254,27 +276,57 @@ mod tests {
 
     #[test]
     fn into_variants_match_fresh_builds() {
+        // One CSR and one stamp map retargeted across every ball of a
+        // grid, growing and shrinking; the reference maps ids by binary
+        // search and goes through a fresh `Graph`.
         let g = generators::grid(4, 4);
         let mut buf = DistanceBuffer::new();
         let mut ball_buf = Vec::new();
-        let mut sub = Subgraph { graph: crate::Graph::new(0), local_to_global: Vec::new() };
+        let mut ids = StampMap::new();
+        let mut csr = CsrGraph::default();
         for center in 0..g.node_count() as NodeId {
-            for k in 0..=4 {
+            for k in [4, 0, 2, 1, 3] {
                 ball_into(&g, center, k, &mut buf, &mut ball_buf);
                 assert_eq!(ball_buf, ball(&g, center, k), "ball center={center} k={k}");
-                view_subgraph_into(&g, center, k, &mut buf, &mut ball_buf, &mut sub);
-                assert_eq!(sub, view_subgraph(&g, center, k), "view center={center} k={k}");
-                assert!(sub.graph.validate().is_ok());
+                csr.rebuild_induced(&g, &ball_buf, &mut ids);
+                let local = |v: NodeId| ball_buf.binary_search(&v).ok().map(|l| l as NodeId);
+                let edges = g.edges().filter_map(|(a, b)| Some((local(a)?, local(b)?)));
+                let reference = Graph::from_edges(ball_buf.len(), edges).unwrap();
+                assert_eq!(csr, CsrGraph::from_graph(&reference), "center={center} k={k}");
+                for v in 0..g.node_count() as NodeId {
+                    assert_eq!(ids.get(v), local(v), "id of {v}, center={center} k={k}");
+                }
             }
         }
     }
 
     #[test]
     fn induced_subgraph_into_reuses_allocation_across_shrink() {
+        // Rebuilding a subgraph's CSR in place for a smaller node set
+        // leaves nothing of the larger one behind.
         let g = generators::cycle(8);
+        let mut ids = StampMap::new();
         let mut sub = induced_subgraph(&g, &[0, 1, 2, 3, 4, 5]);
-        induced_subgraph_into(&g, &[6, 7, 0], &mut sub);
+        sub.local_to_global = vec![0, 6, 7];
+        sub.graph.rebuild_induced(&g, &sub.local_to_global, &mut ids);
         assert_eq!(sub, induced_subgraph(&g, &[6, 7, 0]));
+    }
+
+    #[test]
+    fn stamp_map_restart_forgets_and_survives_epoch_wrap() {
+        let mut ids = StampMap::new();
+        ids.restart(4);
+        ids.insert(2, 7);
+        assert_eq!(ids.get(2), Some(7));
+        assert_eq!(ids.get(1), None);
+        ids.restart(6);
+        assert_eq!(ids.get(2), None, "a restart retires every entry");
+        ids.insert(5, 1);
+        ids.epoch = u32::MAX;
+        ids.insert(3, 9);
+        ids.restart(6);
+        assert_eq!(ids.epoch, 1);
+        assert!((0..6).all(|v| ids.get(v).is_none()), "the wrap zeroes stale stamps");
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn scalar_row(
         return row;
     }
     match skip {
-        Some(s) => bfs_skipping(g, source, s, buf),
+        Some(s) => bfs_skipping(g, &[source], s, buf),
         None => bfs(g, source, buf),
     };
     for (v, d) in row.iter_mut().enumerate() {

@@ -98,23 +98,30 @@ proptest! {
     }
 
     #[test]
-    fn skipping_bfs_equals_bfs_on_deleted_graph(g in arb_graph(16)) {
+    fn skipping_bfs_equals_bfs_on_deleted_graph(
+        g in arb_graph(16),
+        skip_seed in 0usize..16,
+        mask in 0u32..(1 << 16),
+    ) {
+        // Any source set, on both representations: same distances and
+        // the same visit order as a plain BFS on a detached copy.
         let n = g.node_count();
-        if n < 3 { return Ok(()); }
-        let skip: NodeId = (n as NodeId) - 1;
-        let source: NodeId = 0;
+        let skip = (skip_seed % n) as NodeId;
+        let sources: Vec<NodeId> =
+            (0..n as NodeId).filter(|&v| v != skip && mask >> v & 1 == 1).collect();
         let mut deleted = g.clone();
         deleted.detach_node(skip);
-        let mut a = DistanceBuffer::new();
         let mut b = DistanceBuffer::new();
-        bfs_skipping(&g, source, skip, &mut a);
-        bfs(&deleted, source, &mut b);
-        for v in 0..n as NodeId {
-            if v == skip {
-                prop_assert_eq!(a.dist(v), INFINITY);
-            } else {
-                prop_assert_eq!(a.dist(v), b.dist(v));
-            }
+        let db = bfs_multi(&deleted, &sources, &mut b);
+        let csr = ncg_graph::CsrGraph::from_graph(&g);
+        let (mut a, mut c) = (DistanceBuffer::new(), DistanceBuffer::new());
+        let da = bfs_skipping(&g, &sources, skip, &mut a);
+        let dc = bfs_skipping(&csr, &sources, skip, &mut c);
+        for (d, buf) in [(da, &a), (dc, &c)] {
+            prop_assert_eq!(d, db);
+            prop_assert_eq!(buf.dist(skip), INFINITY);
+            prop_assert_eq!(buf.distances(), b.distances());
+            prop_assert_eq!(buf.visited(), b.visited());
         }
     }
 
@@ -155,13 +162,12 @@ proptest! {
         let nodes: Vec<NodeId> =
             (0..g.node_count() as NodeId).filter(|v| v % 2 == 0).collect();
         let sub = view::induced_subgraph(&g, &nodes);
-        prop_assert!(sub.graph.validate().is_ok());
+        prop_assert_eq!(sub.graph.node_count(), nodes.len());
         for (i, &gu) in sub.local_to_global.iter().enumerate() {
+            let row = sub.graph.neighbors(i as NodeId);
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not strictly sorted", i);
             for (j, &gv) in sub.local_to_global.iter().enumerate() {
-                prop_assert_eq!(
-                    sub.graph.has_edge(i as NodeId, j as NodeId),
-                    g.has_edge(gu, gv)
-                );
+                prop_assert_eq!(row.binary_search(&(j as NodeId)).is_ok(), g.has_edge(gu, gv));
             }
         }
     }

@@ -28,7 +28,7 @@
 use ncg_core::deviation::{current_total, evaluate_max, EvalScratch};
 use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, MoveRulePolicy, PlayerView};
-use ncg_graph::{CsrGraph, Graph, NodeId};
+use ncg_graph::NodeId;
 
 use crate::bitset::BitSet;
 use crate::bound::purchase_cutoff;
@@ -60,7 +60,7 @@ pub fn max_best_response_with(
     scratch: &mut SolverScratch,
 ) -> Deviation {
     let SolverScratch { eval, rings, engine, parallel, .. } = scratch;
-    rings.reset(&view.graph_minus_center, Some(view.center));
+    rings.reset(view.len(), Some(view.center), |v| view.neighbors_minus_center(v));
     guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| rings.grow_to(engine, r))
 }
 
@@ -169,11 +169,18 @@ pub struct RingGrowth {
 }
 
 impl RingGrowth {
-    /// Re-targets the growth at `graph`, with every vertex but
-    /// `center` a source and nothing fed yet. Recycles the bitsets'
+    /// Re-targets the growth at the graph on `0..n` whose adjacency
+    /// rows `neighbors` yields, with every vertex but `center` a source
+    /// and nothing fed yet. The reduction passes the view's
+    /// [`PlayerView::neighbors_minus_center`], so the rows are those of
+    /// `H ∖ {u}` and the center is no source. Recycles the bitsets'
     /// storage across graph sizes.
-    pub fn reset(&mut self, graph: &Graph, center: Option<NodeId>) {
-        let n = graph.node_count();
+    pub fn reset<I: IntoIterator<Item = NodeId>>(
+        &mut self,
+        n: usize,
+        center: Option<NodeId>,
+        neighbors: impl Fn(NodeId) -> I,
+    ) {
         for rows in [&mut self.adj, &mut self.rings] {
             rows.truncate(n);
             for row in rows.iter_mut() {
@@ -182,7 +189,7 @@ impl RingGrowth {
             rows.resize_with(n, || BitSet::new(n));
         }
         for v in 0..n as NodeId {
-            for &w in graph.neighbors(v) {
+            for w in neighbors(v) {
                 self.adj[v as usize].insert(w);
             }
             if Some(v) != center {
@@ -247,14 +254,13 @@ pub fn max_best_response_cost_rebuild(spec: &GameSpec, view: &PlayerView) -> f64
     if n_local <= 1 {
         return spec.total_cost(0, Some(0));
     }
-    let csr = CsrGraph::from_graph(&view.graph_minus_center);
     let mut buf = DistanceBuffer::with_capacity(n_local);
     let dist: Vec<Vec<u32>> = (0..n_local as NodeId)
         .map(|s| {
             if s == view.center {
                 vec![ncg_graph::INFINITY; n_local]
             } else {
-                csr.bfs(s, &mut buf);
+                view.bfs_minus_center(&[s], &mut buf);
                 buf.distances().to_vec()
             }
         })
@@ -327,9 +333,9 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// The coverage feed ring growth replaced: bounded per-source BFS
-    /// visit orders of `H ∖ {center}` on a frozen CSR, consumed pair by
-    /// pair through one cursor per source.
+    /// The coverage feed ring growth replaced: per-source BFS visit
+    /// orders of `H ∖ {center}`, consumed pair by pair through one
+    /// cursor per source.
     #[derive(Default)]
     struct CursorFeed {
         buf: DistanceBuffer,
@@ -343,16 +349,15 @@ mod tests {
     }
 
     impl CursorFeed {
-        fn sweep_minus_center(&mut self, view: &PlayerView, limit: u32) {
+        fn sweep_minus_center(&mut self, view: &PlayerView) {
             let n = view.len();
-            let csr = CsrGraph::from_graph(&view.graph_minus_center);
             self.ord_node.clear();
             self.ord_dist.clear();
             self.offsets.clear();
             self.offsets.push(0);
             for s in 0..n as NodeId {
                 if s != view.center {
-                    csr.bfs_bounded(s, limit, &mut self.buf);
+                    view.bfs_minus_center(&[s], &mut self.buf);
                     for &v in self.buf.visited() {
                         self.ord_node.push(v);
                         self.ord_dist.push(self.buf.dist(v));
@@ -386,7 +391,7 @@ mod tests {
         scratch: &mut SolverScratch,
     ) -> Deviation {
         let mut feed = CursorFeed::default();
-        feed.sweep_minus_center(view, view.len() as u32);
+        feed.sweep_minus_center(view);
         let SolverScratch { eval, engine, parallel, .. } = scratch;
         guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| {
             feed.grow_covers_to(engine, r)
@@ -417,9 +422,9 @@ mod tests {
                     let mut by_rings = DominationEngine::new(universe.clone(), &view.incoming);
                     let mut by_cursors = DominationEngine::new(universe, &view.incoming);
                     let mut rings = RingGrowth::default();
-                    rings.reset(&view.graph_minus_center, Some(view.center));
+                    rings.reset(view.len(), Some(view.center), |v| view.neighbors_minus_center(v));
                     let mut feed = CursorFeed::default();
-                    feed.sweep_minus_center(&view, view.len() as u32);
+                    feed.sweep_minus_center(&view);
                     for r in 0..=view.len() as u32 {
                         rings.grow_to(&mut by_rings, r);
                         feed.grow_covers_to(&mut by_cursors, r);
@@ -446,6 +451,42 @@ mod tests {
                                 "{tag}, α = {alpha}"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_growth_rows_are_the_detached_copy_rows() {
+        // One warm growth retargeted across views of different sizes
+        // (across the 64-bit word boundary): its adjacency rows must be
+        // those of a copy of H with the center detached, and every
+        // vertex but the center must start as a source.
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let mut rings = RingGrowth::default();
+        for n in [40usize, 3, 25, 1, 70, 12] {
+            let g = if n % 2 == 0 {
+                ncg_graph::generators::gnp(n, 0.15, &mut rng).unwrap()
+            } else {
+                ncg_graph::generators::random_tree(n, &mut rng)
+            };
+            let state = GameState::from_graph_random_ownership(&g, &mut rng);
+            for k in [1u32, 2, 3, 1000] {
+                for u in 0..n as NodeId {
+                    let view = PlayerView::build(&state, u, k);
+                    let h = &view.sub.graph;
+                    let edges = (0..view.len() as NodeId)
+                        .flat_map(|v| h.neighbors(v).iter().map(move |&w| (v, w)));
+                    let mut detached = ncg_graph::Graph::from_edges(view.len(), edges).unwrap();
+                    detached.detach_node(view.center);
+                    rings.reset(view.len(), Some(view.center), |v| view.neighbors_minus_center(v));
+                    assert_eq!(rings.adj.len(), view.len());
+                    for v in 0..view.len() as NodeId {
+                        let tag = format!("n = {n}, k = {k}, u = {u}, v = {v}");
+                        assert_eq!(rings.adj[v as usize].to_vec(), detached.neighbors(v), "{tag}");
+                        let source = if v == view.center { vec![] } else { vec![v] };
+                        assert_eq!(rings.rings[v as usize].to_vec(), source, "{tag}");
                     }
                 }
             }

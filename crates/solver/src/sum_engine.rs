@@ -112,7 +112,7 @@
 
 use ncg_core::{GameSpec, PlayerView};
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{CsrGraph, NodeId, INFINITY};
+use ncg_graph::{NodeId, INFINITY};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -274,10 +274,13 @@ impl Default for SumEngine {
 }
 
 impl SumEngine {
-    /// Loads a view: one BFS per non-center vertex on `H ∖ {u}` into
+    /// Loads a view: one BFS per non-center vertex in `H ∖ {u}` into
     /// the flat row matrix, the incoming-edge residual, the
     /// Proposition 2.2 limits, and the current strategy as the seed
-    /// incumbent. Buffers are reused across calls (allocations only).
+    /// incumbent. The BFS reads the view's CSR with the center skipped
+    /// ([`PlayerView::bfs_minus_center`]), so no per-solve graph copy
+    /// or freeze is made. Buffers are reused across calls
+    /// (allocations only).
     ///
     /// The view must have at least two vertices (callers shortcut the
     /// singleton view).
@@ -290,12 +293,11 @@ impl SumEngine {
         self.cap = (n - 1) as u32;
         self.rows.clear();
         self.rows.resize(n * n, 0);
-        let csr = CsrGraph::from_graph(&view.graph_minus_center);
         for s in 0..n {
             if s == view.center as usize {
                 self.rows[s * n..(s + 1) * n].fill(INFINITY);
             } else {
-                csr.bfs(s as NodeId, &mut self.buf);
+                view.bfs_minus_center(&[s as NodeId], &mut self.buf);
                 self.rows[s * n..(s + 1) * n].copy_from_slice(self.buf.distances());
             }
         }
