@@ -49,6 +49,33 @@ fn bench_max_exact(c: &mut Criterion) {
     group.bench_function("er100_full_view_rebuild", |b| {
         b.iter(|| max_br::max_best_response_cost_rebuild(&spec, &view))
     });
+    // The exact solves of one dynamics turn per player on the ledger's
+    // two Max shapes: `tree_local` (200-node random tree, k = 2) and
+    // `er_full` (G(70, 0.15), full knowledge). One warm scratch solves
+    // every player's view in turn; the views are built outside the
+    // timed loop.
+    let sweeps = [
+        ("tree200_k2_all_players", tree_state(200, 5), 2u32, 0.3),
+        ("er70_full_all_players", er_state(70, 0.15, 6), 1000, 0.5),
+    ];
+    for (name, state, k, alpha) in sweeps {
+        let spec = GameSpec::max(alpha, k);
+        let views: Vec<PlayerView> =
+            (0..state.n() as NodeId).map(|u| PlayerView::build(&state, u, k)).collect();
+        let mut scratch = SolverScratch::new();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                views
+                    .iter()
+                    .map(|view| {
+                        max_br::max_best_response_with(&spec, view, Mode::Exact, &mut scratch)
+                            .strategy_local
+                            .len()
+                    })
+                    .sum::<usize>()
+            })
+        });
+    }
     group.finish();
 }
 

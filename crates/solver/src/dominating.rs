@@ -6,20 +6,21 @@
 //! > minimise `|D ∖ forced|` subject to `D ⊇ forced` and
 //! > `∀ v ∈ universe: D ∩ dominators(v) ≠ ∅`,
 //!
-//! where the coverage structure is an arbitrary set system (in the
-//! best-response reduction, `covers[s]` is the radius-`(h−1)` ball
-//! around `s` in `H ∖ {u}`).
+//! where coverage is symmetric (`v ∈ covers[s] ⇔ s ∈ covers[v]`) and
+//! inside the universe, so `dominators(v) = covers[v]`; in the
+//! best-response reduction `covers[s]` is the radius-`(h−1)` ball
+//! around `s` in `H ∖ {u}`.
 //!
-//! Branching rule: pick the uncovered vertex with the fewest
-//! dominators and branch on each of them, best-coverage-first. The
-//! search itself — bounds, scratch pools, and the incremental state
-//! that lets the reduction grow coverage across eccentricity guesses
-//! instead of rebuilding — lives in [`crate::engine`], as does the
-//! greedy baseline; this module keeps the one-shot instance type.
+//! The search — branching on the uncovered vertex with the fewest
+//! dominators, bounds, scratch pools, the incremental state the
+//! reduction grows across eccentricity guesses, and the greedy
+//! baseline — lives in [`crate::engine`]; this module keeps the
+//! one-shot instance type.
 
 use crate::bitset::BitSet;
 
-/// A domination instance over elements `0..n`.
+/// A domination instance over elements `0..n`, under the coverage
+/// contract of [`crate::engine::DominationEngine`] (asserted per solve).
 #[derive(Debug, Clone)]
 pub struct DominationInstance {
     /// `covers[s]` = set of vertices dominated when `s` is chosen.
@@ -97,8 +98,8 @@ impl DominationInstance {
     /// the cutoff.
     ///
     /// This is the one-shot entry point: it builds a fresh
-    /// [`crate::engine::DominationEngine`] (dominator transpose,
-    /// packing order, scratch pools) and solves once. Callers that
+    /// [`crate::engine::DominationEngine`] (contract check, packing
+    /// order, scratch pools) and solves once. Callers that
     /// solve a *growing* family of instances — the per-`h` loop of the
     /// best-response reduction — should hold an engine and feed it
     /// incrementally instead; see `DESIGN.md` §4.3 and the

@@ -10,7 +10,9 @@
 //! state across guesses and mutates it monotonically: the reduction's
 //! ring growth ([`crate::max_br::RingGrowth`]) feeds each source's new
 //! ring through one word-level insert,
-//! [`DominationEngine::extend_cover`] (see `DESIGN.md` §4.3).
+//! [`DominationEngine::extend_cover`] (see `DESIGN.md` §4.3). It keeps
+//! no transpose: coverage is symmetric, so `covers[v]` is the
+//! dominator set of `v` (the contract on [`DominationEngine`]).
 //!
 //! The engine also carries every scratch buffer the branch-and-bound
 //! needs (one probe bitset and one candidate list **per recursion
@@ -73,10 +75,19 @@ use crate::dominating::{DominationInstance, Solution};
 /// invalidates the incremental state, so the caller interleaves
 /// `extend_cover` batches and
 /// [`solve_exact`](DominationEngine::solve_exact) calls freely.
+///
+/// **Coverage contract.** At every solve, coverage is symmetric
+/// (`v ∈ covers[s] ⇔ s ∈ covers[v]`) and inside the universe, so the
+/// search reads the dominators of `v` as `covers[v]` and their number
+/// as `cover_sizes[v]`. Closed neighbourhoods satisfy it, and so do the
+/// balls of `H ∖ {u}` that [`crate::max_br::RingGrowth`] feeds radius
+/// by radius (the center is isolated there, so it lies in no ball);
+/// [`from_instance`](DominationEngine::from_instance) asserts it.
 #[derive(Debug, Clone)]
 pub struct DominationEngine {
     n: usize,
-    /// `covers[s]` = set of vertices dominated when `s` is chosen.
+    /// `covers[s]` = set of vertices dominated when `s` is chosen and,
+    /// by symmetry, the set of dominators of `s`.
     covers: Vec<BitSet>,
     /// Vertices that must be dominated.
     universe: BitSet,
@@ -89,13 +100,8 @@ pub struct DominationEngine {
     initial_covered: BitSet,
     /// Union of *all* coverage — feasibility is `any_cover ⊇ universe`.
     any_cover: BitSet,
-    /// Transpose: `dominators[v]` = elements covering `v` (universe
-    /// vertices only), as a list for branching…
-    dominators: Vec<Vec<u32>>,
-    /// …and as bitsets for the packing bound.
-    dominator_sets: Vec<BitSet>,
-    /// `|covers[s] ∩ universe|` per element, maintained by
-    /// `extend_cover`.
+    /// `|covers[s] ∩ universe|` per element (the number of dominators
+    /// of `s`), maintained by `extend_cover`.
     cover_sizes: Vec<u32>,
     /// `max(cover_sizes)` — the static fractional-bound denominator.
     max_cover: usize,
@@ -126,11 +132,6 @@ pub struct DominationEngine {
     shared_bound: Option<Arc<AtomicUsize>>,
 }
 
-/// [`DominationEngine::coverage_state`]'s snapshot.
-#[cfg(test)]
-pub(crate) type CoverageState<'a> =
-    (&'a [BitSet], &'a [Vec<u32>], &'a [BitSet], &'a [u32], usize, &'a BitSet, &'a BitSet);
-
 impl Default for DominationEngine {
     fn default() -> Self {
         Self::new(BitSet::new(0), &[])
@@ -150,8 +151,6 @@ impl DominationEngine {
             forced_set: BitSet::new(0),
             initial_covered: BitSet::new(0),
             any_cover: BitSet::new(0),
-            dominators: Vec::new(),
-            dominator_sets: Vec::new(),
             cover_sizes: Vec::new(),
             max_cover: 0,
             packing_order: Vec::new(),
@@ -173,7 +172,16 @@ impl DominationEngine {
     /// Builds the engine from a one-shot [`DominationInstance`] — the
     /// rebuild path the seed solver took at every `h`, kept as the
     /// reference (and bench baseline) for the incremental path.
+    ///
+    /// # Panics
+    /// Panics if `inst` breaks the coverage contract of [`Self`].
     pub fn from_instance(inst: &DominationInstance) -> Self {
+        for (s, c) in inst.covers.iter().enumerate() {
+            assert!(inst.universe.is_superset(c), "covers[{s}] leaves the universe");
+            if let Some(v) = c.iter().find(|&v| !inst.covers[v as usize].contains(s as u32)) {
+                panic!("asymmetric coverage: {v} ∈ covers[{s}] but {s} ∉ covers[{v}]");
+            }
+        }
         let mut e = Self::new(inst.universe.clone(), &inst.forced);
         let mut cover = BitSet::new(e.n);
         for (s, c) in inst.covers.iter().enumerate() {
@@ -204,16 +212,6 @@ impl DominationEngine {
             c.reset(n);
         }
         self.covers.resize_with(n, || BitSet::new(n));
-        self.dominators.truncate(n);
-        for d in &mut self.dominators {
-            d.clear();
-        }
-        self.dominators.resize_with(n, Vec::new);
-        self.dominator_sets.truncate(n);
-        for d in &mut self.dominator_sets {
-            d.reset(n);
-        }
-        self.dominator_sets.resize_with(n, || BitSet::new(n));
         self.cover_sizes.clear();
         self.cover_sizes.resize(n, 0);
         self.gains.clear();
@@ -235,11 +233,10 @@ impl DominationEngine {
 
     /// Records that choosing `s` dominates every vertex of `vs`, and
     /// leaves in `vs` only the vertices `s` did not cover before — one
-    /// word-level insert of a whole ring. Each fresh universe vertex
-    /// `v` gets `s` appended to `dominators[v]` (in increasing `v`) and
-    /// inserted into `dominator_sets[v]`; the coverage size, the
+    /// word-level insert of a whole ring. The coverage size, the
     /// feasibility union and, for a forced `s`, the free initial
-    /// coverage follow. Idempotent; coverage only ever grows.
+    /// coverage follow; the mirrored pairs are the caller's to feed
+    /// (the coverage contract). Idempotent; coverage only ever grows.
     ///
     /// # Panics
     /// Panics if `vs` is sized for a different ground set.
@@ -262,14 +259,7 @@ impl DominationEngine {
             if forced {
                 initial[i] |= fresh;
             }
-            let mut dominated = fresh & universe[i];
-            added += dominated.count_ones();
-            while dominated != 0 {
-                let v = i * 64 + dominated.trailing_zeros() as usize;
-                self.dominators[v].push(s);
-                self.dominator_sets[v].insert(s);
-                dominated &= dominated - 1;
-            }
+            added += (fresh & universe[i]).count_ones();
         }
         if added > 0 {
             let size = &mut self.cover_sizes[s as usize];
@@ -285,8 +275,6 @@ impl DominationEngine {
         if self.covers[s as usize].insert(v) {
             self.any_cover.insert(v);
             if self.universe.contains(v) {
-                self.dominators[v as usize].push(s);
-                self.dominator_sets[v as usize].insert(s);
                 let size = &mut self.cover_sizes[s as usize];
                 *size += 1;
                 self.max_cover = self.max_cover.max(*size as usize);
@@ -297,20 +285,12 @@ impl DominationEngine {
         }
     }
 
-    /// Everything a coverage feed maintains: covers, dominator lists
-    /// (in order) and sets, cover sizes, `max_cover`, the forced
-    /// elements' coverage and the feasibility union.
+    /// Everything a coverage feed maintains: covers, cover sizes,
+    /// `max_cover`, the forced elements' coverage and the feasibility
+    /// union.
     #[cfg(test)]
-    pub(crate) fn coverage_state(&self) -> CoverageState<'_> {
-        (
-            &self.covers,
-            &self.dominators,
-            &self.dominator_sets,
-            &self.cover_sizes,
-            self.max_cover,
-            &self.initial_covered,
-            &self.any_cover,
-        )
+    pub(crate) fn coverage_state(&self) -> (&[BitSet], &[u32], usize, &BitSet, &BitSet) {
+        (&self.covers, &self.cover_sizes, self.max_cover, &self.initial_covered, &self.any_cover)
     }
 
     /// Whether every universe vertex currently has at least one
@@ -429,8 +409,7 @@ impl DominationEngine {
         // packing larger, hence the bound stronger.
         self.packing_order.clear();
         self.packing_order.extend(self.universe.iter());
-        let dominators = &self.dominators;
-        self.packing_order.sort_unstable_by_key(|&v| dominators[v as usize].len());
+        self.packing_order.sort_unstable_by_key(|&v| self.cover_sizes[v as usize]);
         // Pruned-greedy incumbent.
         let mut best = self.greedy_pruned();
         let best_len = best.as_ref().map(|b| b.len()).unwrap_or(usize::MAX).min(cutoff);
@@ -751,17 +730,16 @@ impl DominationEngine {
     }
 
     /// Greedy packing: count uncovered vertices whose dominator sets
-    /// are pairwise disjoint — each needs a distinct chosen element.
+    /// `covers[v]` are pairwise disjoint — each needs its own element.
     fn packing_bound(&mut self, live: &BitSet) -> usize {
         self.used_scratch.clear();
         let mut count = 0usize;
         for i in 0..self.packing_order.len() {
             let v = self.packing_order[i];
-            if live.contains(v)
-                && self.used_scratch.intersection_len(&self.dominator_sets[v as usize]) == 0
-            {
+            let dominators = &self.covers[v as usize];
+            if live.contains(v) && self.used_scratch.intersection_len(dominators) == 0 {
                 count += 1;
-                self.used_scratch.union_with(&self.dominator_sets[v as usize]);
+                self.used_scratch.union_with(dominators);
             }
         }
         count
@@ -786,19 +764,15 @@ impl DominationEngine {
         let mut cap_sum = 0usize;
         for i in 0..self.packing_order.len() {
             let v = self.packing_order[i];
-            if live.contains(v)
-                && self.used_scratch.intersection_len(&self.dominator_sets[v as usize]) == 0
-            {
+            let dominators = &self.covers[v as usize];
+            if live.contains(v) && self.used_scratch.intersection_len(dominators) == 0 {
                 count += 1;
                 if count >= need {
                     return count;
                 }
-                let mut best = 0u32;
-                for &s in &self.dominators[v as usize] {
-                    best = best.max(self.gains[s as usize]);
-                }
+                let best = dominators.iter().map(|s| self.gains[s as usize]).max().unwrap_or(0);
                 cap_sum += best as usize;
-                self.used_scratch.union_with(&self.dominator_sets[v as usize]);
+                self.used_scratch.union_with(dominators);
             }
         }
         count + uncovered.saturating_sub(cap_sum).div_ceil(max_gain)
@@ -1004,9 +978,9 @@ impl DominationEngine {
         }
         // Branch on the uncovered vertex with the fewest dominators
         // (fail-first).
-        let mut branch_v: Option<(usize, u32)> = None;
+        let mut branch_v: Option<(u32, u32)> = None;
         for v in live.iter() {
-            let deg = self.dominators[v as usize].len();
+            let deg = self.cover_sizes[v as usize];
             if branch_v.is_none_or(|(bd, _)| deg < bd) {
                 branch_v = Some((deg, v));
                 if deg <= 1 {
@@ -1015,19 +989,20 @@ impl DominationEngine {
             }
         }
         let (_, v) = branch_v.expect("uncovered > 0 implies an uncovered vertex exists");
-        // Candidates: the dominators of `v`, best current marginal
-        // gain first. Every dominator of an uncovered vertex is alive,
-        // so on the dynamic path `self.gains` is fresh for all of
-        // them; the static path computes the few gains directly.
+        // Candidates: the dominators of `v` (`covers[v]`), best current
+        // marginal gain first — sorted on the whole `(gain, id)` pair,
+        // so the order never depends on how they are listed. Every
+        // dominator of an uncovered vertex is alive, so on the dynamic
+        // path `self.gains` is fresh for all of them; the static path
+        // computes the few gains directly.
         let mut cands = std::mem::take(&mut self.cand_pool[depth]);
         cands.clear();
+        let dominators = self.covers[v as usize].iter();
         if dynamic {
-            cands.extend(self.dominators[v as usize].iter().map(|&s| (self.gains[s as usize], s)));
+            cands.extend(dominators.map(|s| (self.gains[s as usize], s)));
         } else {
             cands.extend(
-                self.dominators[v as usize]
-                    .iter()
-                    .map(|&s| (self.covers[s as usize].intersection_len(live) as u32, s)),
+                dominators.map(|s| (self.covers[s as usize].intersection_len(live) as u32, s)),
             );
         }
         cands.sort_unstable_by(|a, b| b.cmp(a));
@@ -1110,6 +1085,13 @@ mod tests {
         DominationInstance::closed_neighborhoods(g, forced)
     }
 
+    /// Feeds `inst`'s coverage pair by pair.
+    fn feed_pairs(engine: &mut DominationEngine, inst: &DominationInstance) {
+        for (s, c) in inst.covers.iter().enumerate() {
+            c.iter().for_each(|v| engine.add_pair(s as u32, v));
+        }
+    }
+
     #[test]
     fn engine_matches_instance_solver() {
         let mut rng = ChaCha8Rng::seed_from_u64(91);
@@ -1174,11 +1156,7 @@ mod tests {
         assert_eq!(first, i1.solve_exact(usize::MAX));
         // Reuse for a different instance of the same size.
         engine.reset(i2.universe.clone(), &i2.forced);
-        for (s, c) in i2.covers.iter().enumerate() {
-            for v in c.iter() {
-                engine.add_pair(s as u32, v);
-            }
-        }
+        feed_pairs(&mut engine, &i2);
         assert_eq!(
             engine.solve_exact(usize::MAX).map(|s| s.len()),
             i2.solve_exact(usize::MAX).map(|s| s.len())
@@ -1187,22 +1165,14 @@ mod tests {
         let g3 = generators::path(7);
         let i3 = graph_instance(&g3, vec![]);
         engine.reset(i3.universe.clone(), &i3.forced);
-        for (s, c) in i3.covers.iter().enumerate() {
-            for v in c.iter() {
-                engine.add_pair(s as u32, v);
-            }
-        }
+        feed_pairs(&mut engine, &i3);
         assert_eq!(engine.solve_exact(usize::MAX).unwrap().len(), 3);
         // And growing again after the shrink (the grow-only reuse
         // path re-targets the recycled word storage).
         let g4 = generators::cycle(21);
         let i4 = graph_instance(&g4, vec![]);
         engine.reset(i4.universe.clone(), &i4.forced);
-        for (s, c) in i4.covers.iter().enumerate() {
-            for v in c.iter() {
-                engine.add_pair(s as u32, v);
-            }
-        }
+        feed_pairs(&mut engine, &i4);
         assert_eq!(
             engine.solve_exact(usize::MAX).map(|s| s.len()),
             i4.solve_exact(usize::MAX).map(|s| s.len())
@@ -1215,11 +1185,26 @@ mod tests {
         assert!(!engine.is_feasible());
         assert_eq!(engine.solve_exact(usize::MAX), None);
         assert_eq!(engine.solve_greedy(), None);
-        for v in 0..3 {
-            engine.add_pair(0, v);
-        }
+        // The closed star around 0: symmetric, as the contract asks.
+        feed_pairs(&mut engine, &graph_instance(&generators::star(3), vec![]));
         assert!(engine.is_feasible());
         assert_eq!(engine.solve_exact(usize::MAX).unwrap(), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric coverage")]
+    fn from_instance_rejects_asymmetric_coverage() {
+        let mut inst = graph_instance(&generators::path(3), vec![]);
+        inst.covers[0].remove(1); // 1 still covers 0
+        DominationEngine::from_instance(&inst);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the universe")]
+    fn from_instance_rejects_coverage_outside_the_universe() {
+        let mut inst = graph_instance(&generators::path(3), vec![]);
+        inst.universe.remove(2); // 1 and 2 still cover 2
+        DominationEngine::from_instance(&inst);
     }
 
     #[test]

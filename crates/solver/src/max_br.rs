@@ -149,9 +149,10 @@ fn guess_loop(
 /// engine's `covers[s]`, so the engine's coverage must come from this
 /// growth alone (reset both together). Each ring goes to the engine
 /// through one [`DominationEngine::extend_cover`], sources in
-/// increasing id within a radius, so dominator lists receive sources
-/// in (radius, source) order. Rings are grown only as far as
-/// [`grow_to`] is asked.
+/// increasing id within a radius. Every radius is fed whole before
+/// `grow_to` returns, so between calls the coverage is the symmetric
+/// ball system the engine's contract asks for. Rings are grown only as
+/// far as [`grow_to`] is asked.
 ///
 /// [`reset`]: RingGrowth::reset
 /// [`grow_to`]: RingGrowth::grow_to
@@ -433,6 +434,18 @@ mod tests {
                             by_cursors.coverage_state(),
                             "{tag}, radius {r}"
                         );
+                        // The coverage contract: `covers[v]` lists the sources
+                        // covering `v`, `cover_sizes[v]` counts them.
+                        let (covers, sizes, ..) = by_rings.coverage_state();
+                        for v in 0..view.len() as NodeId {
+                            let holders: Vec<NodeId> = (0..view.len() as NodeId)
+                                .filter(|&s| covers[s as usize].contains(v))
+                                .collect();
+                            let vtag = format!("{tag}, radius {r}, v = {v}");
+                            assert_eq!(holders, covers[v as usize].to_vec(), "{vtag}");
+                            assert_eq!(holders.len(), sizes[v as usize] as usize, "{vtag}");
+                        }
+                        assert!(covers.iter().all(|c| !c.contains(view.center)), "{tag}");
                     }
                     for alpha in [0.3, 1.5, 6.0] {
                         let spec = GameSpec::max(alpha, k);

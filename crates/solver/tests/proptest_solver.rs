@@ -233,11 +233,13 @@ proptest! {
             if forced { vec![3] } else { vec![] },
         );
         if sabotage {
-            // Vertex 0 loses every dominator: the instance is
-            // infeasible and every solver must say `None`.
+            // Vertex 0 loses every dominator and, to keep the coverage
+            // symmetric, its own cover: the instance is infeasible and
+            // every solver must say `None`.
             for c in &mut inst.covers {
                 c.remove(0);
             }
+            inst.covers[0].clear();
         }
         let opt = DominationEngine::from_instance(&inst).solve_exact(usize::MAX);
         let cutoff = match (&opt, cutoff_slack) {
