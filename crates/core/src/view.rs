@@ -139,13 +139,13 @@ impl PlayerView {
     }
 
     /// [`PlayerView::rebuild`] with the radius-`k` ball of `u` already
-    /// computed (ascending global ids — what the batched BFS kernel's
-    /// `lane_ball_into` emits, and what `ncg_graph::view::ball`
+    /// computed (ascending global ids, as `ncg_graph::view::ball`
     /// produces). Field-for-field identical to a fresh
-    /// [`PlayerView::build`]; the ball just skips the per-player BFS on
-    /// the global graph, which LKE certification has already answered
-    /// 64 players at a time. `dist` comes from one BFS on the view's
-    /// CSR.
+    /// [`PlayerView::build`]; `dist` comes from a second BFS, on the
+    /// view's CSR. The workspace builds every view with
+    /// [`PlayerView::rebuild`], whose one BFS gives both; this entry
+    /// point stays for the benchmark ledger's traced recomposition of
+    /// LKE certification, until the next change to the benchmark.
     ///
     /// # Panics
     /// Panics if `ball` misses the center or one of her neighbours, and

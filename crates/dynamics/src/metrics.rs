@@ -3,7 +3,7 @@
 
 use ncg_core::{social, GameSpec, GameState};
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{CsrGraph, INFINITY};
+use ncg_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
 /// Reusable workspace of the measurement pass: the frozen CSR, the
@@ -58,10 +58,10 @@ pub struct StateMetrics {
 impl StateMetrics {
     /// Measures a state under the given spec (view sizes use `spec.k`).
     ///
-    /// One CSR freeze plus one full BFS per vertex over the shared
-    /// multi-source kernel produces the diameter, both view-size
-    /// statistics (a ball of radius `k` is exactly the nodes at
-    /// distance `≤ k`), *and* every social statistic together: the
+    /// One CSR freeze plus one full BFS per vertex over the workspace's
+    /// one BFS kernel produces the diameter, both view-size statistics
+    /// (a ball of radius `k` is the prefix of the BFS order at distance
+    /// `≤ k`), *and* every social statistic together: the
     /// per-player usage (eccentricity for Max, status for Sum) falls
     /// out of the same distance arrays, so `social_cost`, `quality`
     /// and `unfairness` no longer run their own per-vertex BFS over
@@ -70,10 +70,9 @@ impl StateMetrics {
     /// parity-tested against `ncg_graph::metrics::diameter`,
     /// `ncg_graph::view::ball`, and the `ncg_core::social` BFS path).
     ///
-    /// The sweep is scalar on purpose: on the random trees the paper's
-    /// dynamics start from, 64 scattered lanes share almost no
-    /// frontier and the batched kernel is about twice as slow
-    /// (DESIGN.md §12).
+    /// On a connected state each BFS reaches every node, so the
+    /// buffer's reset refills the array in one pass rather than
+    /// clearing visits one by one (see `DistanceBuffer`).
     pub fn measure(state: &GameState, spec: &GameSpec) -> Self {
         Self::measure_with(state, spec, &mut MeasureScratch::new())
     }
@@ -95,8 +94,10 @@ impl StateMetrics {
             let reaches_all = scratch.buf.visited().len() == n;
             connected &= reaches_all;
             ecc_max = ecc_max.max(ecc);
-            let size =
-                scratch.buf.distances().iter().filter(|&&d| d != INFINITY && d <= spec.k).count();
+            // `visited()` is in non-decreasing distance order, so the
+            // radius-k ball is its prefix at distance ≤ k.
+            let buf = &scratch.buf;
+            let size = buf.visited().partition_point(|&v| buf.dist(v) <= spec.k);
             min_view = min_view.min(size);
             view_total += size;
             scratch.usages.push(usage_cost.distance_usage(

@@ -6,8 +6,9 @@
 //! over it. At `n = 10^6` that is a view slot per player. This
 //! responder builds no view: it builds the same ball-local CSR with the
 //! same builder ([`CsrGraph::rebuild_induced`]) into one epoch-stamped
-//! scratch per worker, works on flat distance arrays produced by local
-//! BFS over it, and climbs the same add/drop/swap neighbourhood as
+//! scratch per worker, works on flat distance arrays produced by the
+//! workspace's one BFS kernel ([`ncg_graph::bfs`]) over it, and climbs
+//! the same add/drop/swap neighbourhood as
 //! [`ncg_solver::front::hill_climb`] with the identical cost →
 //! fewer-edges → lexicographic tie-break.
 //!
@@ -26,14 +27,12 @@
 //! never a false one.
 
 use ncg_core::{EdgeCostModel, GameSpec, MoveRulePolicy, Objective, EPS};
+use ncg_graph::bfs::{bfs, bfs_skipping, DistanceBuffer};
 use ncg_graph::view::StampMap;
 use ncg_graph::{CsrGraph, NodeId, INFINITY};
 use ncg_solver::bound::purchase_cutoff;
 
 use super::state::ScaleState;
-
-/// Sentinel "no node skipped" for the local BFS kernel.
-const NO_SKIP: u32 = u32::MAX;
 
 /// Sentinel "no unique nearest purchase" in the per-step tables.
 const NO_ARG: u32 = u32::MAX;
@@ -74,18 +73,19 @@ pub struct ScaleMove {
 }
 
 /// Reusable buffers for [`respond`]: an epoch-stamped global→local
-/// map sized to the full graph plus ball-sized work arrays. One
-/// instance per worker thread; `O(n)` once, then allocation-free.
+/// map sized to the full graph, plus the ball-local CSR, the BFS buffer
+/// that runs on it, and ball-sized work arrays. One instance per worker
+/// thread; `O(n)` once, then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ScaleScratch {
     ids: StampMap,
     ball_graph: CsrGraph,
+    buf: DistanceBuffer,
     dist0: Vec<u32>,
     base: Vec<u32>,
-    row_tmp: Vec<u32>,
+    drop_row: Vec<u32>,
     fields: Vec<u32>,
     src_ids: Vec<u32>,
-    queue: Vec<u32>,
     purchases: Vec<u32>,
     incoming_globals: Vec<NodeId>,
     incoming: Vec<u32>,
@@ -105,43 +105,6 @@ impl ScaleScratch {
     /// Fresh scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Radius-`k` ball of `u` in `g`, sorted ascending into `out`.
-    ///
-    /// This costs `O(|ball| + ball edges)` — visited bookkeeping is
-    /// epoch-stamped, so there is no `O(n)` buffer reset per call.
-    /// That is the difference between a million-player round taking
-    /// seconds and taking hours: the scalar whole-graph kernel
-    /// ([`ncg_graph::bfs`]) pays a full-array clear per source, which
-    /// amortises for global metrics but not for a million tiny balls.
-    pub fn discover_ball(&mut self, g: &CsrGraph, u: NodeId, k: u32, out: &mut Vec<NodeId>) {
-        // The id map doubles as the distance store during discovery;
-        // `respond` restarts it for the ball's local ids afterwards.
-        let dist = &mut self.ids;
-        dist.restart(g.node_count());
-        out.clear();
-        self.queue.clear();
-        dist.insert(u, 0);
-        self.queue.push(u);
-        out.push(u);
-        let mut head = 0usize;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            let d = dist.get(v).expect("queued nodes carry their distance");
-            if d == k {
-                continue;
-            }
-            for &w in g.neighbors(v) {
-                if dist.get(w).is_none() {
-                    dist.insert(w, d + 1);
-                    self.queue.push(w);
-                    out.push(w);
-                }
-            }
-        }
-        out.sort_unstable();
     }
 
     /// The climb's outcome as a move of `u`, or `None` when it ended
@@ -166,34 +129,6 @@ impl ScaleScratch {
     }
 }
 
-/// Unbounded BFS over the local induced-ball CSR from a set of
-/// sources, optionally deleting one node (`skip`); distances land in
-/// `dist` (resized to the ball, `INFINITY` where unreached).
-fn local_bfs(g: &CsrGraph, skip: u32, sources: &[u32], dist: &mut Vec<u32>, queue: &mut Vec<u32>) {
-    let b = g.node_count();
-    dist.clear();
-    dist.resize(b, INFINITY);
-    queue.clear();
-    for &s in sources {
-        if s != skip && dist[s as usize] == INFINITY {
-            dist[s as usize] = 0;
-            queue.push(s);
-        }
-    }
-    let mut head = 0usize;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        let d = dist[v as usize] + 1;
-        for &w in g.neighbors(v) {
-            if w != skip && dist[w as usize] == INFINITY {
-                dist[w as usize] = d;
-                queue.push(w);
-            }
-        }
-    }
-}
-
 /// Builds everything the climb prices against for `u`: the induced
 /// ball CSR, the center's distances `dist0`, the incoming-edge row
 /// `base`, the add candidates `cand`, and one distance row per field
@@ -210,12 +145,11 @@ fn build_fields(
     let ScaleScratch {
         ids,
         ball_graph,
+        buf,
         dist0,
         base,
-        row_tmp,
         fields,
         src_ids,
-        queue,
         purchases,
         incoming_globals,
         incoming,
@@ -229,7 +163,9 @@ fn build_fields(
 
     // Center's distances inside the ball (= the exact tier's
     // `view.dist`: radius-k shortest paths never leave the ball).
-    local_bfs(ball_graph, NO_SKIP, &[center], dist0, queue);
+    bfs(ball_graph, center, buf);
+    dist0.clear();
+    dist0.extend_from_slice(buf.distances());
 
     let to_local = |v: NodeId| ids.get(v).expect("neighbours of the center lie in the ball");
     purchases.clear();
@@ -241,7 +177,9 @@ fn build_fields(
     // Distance fields on the ball minus the center: one shared
     // multi-source row for the incoming sources, one row per possible
     // purchase endpoint (current purchases ∪ add candidates).
-    local_bfs(ball_graph, center, incoming, base, queue);
+    bfs_skipping(ball_graph, incoming, center, buf);
+    base.clear();
+    base.extend_from_slice(buf.distances());
 
     cand.clear();
     if b - 1 <= cfg.exhaustive_ball {
@@ -270,8 +208,8 @@ fn build_fields(
     src_ids.dedup();
     fields.clear();
     for &s in src_ids.iter() {
-        local_bfs(ball_graph, center, &[s], row_tmp, queue);
-        fields.extend_from_slice(row_tmp);
+        bfs_skipping(ball_graph, &[s], center, buf);
+        fields.extend_from_slice(buf.distances());
     }
     center
 }
@@ -446,7 +384,7 @@ fn climb(
     let ScaleScratch {
         dist0,
         base,
-        row_tmp: drop_row,
+        drop_row,
         fields,
         src_ids,
         purchases,
@@ -571,7 +509,7 @@ fn climb(
 
 /// Greedy best response for `u` over its radius-`k` ball (`ball` must
 /// be the sorted ascending ball of `u` in `state.graph()`, center
-/// included — [`ScaleScratch::discover_ball`] or a batched-BFS lane).
+/// included, as [`ncg_graph::view::ball_into`] produces it).
 /// Returns a strictly improving move with exact old/new costs, or
 /// `None` when the climb finds nothing better than the current
 /// strategy.
@@ -606,6 +544,7 @@ mod tests {
     use ncg_core::deviation::evaluate_total;
     use ncg_core::{GameState, PlayerView, ViewScratch};
     use ncg_graph::generators;
+    use ncg_graph::view::ball_into;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -889,9 +828,9 @@ mod tests {
             };
             let state = if gnp { gnp_state(n, seed) } else { tree_state(n, seed) };
             let mut scratch = ScaleScratch::new();
-            let mut ball = Vec::new();
+            let (mut buf, mut ball) = (DistanceBuffer::new(), Vec::new());
             for u in 0..n as NodeId {
-                scratch.discover_ball(state.graph(), u, k, &mut ball);
+                ball_into(state.graph(), u, k, &mut buf, &mut ball);
                 let fast = respond(&state, &spec, &cfg, u, &ball, &mut scratch);
                 let reference = respond_reference(&state, &spec, &cfg, u, &ball, &mut scratch);
                 prop_assert_eq!(bits(&fast), bits(&reference), "player {}", u);
@@ -909,8 +848,7 @@ mod tests {
     ) -> Option<ScaleMove> {
         let ss = ScaleState::from_game_state(gs);
         let mut scratch = ScaleScratch::new();
-        let mut ball = Vec::new();
-        scratch.discover_ball(ss.graph(), u, spec.k, &mut ball);
+        let ball = ncg_graph::view::ball(gs.graph(), u, spec.k);
         let mv = respond(&ss, spec, cfg, u, &ball, &mut scratch);
         let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
         let current = ncg_core::deviation::current_total(spec, &view);

@@ -69,7 +69,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ncg_core::GameSpec;
-use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
+use ncg_graph::bfs::{bfs_bounded, DistanceBuffer};
+use ncg_graph::view::ball_into;
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
@@ -143,9 +144,12 @@ pub struct ScaleRoundStats {
     pub conflicts: usize,
 }
 
-/// Ball sizes of a deterministic 64-player sample (the batched-BFS
-/// stand-in for the exact tier's exhaustive min/avg view statistics,
-/// which are `O(n·m)` and unaffordable at this tier).
+/// Players in the final network's [`ViewSample`].
+const VIEW_SAMPLE: usize = 64;
+
+/// Ball sizes of a deterministic 64-player sample (the stand-in for
+/// the exact tier's exhaustive min/avg view statistics, which are
+/// `O(n·m)` and unaffordable at this tier).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewSample {
     /// Number of sampled players (`min(64, n)`).
@@ -178,10 +182,12 @@ pub struct ScaleRunResult {
     pub view_sample: ViewSample,
 }
 
-/// Per-worker scratch: responder buffers plus the ball staging vector.
+/// Per-worker scratch: responder buffers, plus the BFS buffer on the
+/// whole network that finds each player's ball and the ball itself.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     responder: ScaleScratch,
+    buf: DistanceBuffer,
     ball: Vec<NodeId>,
 }
 
@@ -216,7 +222,9 @@ impl Drop for PoolGuard<'_> {
 /// dirty marking: `O(marked)` per call, no per-call `O(n)` reset, and
 /// repeated calls within one epoch accumulate the *union* of balls
 /// (distances only ever shrink, with re-enqueueing on improvement so
-/// later, closer sources extend the marked region correctly).
+/// later, closer sources extend the marked region correctly). That
+/// accumulation is why it is not the workspace's BFS kernel, which
+/// starts every call afresh (DESIGN.md §12).
 #[derive(Debug, Clone, Default)]
 struct MarkScratch {
     epoch: u32,
@@ -341,8 +349,7 @@ pub struct ScaleArena {
     touched: Vec<NodeId>,
     accepted: Vec<(NodeId, Vec<NodeId>)>,
     seen: HashMap<ProfileFp, usize>,
-    batch: BatchScratch,
-    dists: BatchDistances,
+    sample: DistanceBuffer,
 }
 
 impl ScaleArena {
@@ -379,19 +386,22 @@ fn touched_of(u: NodeId, old: &[NodeId], new: &[NodeId], out: &mut Vec<NodeId>) 
     out.insert(pos, u);
 }
 
-/// Ball sizes of `min(64, n)` evenly spaced players via one batched
-/// BFS call, once per run. The arena's batch buffers are sized to `n`
-/// on its first run; after that a call costs in proportion to the 64
-/// balls it reaches, not to `n`.
+/// Ball sizes of `min(64, n)` evenly spaced players, one bounded BFS
+/// each, once per run. The arena's BFS buffer is sized to `n` on its
+/// first run; after that a call costs in proportion to the balls it
+/// reaches, not to `n`.
 fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSample {
     let n = state.n();
     if n == 0 {
         return ViewSample { lanes: 0, min: 0, max: 0, avg: 0.0 };
     }
-    let lanes = n.min(WORD_LANES);
-    let sources: Vec<NodeId> = (0..lanes).map(|i| (i * n / lanes) as NodeId).collect();
-    batch_bfs(state.graph(), &sources, k, &mut arena.batch, &mut arena.dists);
-    let sizes: Vec<usize> = (0..lanes).map(|l| arena.dists.ball_size(l, k)).collect();
+    let lanes = n.min(VIEW_SAMPLE);
+    let sizes: Vec<usize> = (0..lanes)
+        .map(|i| {
+            bfs_bounded(state.graph(), (i * n / lanes) as NodeId, k, &mut arena.sample);
+            arena.sample.visited().len()
+        })
+        .collect();
     ViewSample {
         lanes,
         min: sizes.iter().copied().min().unwrap_or(0),
@@ -434,7 +444,7 @@ fn simultaneous_round(
                 || PoolGuard::take(pool),
                 |guard, u| {
                     let ws = guard.get();
-                    ws.responder.discover_ball(frozen.graph(), u, k, &mut ws.ball);
+                    ball_into(frozen.graph(), u, k, &mut ws.buf, &mut ws.ball);
                     respond(frozen, spec, rcfg, u, &ws.ball, &mut ws.responder)
                 },
             )
@@ -490,7 +500,7 @@ fn sequential_round(
     for i in 0..arena.next_dirty.len() {
         let u = arena.next_dirty[i];
         let ws = &mut arena.seq;
-        ws.responder.discover_ball(state.graph(), u, k, &mut ws.ball);
+        ball_into(state.graph(), u, k, &mut ws.buf, &mut ws.ball);
         let Some(mv) =
             respond(state, &config.spec, &config.responder, u, &ws.ball, &mut ws.responder)
         else {
@@ -606,7 +616,7 @@ mod tests {
         let ws = &mut arena.seq;
         let mut proposals = Vec::new();
         for &u in &arena.dirty {
-            ws.responder.discover_ball(state.graph(), u, k, &mut ws.ball);
+            ball_into(state.graph(), u, k, &mut ws.buf, &mut ws.ball);
             proposals.extend(respond(
                 state,
                 &config.spec,

@@ -11,7 +11,8 @@ use ncg_dynamics::scale::{
     respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleResponderConfig, ScaleScratch,
     ScaleState,
 };
-use ncg_graph::{generators, NodeId};
+use ncg_graph::bfs::DistanceBuffer;
+use ncg_graph::{generators, view, NodeId};
 use ncg_solver::front::best_response_with;
 use ncg_solver::{Mode, SolverScratch};
 use proptest::prelude::*;
@@ -48,11 +49,11 @@ fn exhaustive_cfg() -> ScaleResponderConfig {
 fn check_all_players(gs: &GameState, spec: &GameSpec) -> Vec<(NodeId, f64, f64)> {
     let ss = ScaleState::from_game_state(gs);
     let mut scratch = ScaleScratch::new();
-    let mut ball = Vec::new();
+    let (mut buf, mut ball) = (DistanceBuffer::new(), Vec::new());
     let mut solver = SolverScratch::new();
     let mut out = Vec::new();
     for u in 0..gs.n() as NodeId {
-        scratch.discover_ball(ss.graph(), u, spec.k, &mut ball);
+        view::ball_into(ss.graph(), u, spec.k, &mut buf, &mut ball);
         let mv = respond(&ss, spec, &exhaustive_cfg(), u, &ball, &mut scratch);
         let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
         let current = current_total(spec, &view);

@@ -6,8 +6,9 @@
 //! parameters.
 //!
 //! Certification routes through `ncg_solver::is_lke`: the players of
-//! each gadget fan out over the work-stealing pool in 64-lane groups
-//! (one batched ball sweep per group) with one `Responder` (hence one
+//! each gadget fan out over the work-stealing pool in groups of 64
+//! (one view rebuilt in place per player, from a radius-`k` BFS that
+//! costs the ball, not the gadget) with one `Responder` (hence one
 //! warm `SolverScratch`) per worker, and a found violation
 //! short-circuits the remaining players. (Inside pool workers the
 //! individual solves stay sequential — the player fan-out is the

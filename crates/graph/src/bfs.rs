@@ -8,11 +8,12 @@
 //!
 //! All entry points — single-source, bounded, skipping, multi-source,
 //! on [`Graph`] or on [`crate::CsrGraph`] — are thin wrappers around
-//! **one** batched frontier sweep (the private `bfs_kernel`),
-//! parameterised over the [`Adjacency`] representation. View extraction
-//! (`crate::view::ball`) and the deviation evaluator's multi-source
-//! sweeps therefore share a single, monomorphised inner loop (see
-//! `DESIGN.md` §5).
+//! **one** frontier sweep (the private `bfs_kernel`), parameterised
+//! over the [`Adjacency`] representation. View extraction
+//! (`crate::view::ball`), LKE certification, the scale tier's balls
+//! and distance rows, and the deviation evaluator's multi-source
+//! sweeps therefore share a single, monomorphised inner loop, and a
+//! bounded run costs what it visits (see `DESIGN.md` §5 and §12).
 
 use crate::{Graph, NodeId, INFINITY};
 
@@ -29,8 +30,6 @@ pub trait Adjacency {
     fn node_count(&self) -> usize;
     /// Sorted neighbour slice of `u`.
     fn adjacent(&self, u: NodeId) -> &[NodeId];
-    /// `Σ_u adjacent(u).len()`, i.e. twice the edge count, in `O(1)`.
-    fn degree_sum(&self) -> usize;
 }
 
 impl Adjacency for Graph {
@@ -43,18 +42,23 @@ impl Adjacency for Graph {
     fn adjacent(&self, u: NodeId) -> &[NodeId] {
         self.neighbors(u)
     }
-
-    #[inline]
-    fn degree_sum(&self) -> usize {
-        2 * self.edge_count()
-    }
 }
 
 /// Reusable scratch space for BFS.
 ///
 /// Holds the distance array and the FIFO queue. Create one per thread
 /// (or per long-lived computation) and pass it to the kernels; the
-/// buffer grows on demand and never shrinks.
+/// buffer grows on demand.
+///
+/// **Output-sensitive reuse.** Every finite distance of a run belongs
+/// to a node in [`DistanceBuffer::visited`], so the next run restores
+/// the all-`INFINITY` array by clearing just those entries: a run
+/// costs `O(previous run's visits + this run's work)`, not `O(n)`, and
+/// a radius-`k` ball on a huge graph costs the ball. When the previous
+/// run visited at least an eighth of the array, one sequential refill
+/// is cheaper than scattered stores and is used instead. A buffer
+/// moved from a small graph to a large one pays the difference in
+/// size once, so keep one buffer per graph.
 #[derive(Debug, Clone, Default)]
 pub struct DistanceBuffer {
     /// Distances from the last source; `INFINITY` = unreachable.
@@ -98,14 +102,29 @@ impl DistanceBuffer {
         &self.queue
     }
 
+    /// Restores an all-`INFINITY` array of length `n` and an empty
+    /// queue, clearing only the previous run's queued nodes (the only
+    /// finite entries) unless a refill is cheaper.
     fn reset(&mut self, n: usize) {
-        self.dist.clear();
+        if self.queue.len() * DENSE_RESET >= self.dist.len() {
+            self.dist.clear();
+        } else {
+            for &v in &self.queue {
+                self.dist[v as usize] = INFINITY;
+            }
+        }
         self.dist.resize(n, INFINITY);
         self.queue.clear();
     }
 }
 
-/// The one batched frontier sweep every public BFS flavour wraps:
+/// [`DistanceBuffer::reset`] refills the whole array instead of
+/// clearing the previous run's visits when they number at least
+/// `1 / DENSE_RESET` of it: one sequential pass then beats that many
+/// scattered stores, which keeps all-sources sweeps at their old cost.
+const DENSE_RESET: usize = 8;
+
+/// The one frontier sweep every public BFS flavour wraps:
 /// multi-source, distance-bounded, with an optional deleted node.
 ///
 /// * `sources` are enqueued at distance 0 (duplicates and the skipped
@@ -205,9 +224,9 @@ pub fn bfs_multi<A: Adjacency + ?Sized>(
 }
 
 /// Multi-source BFS truncated at distance `limit` (inclusive): the
-/// batched frontier sweep behind view extraction. Duplicate sources
-/// are harmless; with `limit` 0 only the sources themselves are
-/// visited.
+/// sweep behind the dynamics view cache's dirty marking. Duplicate
+/// sources are harmless; with `limit` 0 only the sources themselves
+/// are visited.
 pub fn bfs_multi_bounded<A: Adjacency + ?Sized>(
     g: &A,
     sources: &[NodeId],
@@ -215,40 +234,6 @@ pub fn bfs_multi_bounded<A: Adjacency + ?Sized>(
     buf: &mut DistanceBuffer,
 ) -> u32 {
     bfs_kernel(g, sources, limit, NO_NODE, buf)
-}
-
-/// Single-pair shortest-path distance (early-exit BFS).
-///
-/// On success the buffer is consistent with the return value: the
-/// found target has its distance recorded and appears in
-/// [`DistanceBuffer::visited`] (nodes *behind* it are still
-/// unexplored — the early exit is the point).
-pub fn distance(g: &Graph, u: NodeId, v: NodeId, buf: &mut DistanceBuffer) -> u32 {
-    if u == v {
-        buf.reset(g.node_count());
-        buf.dist[u as usize] = 0;
-        buf.queue.push(u);
-        return 0;
-    }
-    buf.reset(g.node_count());
-    buf.dist[u as usize] = 0;
-    buf.queue.push(u);
-    let mut head = 0usize;
-    while head < buf.queue.len() {
-        let x = buf.queue[head];
-        head += 1;
-        let dx = buf.dist[x as usize];
-        for &y in g.neighbors(x) {
-            if buf.dist[y as usize] == INFINITY {
-                buf.dist[y as usize] = dx + 1;
-                buf.queue.push(y);
-                if y == v {
-                    return dx + 1;
-                }
-            }
-        }
-    }
-    INFINITY
 }
 
 #[cfg(test)]
@@ -378,44 +363,6 @@ mod tests {
         bfs_multi_bounded(&g, &[0, 4], 10, &mut buf);
         assert_eq!(buf.dist(5), 1);
         assert_eq!(buf.dist(3), INFINITY);
-    }
-
-    #[test]
-    fn pairwise_distance_matches_full_bfs() {
-        let g = generators::cycle(11);
-        let mut buf = DistanceBuffer::new();
-        for u in 0..11 {
-            let mut full = DistanceBuffer::new();
-            bfs(&g, u, &mut full);
-            for v in 0..11 {
-                assert_eq!(distance(&g, u, v, &mut buf), full.dist(v), "({u},{v})");
-            }
-        }
-    }
-
-    #[test]
-    fn distance_records_the_found_target_in_the_buffer() {
-        // Regression: the early exit used to return without writing the
-        // target's distance, leaving `buf.dist(v)` at INFINITY and
-        // `visited()` missing `v` for a reachable target.
-        let g = generators::path(6);
-        let mut buf = DistanceBuffer::new();
-        let d = distance(&g, 0, 4, &mut buf);
-        assert_eq!(d, 4);
-        assert_eq!(buf.dist(4), d, "buffer must agree with the return value");
-        assert!(buf.visited().contains(&4), "found target must be recorded as visited");
-        // Identity pairs are consistent too.
-        assert_eq!(distance(&g, 3, 3, &mut buf), 0);
-        assert_eq!(buf.dist(3), 0);
-        assert_eq!(buf.visited(), &[3]);
-    }
-
-    #[test]
-    fn distance_unreachable_is_infinity() {
-        let g = Graph::new(3);
-        let mut buf = DistanceBuffer::new();
-        assert_eq!(distance(&g, 0, 2, &mut buf), INFINITY);
-        assert_eq!(distance(&g, 1, 1, &mut buf), 0);
     }
 
     #[test]

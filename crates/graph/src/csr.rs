@@ -243,11 +243,6 @@ impl Adjacency for CsrGraph {
     fn adjacent(&self, u: NodeId) -> &[NodeId] {
         self.neighbors(u)
     }
-
-    #[inline]
-    fn degree_sum(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 impl Default for CsrGraph {
@@ -392,28 +387,6 @@ mod tests {
         assert_eq!(csr, CsrGraph::from_edges(3, &[(0, 2)]));
         csr.rebuild_from_edges(0, &[]);
         assert_eq!(csr.node_count(), 0);
-    }
-
-    #[test]
-    fn degree_sum_matches_adjacency_lengths() {
-        fn summed<A: Adjacency>(g: &A) -> usize {
-            (0..g.node_count() as NodeId).map(|u| g.adjacent(u).len()).sum()
-        }
-        let mut shrunk = generators::grid(3, 4);
-        assert!(shrunk.remove_edge(0, 1));
-        assert!(shrunk.remove_edge(5, 9));
-        let cases = [
-            Graph::new(0),
-            Graph::new(6),
-            Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(),
-            shrunk,
-        ];
-        for g in &cases {
-            assert_eq!(g.degree_sum(), summed(g));
-            let csr = CsrGraph::from_graph(g);
-            assert_eq!(csr.degree_sum(), summed(&csr));
-        }
-        assert_eq!(cases[3].degree_sum(), 2 * (17 - 2));
     }
 
     #[test]

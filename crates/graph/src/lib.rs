@@ -5,11 +5,11 @@
 //!
 //! * [`Graph`] — a compact, allocation-conscious undirected simple graph
 //!   with sorted adjacency lists and `u32` node identifiers.
-//! * [`bfs`] — breadth-first search kernels with caller-provided scratch
-//!   buffers so the hot path allocates nothing per call.
-//! * [`batch`] — bit-parallel batched BFS: 64 sources per machine word,
-//!   one traversal answering a whole lane group's distance queries,
-//!   bit-identical per lane to the scalar kernels.
+//! * [`bfs`] — the one breadth-first search kernel, with caller-provided
+//!   scratch buffers so the hot path allocates nothing per call and a
+//!   bounded run costs what it visits, not `O(n)`.
+//! * [`batch`] — the benchmark ledger's ball-sweep names, a thin shim
+//!   over [`bfs`] kept only until the next change to the benchmark.
 //! * [`metrics`] — eccentricity, diameter, radius, girth, connectivity,
 //!   with rayon-parallel all-pairs variants.
 //! * [`view`] — radius-`k` balls, induced subgraphs with node mappings
@@ -53,7 +53,6 @@ pub use graph::{Graph, NodeId};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::batch::{BatchDistances, BatchScratch};
     pub use crate::bfs::DistanceBuffer;
     pub use crate::generators;
     pub use crate::metrics;

@@ -134,6 +134,11 @@ pub fn distance_matrix(g: &Graph) -> Vec<Vec<u32>> {
 /// BFS that records parents; a non-tree edge `(u, v)` discovered with
 /// `dist(u) + dist(v) + 1` closes a cycle through the source of that
 /// length or shorter. The minimum over all sources is exact.
+///
+/// Only the previous source's queued nodes carry a distance or a
+/// parent (including the ones the early exit left unexpanded), so each
+/// source resets just those: the per-source cost is what its search
+/// touched, not `O(n)`.
 pub fn girth(g: &Graph) -> Option<u32> {
     let n = g.node_count();
     let mut best: u32 = INFINITY;
@@ -141,8 +146,10 @@ pub fn girth(g: &Graph) -> Option<u32> {
     let mut parent = vec![INFINITY; n];
     let mut queue: Vec<NodeId> = Vec::with_capacity(n);
     for s in 0..n as NodeId {
-        dist.iter_mut().for_each(|d| *d = INFINITY);
-        parent.iter_mut().for_each(|p| *p = INFINITY);
+        for &v in &queue {
+            dist[v as usize] = INFINITY;
+            parent[v as usize] = INFINITY;
+        }
         queue.clear();
         dist[s as usize] = 0;
         queue.push(s);

@@ -4,7 +4,7 @@
 //! induced by her radius-`k` ball. This module provides the graph-level
 //! machinery; the game layer (`ncg-core`) adds ownership on top.
 
-use crate::bfs::{bfs_bounded, DistanceBuffer};
+use crate::bfs::{bfs_bounded, Adjacency, DistanceBuffer};
 use crate::{CsrGraph, Graph, NodeId, INFINITY};
 
 /// The radius-`k` ball around `center`: all nodes at distance `≤ k`,
@@ -15,11 +15,13 @@ pub fn ball(g: &Graph, center: NodeId, k: u32) -> Vec<NodeId> {
     out
 }
 
-/// [`ball`] writing into caller-provided scratch: `out` receives the
-/// sorted ball, `buf` is the BFS workspace. Nothing allocates after
-/// warm-up.
-pub fn ball_into(
-    g: &Graph,
+/// [`ball`] writing into caller-provided scratch, on any [`Adjacency`]:
+/// `out` receives the sorted ball, `buf` is the BFS workspace and
+/// keeps the ball's distances. Nothing allocates after warm-up, and a
+/// call costs `O(ball + ball edges)` plus the previous run's visits
+/// (see [`DistanceBuffer`]), not `O(n)`.
+pub fn ball_into<A: Adjacency + ?Sized>(
+    g: &A,
     center: NodeId,
     k: u32,
     buf: &mut DistanceBuffer,
@@ -38,8 +40,7 @@ pub fn ball_into(
 /// counter instead of clearing `O(n)` slots, so a build that stamps
 /// only its ball costs `O(ball)`. A build that panics half-way leaves
 /// only entries of its own epoch, which the next restart retires.
-/// [`CsrGraph::rebuild_induced`] stores local ids here; the scale
-/// tier's ball discovery stores BFS distances in the same slots.
+/// [`CsrGraph::rebuild_induced`] stores local ids here.
 #[derive(Debug, Clone, Default)]
 pub struct StampMap {
     epoch: u32,

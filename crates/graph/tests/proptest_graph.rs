@@ -3,10 +3,13 @@
 //! Strategy: generate random edge lists / random graphs and check the
 //! structural invariants that the rest of the workspace relies on:
 //! BFS against a reference Floyd–Warshall, ball/view consistency,
-//! power-graph semantics, and mutation round-trips.
+//! power-graph semantics, mutation round-trips, and a reused BFS
+//! buffer reading exactly like a fresh one.
 
-use ncg_graph::bfs::{bfs, bfs_bounded, bfs_multi, bfs_skipping, DistanceBuffer};
-use ncg_graph::{generators, metrics, view, Graph, NodeId, INFINITY};
+use ncg_graph::bfs::{
+    bfs, bfs_bounded, bfs_multi, bfs_multi_bounded, bfs_skipping, Adjacency, DistanceBuffer,
+};
+use ncg_graph::{generators, metrics, view, CsrGraph, Graph, NodeId, INFINITY};
 use proptest::prelude::*;
 
 /// Reference all-pairs shortest paths: Floyd–Warshall on a dense
@@ -38,7 +41,12 @@ fn floyd_warshall(g: &Graph) -> Vec<Vec<u64>> {
 
 /// An arbitrary graph on up to `max_n` nodes via a random edge list.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (2..=max_n).prop_flat_map(|n| {
+    arb_graph_in(2, max_n)
+}
+
+/// An arbitrary graph on `min_n..=max_n` nodes via a random edge list.
+fn arb_graph_in(min_n: usize, max_n: usize) -> impl Strategy<Value = Graph> {
+    (min_n..=max_n).prop_flat_map(|n| {
         let max_edges = n * (n - 1) / 2;
         proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..=max_edges.min(60)).prop_map(
             move |pairs| {
@@ -52,6 +60,37 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
             },
         )
     })
+}
+
+/// One call of a buffer-reuse sequence: a graph on `min_n..=max_n`
+/// nodes, 1..=4 sources, and the selectors (entry point, limit, skip,
+/// whether to run on the CSR freeze).
+type Call = (Graph, Vec<NodeId>, (usize, usize, usize, bool));
+
+fn arb_call(min_n: usize, max_n: usize) -> impl Strategy<Value = Call> {
+    arb_graph_in(min_n, max_n).prop_flat_map(|g| {
+        let n = g.node_count() as NodeId;
+        let sources = proptest::collection::vec(0..n, 1..=4);
+        (Just(g), sources, (0usize..4, 0usize..5, 0usize..3, any::<bool>()))
+    })
+}
+
+/// Runs one entry point of the kernel: `bfs` and `bfs_bounded` from
+/// the first source, `bfs_multi_bounded` from all of them, and
+/// `bfs_skipping` (or `bfs_multi` when there is no node to skip).
+fn run_call<A: Adjacency + ?Sized>(
+    g: &A,
+    sources: &[NodeId],
+    (kind, limit, skip): (usize, u32, Option<NodeId>),
+    buf: &mut DistanceBuffer,
+) -> u32 {
+    match (kind, skip) {
+        (0, _) => bfs(g, sources[0], buf),
+        (1, _) => bfs_bounded(g, sources[0], limit, buf),
+        (2, _) => bfs_multi_bounded(g, sources, limit, buf),
+        (_, Some(skip)) => bfs_skipping(g, sources, skip, buf),
+        (_, None) => bfs_multi(g, sources, buf),
+    }
 }
 
 proptest! {
@@ -229,7 +268,8 @@ proptest! {
         let mut h = g.clone();
         for &(u, v) in &edges {
             h.remove_edge(u, v);
-            let d = ncg_graph::bfs::distance(&h, u, v, &mut buf);
+            bfs(&h, u, &mut buf);
+            let d = buf.dist(v);
             h.add_edge(u, v);
             if d != INFINITY {
                 let cycle = d + 1;
@@ -237,6 +277,41 @@ proptest! {
             }
         }
         prop_assert_eq!(metrics::girth(&g), best);
+    }
+
+    #[test]
+    fn reused_buffer_matches_fresh_buffer(
+        calls in (
+            arb_call(20, 40),
+            arb_call(2, 8),
+            arb_call(24, 40),
+            arb_call(2, 6),
+            arb_call(10, 30),
+        ),
+    ) {
+        // One buffer carried through calls whose graph grows and
+        // shrinks, with limits from 0 to unbounded, so both the sparse
+        // reset (clear the previous visits) and the dense one (refill)
+        // run: each call must read exactly like a fresh buffer, so no
+        // distance a previous call wrote may survive.
+        let (c0, c1, c2, c3, c4) = calls;
+        let mut reused = DistanceBuffer::new();
+        for (g, sources, (kind, limit_ix, skip_sel, on_csr)) in [c0, c1, c2, c3, c4] {
+            let n = g.node_count() as NodeId;
+            let opts = (
+                kind,
+                [0u32, 1, 2, 3, u32::MAX][limit_ix],
+                [None, Some(0), Some(n - 1)][skip_sel],
+            );
+            let csr = CsrGraph::from_graph(&g);
+            let graph: &dyn Adjacency = if on_csr { &csr } else { &g };
+            let got = run_call(graph, &sources, opts, &mut reused);
+            let mut fresh = DistanceBuffer::new();
+            let want = run_call(graph, &sources, opts, &mut fresh);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(reused.distances(), fresh.distances());
+            prop_assert_eq!(reused.visited(), fresh.visited());
+        }
     }
 
     #[test]

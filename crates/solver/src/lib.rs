@@ -64,8 +64,7 @@ pub mod sum_engine;
 use ncg_core::deviation::EvalScratch;
 use ncg_core::equilibrium::{BestResponder, Deviation};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
-use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
-use ncg_graph::{CsrGraph, NodeId};
+use ncg_graph::NodeId;
 use rayon::prelude::*;
 
 /// Search effort: exact optimisation or the greedy/heuristic variant
@@ -118,7 +117,7 @@ impl ParallelPolicy {
 
     /// Worker count for a solve over `ground` elements: 1 below the
     /// threshold, otherwise the pool's current thread count. Inside a
-    /// pool worker (a sweep repetition, an [`is_lke`] lane group) this
+    /// pool worker (a sweep repetition, an [`is_lke`] player group) this
     /// is 1 by construction, so nested solves never over-subscribe.
     pub fn workers(&self, ground: usize) -> usize {
         if ground < self.min_ground {
@@ -196,6 +195,10 @@ impl BestResponder for Responder {
     }
 }
 
+/// Players per pool task of [`is_lke`]: enough to amortise a task's
+/// hand-off, few enough that the first violation stops the sweep soon.
+const LKE_GROUP: usize = 64;
+
 /// Exact LKE check: `n` exact best responses, one per player.
 ///
 /// Exact in both directions for both objectives: MaxNCG solves run
@@ -203,57 +206,35 @@ impl BestResponder for Responder {
 /// branch-and-bound of [`sum_engine::SumEngine`], so a `true` here is
 /// a genuine equilibrium certificate for any view size.
 ///
-/// The radius-`k` balls come from the bit-parallel batched BFS kernel
-/// on one CSR freeze: each pool task certifies one 64-player lane
-/// group with a single ball sweep, then solves the group's players on
-/// a view slot rebuilt in place ([`PlayerView::rebuild_from_ball`]).
-/// Each worker keeps its [`Responder`], batch scratch and view slot
-/// across all the groups it steals. The per-player verdicts are
-/// independent, so the answer does not depend on the schedule; the
-/// first violation found stops the remaining players' solves. Inside
-/// a pool worker (a sweep repetition) the groups run inline and the
-/// per-player solves use the sequential engine, so nested calls never
-/// over-subscribe the machine.
+/// Each pool task certifies 64 consecutive players, one view slot
+/// rebuilt in place per player ([`PlayerView::rebuild`]): one
+/// radius-`k` BFS on the state's graph finds the ball, and its
+/// distances are the view's. That BFS costs the ball, not `n`, so the
+/// sweep is `O(Σ balls)` before the solves. Each worker keeps its
+/// [`Responder`], view scratch and view slot across all the groups it
+/// steals. The per-player verdicts are independent, so the answer does
+/// not depend on the schedule; the first violation found stops the
+/// remaining players' solves. Inside a pool worker (a sweep
+/// repetition) the groups run inline and the per-player solves use the
+/// sequential engine, so nested calls never over-subscribe the
+/// machine.
 pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
     use std::sync::atomic::{AtomicBool, Ordering};
     let violated = AtomicBool::new(false);
     let n = state.n() as NodeId;
-    let csr = CsrGraph::from_graph(state.graph());
-    let starts: Vec<NodeId> = (0..n).step_by(WORD_LANES).collect();
+    let starts: Vec<NodeId> = (0..n).step_by(LKE_GROUP).collect();
     let _: Vec<()> = starts
         .into_par_iter()
         .map_init(
-            || {
-                (
-                    Responder::exact(),
-                    BatchScratch::new(),
-                    BatchDistances::default(),
-                    ViewScratch::new(),
-                    Vec::<NodeId>::new(),
-                    Vec::<NodeId>::new(),
-                    None::<PlayerView>,
-                )
-            },
-            |(responder, scratch, dists, vscratch, ball, sources, view), lo| {
-                if violated.load(Ordering::Relaxed) {
-                    return;
-                }
-                let hi = (lo + WORD_LANES as NodeId).min(n);
-                sources.clear();
-                sources.extend(lo..hi);
-                batch_bfs(&csr, sources, spec.k, scratch, dists);
-                for lane in 0..(hi - lo) as usize {
+            || (Responder::exact(), ViewScratch::new(), None::<PlayerView>),
+            |(responder, vscratch, view), lo| {
+                for u in lo..(lo + LKE_GROUP as NodeId).min(n) {
                     if violated.load(Ordering::Relaxed) {
                         return;
                     }
-                    let u = lo + lane as NodeId;
-                    dists.lane_ball_into(lane, ball);
                     match view.as_mut() {
-                        Some(v) => v.rebuild_from_ball(state, u, spec.k, ball, vscratch),
-                        None => {
-                            *view =
-                                Some(PlayerView::build_from_ball(state, u, spec.k, ball, vscratch));
-                        }
+                        Some(v) => v.rebuild(state, u, spec.k, vscratch),
+                        None => *view = Some(PlayerView::build_with(state, u, spec.k, vscratch)),
                     }
                     let v = view.as_ref().expect("slot filled above");
                     let current = ncg_core::deviation::current_total(spec, v);
@@ -290,7 +271,7 @@ mod tests {
     }
 
     /// The 70-cycle with player 69 also buying an edge to 67: every
-    /// improving player sits in the second lane group.
+    /// improving player sits in the second player group.
     fn late_group_instance() -> GameState {
         let mut state = GameState::cycle_successor(70);
         state.set_strategy(69, vec![0, 67]);
@@ -326,10 +307,10 @@ mod tests {
     #[test]
     fn batched_certification_matches_the_scalar_path() {
         // `is_lke` (and its `is_lke_par` alias) must agree with the
-        // per-player scalar loop on positive and negative instances,
-        // both objectives, including >64-player states (multiple lane
-        // groups, one partial) and one whose verdict only the second
-        // lane group can decide.
+        // per-player loop of fresh views on positive and negative
+        // instances, both objectives, including >64-player states
+        // (several player groups, one partial, reusing a worker's view
+        // slot) and one whose verdict only the second group can decide.
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(52);
         let mut states = vec![
@@ -358,7 +339,7 @@ mod tests {
 
     #[test]
     fn a_later_lane_group_decides_the_verdict() {
-        // Every player of the first lane group (ids 0..64) is stable,
+        // Every player of the first player group (ids 0..64) is stable,
         // so only the group holding 64..70 can refute the profile.
         use ncg_core::equilibrium::best_response_exhaustive;
         let state = late_group_instance();
