@@ -3,9 +3,7 @@
 //! * exact B&B dominating sets vs greedy approximation inside the
 //!   dynamics (time; the quality delta is reported by the test suite);
 //! * rayon-parallel sweeps vs a single-threaded pool;
-//! * per-round metric collection overhead;
-//! * profile-fingerprint cycle detection overhead (Hash-map profile
-//!   cloning) measured through dynamics with a tiny round cap.
+//! * per-round metric collection overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::{GameSpec, GameState};

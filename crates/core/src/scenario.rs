@@ -205,13 +205,6 @@ pub trait EdgeCost: std::fmt::Debug {
 
     /// Total price of a set of global purchase targets.
     fn bought_price(&self, alpha: f64, targets_global: &[NodeId]) -> f64;
-
-    /// Whether every edge costs exactly `α`. Only uniform pricing
-    /// admits the count-based pruning of the exact engines
-    /// (`max_br`'s `⌈slack/α⌉` cutoff, the sum engine's `α·t` bounds);
-    /// non-uniform specs must route through enumeration or local
-    /// search instead.
-    fn is_uniform(&self) -> bool;
 }
 
 /// The concrete edge-cost models a [`GameSpec`] can carry.
@@ -254,8 +247,11 @@ impl EdgeCostModel {
         }
     }
 
-    /// Whether every edge costs exactly `α` (inherent mirror of
-    /// [`EdgeCost::is_uniform`], so callers need no trait import).
+    /// Whether every edge costs exactly `α`. Only uniform pricing
+    /// admits the count-based pruning of the exact engines
+    /// (`max_br`'s `⌈slack/α⌉` cutoff, the sum engine's `α·t` bounds);
+    /// non-uniform specs must route through enumeration or local
+    /// search instead.
     #[inline]
     pub fn is_uniform(&self) -> bool {
         matches!(self, EdgeCostModel::Uniform)
@@ -286,11 +282,6 @@ impl EdgeCost for EdgeCostModel {
                 targets_global.iter().map(|&g| self.edge_price(alpha, g)).sum()
             }
         }
-    }
-
-    #[inline]
-    fn is_uniform(&self) -> bool {
-        matches!(self, EdgeCostModel::Uniform)
     }
 }
 

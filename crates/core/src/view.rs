@@ -48,7 +48,7 @@ impl ViewScratch {
 ///
 /// Equality is field-for-field — two views compare equal iff they are
 /// observationally identical, which is what the incremental view cache
-/// relies on (a clean player's cached view *is* the view a fresh
+/// relies on (a clean player's last view *is* the view a fresh
 /// [`PlayerView::build`] would produce).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlayerView {

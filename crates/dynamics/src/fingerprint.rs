@@ -1,5 +1,5 @@
 //! Constant-time-per-round cycle detection via strategy-profile
-//! fingerprints.
+//! fingerprints, shared by both dynamics tiers.
 //!
 //! The seed detector cloned and hashed the *entire* strategy profile
 //! (`Vec<Vec<u32>>`, `O(n·m)`) at the end of every round. This module
@@ -16,10 +16,13 @@
 //! moved after `r₁` has her pre-first-move strategy equal to her
 //! current one — checked in `O(moves since r₁)` without materialising
 //! either profile.
+//!
+//! The detector reads strategies through a `|u| strategy(u)` lookup,
+//! so the exact tier's [`GameState`](ncg_core::GameState) and the
+//! scale tier's [`ScaleState`](crate::scale::ScaleState) share it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use ncg_core::GameState;
 use ncg_graph::NodeId;
 
 /// One accepted move, as the detector needs it: when, who, and what
@@ -67,12 +70,13 @@ fn player_term(u: NodeId, sigma: &[NodeId]) -> u64 {
 }
 
 impl CycleDetector {
-    /// A detector primed with the initial profile (recorded as the
+    /// A detector primed with the initial profile of players
+    /// `0..n`, read through `strategy` (recorded as the
     /// end-of-round-0 profile, matching the seed semantics).
-    pub fn new(state: &GameState) -> Self {
+    pub fn new<'a>(n: usize, strategy: impl Fn(NodeId) -> &'a [NodeId]) -> Self {
         let mut fp = 0u64;
-        for u in 0..state.n() as NodeId {
-            fp ^= player_term(u, state.strategy(u));
+        for u in 0..n as NodeId {
+            fp ^= player_term(u, strategy(u));
         }
         let mut seen = HashMap::new();
         seen.insert(fp, vec![0]);
@@ -82,7 +86,7 @@ impl CycleDetector {
     /// Records an accepted move: updates the fingerprint and appends
     /// to the journal. `old` and `new` must be the *normalised*
     /// (sorted, deduplicated) purchase lists before and after the
-    /// move, i.e. exactly what [`GameState::strategy`] stores.
+    /// move, i.e. exactly what the state's strategy lookup returns.
     pub fn record_move(&mut self, round: usize, u: NodeId, old: &[NodeId], new: &[NodeId]) {
         debug_assert!(
             self.journal.last().is_none_or(|e| e.round <= round),
@@ -94,13 +98,17 @@ impl CycleDetector {
 
     /// End-of-round check: if the current profile matches the
     /// end-of-round profile of an earlier round, returns that round;
-    /// otherwise records the current profile. `state` must be the
+    /// otherwise records the current profile. `strategy` must read the
     /// end-of-round state (used only on fingerprint hits, for exact
     /// confirmation).
-    pub fn check_round(&mut self, round: usize, state: &GameState) -> Option<usize> {
+    pub fn check_round<'a>(
+        &mut self,
+        round: usize,
+        strategy: impl Fn(NodeId) -> &'a [NodeId],
+    ) -> Option<usize> {
         if let Some(rounds) = self.seen.get(&self.fp) {
             for &first_seen in rounds {
-                if self.profile_equals_round(first_seen, state) {
+                if self.profile_equals_round(first_seen, &strategy) {
                     return Some(first_seen);
                 }
             }
@@ -115,17 +123,17 @@ impl CycleDetector {
     /// after round `r` (or her current strategy if she never moved
     /// again). Profiles agree iff every such first entry matches the
     /// player's current strategy.
-    fn profile_equals_round(&self, r: usize, state: &GameState) -> bool {
+    fn profile_equals_round<'a>(
+        &self,
+        r: usize,
+        strategy: impl Fn(NodeId) -> &'a [NodeId],
+    ) -> bool {
         let start = self.journal.partition_point(|e| e.round <= r);
         // First subsequent move per player decides; later ones are
         // overwritten history.
-        let mut decided: Vec<NodeId> = Vec::new();
+        let mut decided: HashSet<NodeId> = HashSet::new();
         for e in &self.journal[start..] {
-            if decided.contains(&e.player) {
-                continue;
-            }
-            decided.push(e.player);
-            if e.old_strategy != state.strategy(e.player) {
+            if decided.insert(e.player) && e.old_strategy != strategy(e.player) {
                 return false;
             }
         }
@@ -136,33 +144,38 @@ impl CycleDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncg_core::GameState;
+
+    fn detector(state: &GameState) -> CycleDetector {
+        CycleDetector::new(state.n(), |u| state.strategy(u))
+    }
 
     #[test]
     fn initial_profile_is_round_zero() {
         let state = GameState::cycle_successor(5);
-        let mut det = CycleDetector::new(&state);
+        let mut det = detector(&state);
         // Unchanged profile at end of round 1 → matches round 0.
-        assert_eq!(det.check_round(1, &state), Some(0));
+        assert_eq!(det.check_round(1, |u| state.strategy(u)), Some(0));
     }
 
     #[test]
     fn toggle_cycle_is_detected_with_correct_first_seen() {
         let mut state = GameState::from_strategies(3, vec![vec![1], vec![2], vec![0]]);
-        let mut det = CycleDetector::new(&state);
+        let mut det = detector(&state);
         // Round 1: player 0 switches 1 → 2.
         det.record_move(1, 0, &[1], &[2]);
         state.set_strategy(0, vec![2]);
-        assert_eq!(det.check_round(1, &state), None);
+        assert_eq!(det.check_round(1, |u| state.strategy(u)), None);
         // Round 2: back to 1 — the end-of-round profile equals round 0's.
         det.record_move(2, 0, &[2], &[1]);
         state.set_strategy(0, vec![1]);
-        assert_eq!(det.check_round(2, &state), Some(0));
+        assert_eq!(det.check_round(2, |u| state.strategy(u)), Some(0));
     }
 
     #[test]
     fn distinct_profiles_do_not_collide_in_practice() {
         let mut state = GameState::cycle_successor(6);
-        let mut det = CycleDetector::new(&state);
+        let mut det = detector(&state);
         // A run of distinct profiles: grow player 0's strategy.
         for (round, t) in [(1usize, 2u32), (2, 3), (3, 4)] {
             let old = state.strategy(0).to_vec();
@@ -170,7 +183,7 @@ mod tests {
             new.push(t);
             det.record_move(round, 0, &old, &new);
             state.set_strategy(0, new);
-            assert_eq!(det.check_round(round, &state), None, "round {round}");
+            assert_eq!(det.check_round(round, |u| state.strategy(u)), None, "round {round}");
         }
     }
 
@@ -191,13 +204,13 @@ mod tests {
         // synthesised easily, so instead check profile_equals_round
         // directly distinguishes a changed profile.
         let mut state = GameState::from_strategies(3, vec![vec![1], vec![2], vec![0]]);
-        let mut det = CycleDetector::new(&state);
+        let mut det = detector(&state);
         det.record_move(1, 0, &[1], &[2]);
         state.set_strategy(0, vec![2]);
-        assert!(!det.profile_equals_round(0, &state));
+        assert!(!det.profile_equals_round(0, |u| state.strategy(u)));
         det.record_move(2, 1, &[2], &[0]);
         state.set_strategy(1, vec![0]);
-        assert!(!det.profile_equals_round(0, &state));
-        assert!(!det.profile_equals_round(1, &state));
+        assert!(!det.profile_equals_round(0, |u| state.strategy(u)));
+        assert!(!det.profile_equals_round(1, |u| state.strategy(u)));
     }
 }

@@ -16,10 +16,10 @@
 //!
 //! * [`run`] — one dynamics from a given initial
 //!   [`GameState`](ncg_core::GameState); deterministic (round-robin
-//!   order, deterministic solver). Incremental by default: a
-//!   [`ViewCache`] reuses player views across rounds and skips players
-//!   whose radius-`k` ball provably did not change (see DESIGN.md §6);
-//!   outcomes are bit-identical with the cache on or off.
+//!   order, deterministic solver). Incremental: a [`ViewCache`] marks
+//!   dirty the players whose radius-`k` ball a move can have changed
+//!   and skips the rest (see DESIGN.md §6); outcomes are bit-identical
+//!   to rebuilding every view and re-solving every player each round.
 //! * [`run_many`] — rayon-parallel batch over independent initial
 //!   states, results in input order.
 //! * [`run_with_cache`] — warm-started variant: a [`CacheArena`]
@@ -34,6 +34,9 @@
 //!   state, CSR-native greedy responders, and simultaneous rounds
 //!   with deterministic conflict resolution (approximate responders,
 //!   exact pricing; see DESIGN.md §13).
+//! * [`CycleDetector`] — the one cycle detector of both tiers: an
+//!   incremental profile fingerprint whose hits are verified exactly
+//!   against a journal of accepted moves.
 //!
 //! ## Example
 //!

@@ -1,19 +1,20 @@
 //! The round-robin best-response loop with cycle detection.
 //!
-//! The loop is *incremental* by default: a [`ViewCache`] keeps all `n`
-//! player views alive across rounds and invalidates only the players
-//! whose radius-`k` ball can have changed after a move, so clean
-//! players skip view construction **and** the solver call entirely —
-//! their best response is unchanged by determinism. Late rounds (and
-//! the final quiet round that certifies the equilibrium) then cost
-//! `O(moved players' balls)` instead of `O(n·m)`. Outcomes are
-//! bit-identical with the cache on and off (property-tested); the
-//! cache can be disabled per run with
-//! [`DynamicsConfig::without_view_cache`] for A/B benchmarking.
+//! The loop is *incremental*: a [`ViewCache`] keeps one dirty bit per
+//! player and, after a move, marks only the players whose radius-`k`
+//! ball can have changed, so clean players skip view construction
+//! **and** the solver call entirely — their best response is unchanged
+//! by determinism. Late rounds (and the final quiet round that
+//! certifies the equilibrium) then cost `O(moved players' balls)`
+//! instead of `O(n·m)`. Outcomes are bit-identical to rebuilding every
+//! view and re-solving every player each round, the seed's loop, which
+//! survives as the oracle of `tests/view_cache_props.rs`. A
+//! [`CycleDetector`] journals every accepted move and verifies each
+//! fingerprint hit against the journal exactly.
 
 use ncg_core::deviation::current_total;
 use ncg_core::equilibrium::BestResponder;
-use ncg_core::{GameSpec, GameState, PlayerView};
+use ncg_core::{GameSpec, GameState};
 use ncg_solver::{Mode, Responder};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -39,16 +40,11 @@ pub struct DynamicsConfig {
     pub per_round_metrics: bool,
     /// Record a move-level [`Trace`](crate::Trace) (off by default).
     pub record_trace: bool,
-    /// Reuse player views across rounds and skip provably-unchanged
-    /// players (on by default; results are identical either way, the
-    /// flag exists for A/B benchmarks and belt-and-braces parity
-    /// tests).
-    pub use_view_cache: bool,
 }
 
 impl DynamicsConfig {
     /// Defaults: exact responses, 200-round cap, no per-round metrics,
-    /// no trace, incremental view cache on.
+    /// no trace.
     pub fn new(spec: GameSpec) -> Self {
         DynamicsConfig {
             spec,
@@ -56,7 +52,6 @@ impl DynamicsConfig {
             max_rounds: 200,
             per_round_metrics: false,
             record_trace: false,
-            use_view_cache: true,
         }
     }
 
@@ -75,14 +70,6 @@ impl DynamicsConfig {
     /// Enables the move-level event log.
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
-        self
-    }
-
-    /// Disables the incremental view cache: every round rebuilds every
-    /// view and re-solves every player, as the seed implementation
-    /// did. Outcomes are identical; only the work differs.
-    pub fn without_view_cache(mut self) -> Self {
-        self.use_view_cache = false;
         self
     }
 }
@@ -143,8 +130,9 @@ pub struct RunResult {
     /// cache this is how skipping is measured (`≤ n · rounds`, with
     /// equality exactly when nothing was skippable).
     pub solver_calls: usize,
-    /// View-cache rebuild/skip counters (`None` when the cache was
-    /// disabled).
+    /// View-cache rebuild/skip counters. Always `Some`: every run goes
+    /// through the cache; the `Option` keeps the field's type stable
+    /// for callers that `expect` it.
     pub cache_stats: Option<CacheStats>,
     /// Metrics of the final state.
     pub final_metrics: StateMetrics,
@@ -175,7 +163,7 @@ pub fn run(initial: GameState, config: &DynamicsConfig) -> RunResult {
 /// in the experiments crate).
 #[derive(Debug, Clone, Default)]
 pub struct CacheArena {
-    cache: Option<ViewCache>,
+    cache: ViewCache,
     responder: Responder,
     measure: MeasureScratch,
 }
@@ -204,22 +192,15 @@ impl CacheArena {
 /// Like [`run`], but warm-started from `arena`: the arena's view
 /// cache is re-armed (same observable behaviour as a fresh cache)
 /// and its responder reused, so nothing is re-allocated between
-/// consecutive runs. Honours `config.use_view_cache` — when the cache
-/// is disabled only the responder's solver scratch is reused.
+/// consecutive runs.
 pub fn run_with_cache(
     initial: GameState,
     config: &DynamicsConfig,
     arena: &mut CacheArena,
 ) -> RunResult {
     arena.responder.mode = config.mode;
-    if config.use_view_cache {
-        let n = initial.n();
-        let cache = arena.cache.get_or_insert_with(|| ViewCache::new(n, config.spec.k));
-        cache.reset(n, config.spec.k);
-        run_core(initial, config, &mut arena.responder, Some(cache), &mut arena.measure)
-    } else {
-        run_core(initial, config, &mut arena.responder, None, &mut arena.measure)
-    }
+    arena.cache.reset(initial.n(), config.spec.k);
+    run_core(initial, config, &mut arena.responder, &mut arena.cache, &mut arena.measure)
 }
 
 /// Like [`run`], but with a caller-provided best-response engine —
@@ -234,8 +215,8 @@ pub fn run_with<B: BestResponder>(
     config: &DynamicsConfig,
     responder: &mut B,
 ) -> RunResult {
-    let mut cache = config.use_view_cache.then(|| ViewCache::new(initial.n(), config.spec.k));
-    run_core(initial, config, responder, cache.as_mut(), &mut MeasureScratch::new())
+    let mut cache = ViewCache::new(initial.n(), config.spec.k);
+    run_core(initial, config, responder, &mut cache, &mut MeasureScratch::new())
 }
 
 /// The round loop shared by every entry point; `cache` is either
@@ -245,13 +226,13 @@ fn run_core<B: BestResponder>(
     initial: GameState,
     config: &DynamicsConfig,
     responder: &mut B,
-    mut cache: Option<&mut ViewCache>,
+    cache: &mut ViewCache,
     measure: &mut MeasureScratch,
 ) -> RunResult {
     let mut state = initial;
     let spec = config.spec;
     let n = state.n();
-    let mut detector = CycleDetector::new(&state);
+    let mut detector = CycleDetector::new(n, |u| state.strategy(u));
     let mut total_moves = 0usize;
     let mut solver_calls = 0usize;
     let mut round_metrics = Vec::new();
@@ -260,23 +241,14 @@ fn run_core<B: BestResponder>(
     for round in 1..=config.max_rounds {
         let mut moves_this_round = 0usize;
         for u in 0..n as u32 {
-            if let Some(cache) = cache.as_mut() {
-                if cache.is_clean(u) {
-                    // Nothing in u's ball changed since she was last
-                    // solved without finding an improvement; by
-                    // determinism she would stand pat again.
-                    cache.note_skip();
-                    continue;
-                }
+            if cache.is_clean(u) {
+                // Nothing in u's ball changed since she was last
+                // solved without finding an improvement; by
+                // determinism she would stand pat again.
+                cache.note_skip();
+                continue;
             }
-            let fresh;
-            let view: &PlayerView = match cache.as_mut() {
-                Some(cache) => cache.refresh(&state, u),
-                None => {
-                    fresh = PlayerView::build(&state, u, spec.k);
-                    &fresh
-                }
-            };
+            let view = cache.refresh(&state, u);
             let current = current_total(&spec, view);
             solver_calls += 1;
             let best = responder.best_response(&spec, view);
@@ -294,14 +266,7 @@ fn run_core<B: BestResponder>(
                     });
                 }
                 let old = state.strategy(u).to_vec();
-                match cache.as_mut() {
-                    Some(cache) => {
-                        cache.apply_move(&mut state, u, global);
-                    }
-                    None => {
-                        state.set_strategy(u, global);
-                    }
-                }
+                cache.apply_move(&mut state, u, global);
                 detector.record_move(round, u, &old, state.strategy(u));
                 moves_this_round += 1;
             }
@@ -316,7 +281,7 @@ fn run_core<B: BestResponder>(
         }
         // Round-robin + deterministic responses ⇒ a repeated
         // end-of-round profile proves a best-response cycle.
-        if let Some(first_seen) = detector.check_round(round, &state) {
+        if let Some(first_seen) = detector.check_round(round, |u| state.strategy(u)) {
             outcome = Outcome::Cycled { first_seen, repeated_at: round };
             break;
         }
@@ -327,7 +292,7 @@ fn run_core<B: BestResponder>(
         state,
         total_moves,
         solver_calls,
-        cache_stats: cache.map(|c| c.stats()),
+        cache_stats: Some(cache.stats()),
         final_metrics,
         round_metrics,
         trace,
@@ -343,6 +308,7 @@ pub fn run_many(initials: Vec<GameState>, config: &DynamicsConfig) -> Vec<RunRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncg_core::PlayerView;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -379,29 +345,6 @@ mod tests {
         assert_eq!(a.state, b.state);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.total_moves, b.total_moves);
-    }
-
-    #[test]
-    fn cache_and_rebuild_paths_agree() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..3 {
-            let tree = ncg_graph::generators::random_tree(24, &mut rng);
-            let initial = GameState::from_graph_random_ownership(&tree, &mut rng);
-            for (alpha, k) in [(0.4, 2u32), (1.0, 3), (4.0, 2)] {
-                let cached = DynamicsConfig::new(GameSpec::max(alpha, k));
-                let rebuilt = cached.without_view_cache();
-                let a = run(initial.clone(), &cached);
-                let b = run(initial.clone(), &rebuilt);
-                assert_eq!(a.outcome, b.outcome, "α={alpha} k={k}");
-                assert_eq!(a.state, b.state, "α={alpha} k={k}");
-                assert_eq!(a.total_moves, b.total_moves, "α={alpha} k={k}");
-                assert!(
-                    a.solver_calls <= b.solver_calls,
-                    "the cache may only ever skip work (α={alpha} k={k})"
-                );
-                assert!(a.cache_stats.is_some() && b.cache_stats.is_none());
-            }
-        }
     }
 
     #[test]
@@ -570,13 +513,13 @@ mod tests {
 
     #[test]
     fn warm_start_honours_disabled_cache_and_mode() {
+        // An arena primed by an exact run must answer a greedy run
+        // exactly as a cold greedy run does.
         let mut arena = CacheArena::new();
         let initial = GameState::cycle_successor(12);
-        let config = DynamicsConfig::new(GameSpec::max(0.5, 6)).without_view_cache();
-        let warm = run_with_cache(initial.clone(), &config, &mut arena);
-        assert!(warm.cache_stats.is_none());
-        assert_eq!(warm.state, run(initial.clone(), &config).state);
-        // Same arena, now greedy mode with the cache on.
+        let exact = DynamicsConfig::new(GameSpec::max(0.5, 6));
+        let warm = run_with_cache(initial.clone(), &exact, &mut arena);
+        assert_eq!(warm.state, run(initial.clone(), &exact).state);
         let greedy = DynamicsConfig::new(GameSpec::max(1.0, 3)).greedy();
         let warm = run_with_cache(initial.clone(), &greedy, &mut arena);
         let cold = run(initial, &greedy);

@@ -59,13 +59,11 @@
 //! million-node inputs.
 //!
 //! Convergence and cycling reuse the exact tier's [`Outcome`]
-//! vocabulary. Cycle detection is a 128-bit incremental profile
-//! fingerprint (two independently seeded XOR'd per-player terms) —
-//! unlike [`CycleDetector`](crate::CycleDetector) hits are *not*
-//! re-verified against a journal, which is the documented
-//! approximation of this tier (a false cycle needs a 2⁻¹²⁸ collision).
+//! vocabulary and its [`CycleDetector`]: every accepted move is
+//! journaled as it is resolved, and a repeated end-of-round profile
+//! fingerprint counts as a cycle only once the journal confirms the
+//! two profiles are equal, exactly as in the exact tier.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ncg_core::GameSpec;
@@ -76,7 +74,7 @@ use rayon::prelude::*;
 
 use super::responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
 use super::state::{ApplyScratch, ScaleState};
-use crate::Outcome;
+use crate::{CycleDetector, Outcome};
 
 /// Dirty players per resolve window. Any size accepts the same moves
 /// (see the module doc); smaller windows skip more players an earlier
@@ -291,50 +289,6 @@ impl MarkScratch {
     }
 }
 
-/// 128-bit incremental strategy-profile fingerprint: XOR over players
-/// of two independently seeded well-mixed terms, updated in
-/// `O(|σ_old| + |σ_new|)` per accepted move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileFp(u64, u64);
-
-/// FNV-1a over `(seed, u, σ_u)` finished with the splitmix64 mixer —
-/// the same construction as the exact tier's detector, seeded so the
-/// two fingerprint lanes are independent.
-fn player_term(seed: u64, u: NodeId, sigma: &[NodeId]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET ^ seed;
-    h = (h ^ u as u64).wrapping_mul(FNV_PRIME);
-    for &v in sigma {
-        h = (h ^ (v as u64 + 1)).wrapping_mul(FNV_PRIME);
-    }
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-const FP_SEED_A: u64 = 0;
-const FP_SEED_B: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl ProfileFp {
-    fn of_state(state: &ScaleState) -> Self {
-        let mut a = 0u64;
-        let mut b = 0u64;
-        for u in 0..state.n() as NodeId {
-            let sigma = state.strategy(u);
-            a ^= player_term(FP_SEED_A, u, sigma);
-            b ^= player_term(FP_SEED_B, u, sigma);
-        }
-        ProfileFp(a, b)
-    }
-
-    fn apply(&mut self, u: NodeId, old: &[NodeId], new: &[NodeId]) {
-        self.0 ^= player_term(FP_SEED_A, u, old) ^ player_term(FP_SEED_A, u, new);
-        self.1 ^= player_term(FP_SEED_B, u, old) ^ player_term(FP_SEED_B, u, new);
-    }
-}
-
 /// All allocations [`run_scale`] needs, reusable across runs (the
 /// sweep engine keeps one per repetition slot, like the exact tier's
 /// [`CacheArena`](crate::CacheArena)).
@@ -348,7 +302,6 @@ pub struct ScaleArena {
     next_dirty: Vec<NodeId>,
     touched: Vec<NodeId>,
     accepted: Vec<(NodeId, Vec<NodeId>)>,
-    seen: HashMap<ProfileFp, usize>,
     sample: DistanceBuffer,
 }
 
@@ -410,14 +363,15 @@ fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSampl
     }
 }
 
-/// One simultaneous round, resolved `window` dirty players at a time.
-/// Returns the stats; mutates `state`, the arena's dirty bookkeeping,
-/// and the profile fingerprint.
+/// Round `round`, simultaneous, resolved `window` dirty players at a
+/// time. Returns the stats; mutates `state` and the arena's dirty
+/// bookkeeping, and journals every accepted move in `detector`.
 fn simultaneous_round(
     state: &mut ScaleState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
-    fp: &mut ProfileFp,
+    detector: &mut CycleDetector,
+    round: usize,
     window: usize,
 ) -> ScaleRoundStats {
     let k = config.spec.k;
@@ -460,7 +414,7 @@ fn simultaneous_round(
             }
             let old = frozen.strategy(mv.player);
             touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
-            fp.apply(mv.player, old, &mv.strategy);
+            detector.record_move(round, mv.player, old, &mv.strategy);
             arena.mark.mark_ball(frozen.graph(), &arena.touched, k);
             arena.accepted.push((mv.player, mv.strategy));
         }
@@ -482,13 +436,14 @@ fn simultaneous_round(
     stats
 }
 
-/// One sequential round: ascending order, each mover immediately
+/// Round `round`, sequential: ascending order, each mover immediately
 /// applied (full SoA rebuild per move — reference mode, small `n`).
 fn sequential_round(
     state: &mut ScaleState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
-    fp: &mut ProfileFp,
+    detector: &mut CycleDetector,
+    round: usize,
 ) -> ScaleRoundStats {
     let k = config.spec.k;
     let n = state.n();
@@ -508,7 +463,7 @@ fn sequential_round(
         };
         let old = state.strategy(u);
         touched_of(u, old, &mv.strategy, &mut arena.touched);
-        fp.apply(u, old, &mv.strategy);
+        detector.record_move(round, u, old, &mv.strategy);
         // One pass, before the move: every changed edge joins two
         // touched nodes, so the touched set's radius-k ball is the same
         // in the old and the new network. The epoch accumulates the
@@ -533,25 +488,32 @@ pub fn run_scale(
     config: &ScaleConfig,
     arena: &mut ScaleArena,
 ) -> ScaleRunResult {
-    run_rounds(state, config, arena, |state, arena, fp| match config.mode {
-        RoundMode::Simultaneous => simultaneous_round(state, config, arena, fp, WINDOW),
-        RoundMode::Sequential => sequential_round(state, config, arena, fp),
+    run_rounds(state, config, arena, |state, arena, detector, round| match config.mode {
+        RoundMode::Simultaneous => {
+            simultaneous_round(state, config, arena, detector, round, WINDOW)
+        }
+        RoundMode::Sequential => sequential_round(state, config, arena, detector, round),
     })
 }
 
 /// [`run_scale`]'s round loop, with the round itself supplied by the
-/// caller (the tests drive it with other windows and with the
-/// all-at-once oracle).
+/// caller (the tests drive it with other windows, with the
+/// all-at-once oracle and with crafted rounds). `round(state, arena,
+/// detector, round_no)` plays round `round_no` and journals every
+/// move it accepts in `detector`.
 fn run_rounds(
     state: &mut ScaleState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
-    mut round: impl FnMut(&mut ScaleState, &mut ScaleArena, &mut ProfileFp) -> ScaleRoundStats,
+    mut round: impl FnMut(
+        &mut ScaleState,
+        &mut ScaleArena,
+        &mut CycleDetector,
+        usize,
+    ) -> ScaleRoundStats,
 ) -> ScaleRunResult {
     let n = state.n();
-    arena.seen.clear();
-    let mut fp = ProfileFp::of_state(state);
-    arena.seen.insert(fp, 0);
+    let mut detector = CycleDetector::new(n, |u| state.strategy(u));
     arena.dirty.clear();
     arena.dirty.extend(0..n as NodeId);
 
@@ -562,7 +524,7 @@ fn run_rounds(
     let mut total_conflicts = 0usize;
     let mut outcome = Outcome::MaxRoundsExceeded { rounds: config.max_rounds };
     for round_no in 1..=config.max_rounds {
-        let stats = round(state, arena, &mut fp);
+        let stats = round(state, arena, &mut detector, round_no);
         rounds.push(stats);
         total_moves += stats.applied;
         total_proposals += stats.proposals;
@@ -572,11 +534,10 @@ fn run_rounds(
             outcome = Outcome::Converged { rounds: round_no };
             break;
         }
-        if let Some(&first_seen) = arena.seen.get(&fp) {
+        if let Some(first_seen) = detector.check_round(round_no, |u| state.strategy(u)) {
             outcome = Outcome::Cycled { first_seen, repeated_at: round_no };
             break;
         }
-        arena.seen.insert(fp, round_no);
     }
     let view_sample = sample_views(state, config.spec.k, arena);
     ScaleRunResult {
@@ -608,7 +569,8 @@ mod tests {
         state: &mut ScaleState,
         config: &ScaleConfig,
         arena: &mut ScaleArena,
-        fp: &mut ProfileFp,
+        detector: &mut CycleDetector,
+        round: usize,
     ) -> ScaleRoundStats {
         let k = config.spec.k;
         let n = state.n();
@@ -648,7 +610,7 @@ mod tests {
             }
             let old = state.strategy(mv.player);
             touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
-            fp.apply(mv.player, old, &mv.strategy);
+            detector.record_move(round, mv.player, old, &mv.strategy);
             arena.mark.mark_ball(state.graph(), &arena.touched, k);
             touched_all.extend_from_slice(&arena.touched);
             arena.accepted.push((mv.player, mv.strategy));
@@ -712,16 +674,18 @@ mod tests {
             let run = |round: &mut dyn FnMut(
                 &mut ScaleState,
                 &mut ScaleArena,
-                &mut ProfileFp,
+                &mut CycleDetector,
+                usize,
             ) -> ScaleRoundStats| {
                 let mut state = initial.clone();
                 let result = run_rounds(&mut state, &config, &mut ScaleArena::new(), round);
                 (state, result)
             };
-            let (oracle_state, oracle) = run(&mut |s, a, fp| all_at_once_round(s, &config, a, fp));
+            let (oracle_state, oracle) =
+                run(&mut |s, a, det, r| all_at_once_round(s, &config, a, det, r));
             for window in [1, 7, WINDOW, usize::MAX] {
                 let (state, result) =
-                    run(&mut |s, a, fp| simultaneous_round(s, &config, a, fp, window));
+                    run(&mut |s, a, det, r| simultaneous_round(s, &config, a, det, r, window));
                 let case = format!("n {n}, α {alpha}, k {k}, window {window}");
                 assert!(state == oracle_state, "{case}: final states differ");
                 assert_eq!(result.outcome, oracle.outcome, "{case}");
@@ -779,6 +743,45 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(r1.outcome, r2.outcome);
         assert_eq!(r1.rounds, r2.rounds);
+    }
+
+    /// Runs crafted rounds in which only player 0 moves, to her
+    /// strategy `next(round)`, each move applied and journaled as the
+    /// real rounds do.
+    fn run_crafted(
+        mut state: ScaleState,
+        max_rounds: usize,
+        next: impl Fn(usize) -> Vec<NodeId>,
+    ) -> ScaleRunResult {
+        let mut config = ScaleConfig::new(GameSpec::max(1.0, 2));
+        config.max_rounds = max_rounds;
+        let mut arena = ScaleArena::new();
+        run_rounds(&mut state, &config, &mut arena, |state, arena, detector, round| {
+            let new = next(round);
+            detector.record_move(round, 0, state.strategy(0), &new);
+            state.apply_moves(&[(0, new)], &mut arena.apply);
+            ScaleRoundStats { dirty: 1, proposals: 1, skipped: 0, applied: 1, conflicts: 0 }
+        })
+    }
+
+    #[test]
+    fn toggling_round_is_caught_as_a_cycle() {
+        // Player 0 of the path buys 1 at the start: buying 2 in odd
+        // rounds and 1 in even ones repeats the initial profile at the
+        // end of round 2.
+        let result =
+            run_crafted(successor_path(5), 10, |round| vec![if round % 2 == 1 { 2 } else { 1 }]);
+        assert_eq!(result.outcome, Outcome::Cycled { first_seen: 0, repeated_at: 2 });
+        assert_eq!(result.total_moves, 2);
+    }
+
+    #[test]
+    fn rounds_that_never_repeat_a_profile_hit_the_cap() {
+        // Player 0 buys one more edge every round: 1..=round + 1.
+        let result =
+            run_crafted(successor_path(12), 8, |round| (1..=round as NodeId + 1).collect());
+        assert_eq!(result.outcome, Outcome::MaxRoundsExceeded { rounds: 8 });
+        assert_eq!(result.total_moves, 8);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The incremental view cache: round-over-round reuse of player views
-//! with dirty-ball invalidation.
+//! The incremental view cache: dirty-ball invalidation across rounds,
+//! so a player whose view cannot have changed is never re-solved.
 //!
 //! `PlayerView::build` is `O(ball)` per player, so rebuilding all `n`
 //! views every round makes a dynamics round `O(n·m)` even when almost
 //! nobody moves — and the paper's experiments (Figures 5–10) converge
 //! in ≤ 7 rounds with sharply decaying per-round move counts, so most
 //! of that work re-derives views that cannot have changed. The cache
-//! keeps all `n` views alive across rounds and, after a move, marks
-//! dirty exactly the players whose view *can* have changed.
+//! keeps one dirty bit per player and, after a move, marks dirty
+//! exactly the players whose view *can* have changed. Only dirty
+//! players are refreshed and solved, on one view slot rebuilt in place.
 //!
 //! **Invalidation radius argument** (DESIGN.md §6): the view of `u` is
 //! a function of (a) the subgraph induced by her radius-`k` ball, (b)
@@ -16,20 +17,22 @@
 //! endpoint* — `v` herself plus the targets in the symmetric
 //! difference of her old and new strategies ([`ncg_core::EdgeDiff`]).
 //! A ball `B(u, k)` can only gain, lose, or re-wire vertices if some
-//! touched endpoint lies within distance `k` of `u` in the old graph
-//! (removals shrink the ball) or the new one (additions grow it);
-//! `incoming(u)` changes only if `u` is adjacent to `v` (distance 1)
-//! or is herself a touched target. Two bounded multi-source BFS sweeps
-//! from the touched set — one before the mutation, one after — over
-//! the shared [`ncg_graph::bfs`] kernel therefore cover every player
-//! whose view could differ, in `O(ball(touched, k))` instead of
-//! `O(n·m)`.
+//! touched endpoint lies within distance `k` of `u`; `incoming(u)`
+//! changes only if `u` is adjacent to `v` (distance 1) or is herself a
+//! touched target. Every changed edge, an ownership-only flip
+//! included, joins two touched endpoints, so a shortest path to the
+//! touched set, cut at the first touched endpoint it meets, uses no
+//! changed edge: the distance to the touched set is the same before
+//! and after the move. One bounded multi-source BFS from the touched
+//! set on the new graph, over the shared [`ncg_graph::bfs`] kernel,
+//! therefore marks every player whose view could differ, in
+//! `O(ball(touched, k))` instead of `O(n·m)`.
 //!
-//! A *clean* player's cached view is bit-identical to a fresh build
-//! (property-tested in `tests/view_cache_props.rs`), so with a
-//! deterministic responder her best response — and hence her decision
-//! not to move — is unchanged: the runner skips view construction
-//! *and* the solver call for her entirely.
+//! A *clean* player's view is bit-identical to the one she was last
+//! solved on (property-tested in `tests/view_cache_props.rs`), so with
+//! a deterministic responder her best response — and hence her
+//! decision not to move — is unchanged: the runner skips view
+//! construction *and* the solver call for her entirely.
 
 use ncg_core::{EdgeDiff, GameState, PlayerView, ViewScratch};
 use ncg_graph::bfs::{bfs_multi_bounded, DistanceBuffer};
@@ -38,31 +41,35 @@ use ncg_graph::NodeId;
 /// Cache statistics, exposed for benchmarks and the skip-proof tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Views (re)built — fresh constructions plus in-place refreshes.
+    /// Views refreshed: one per solved turn.
     pub rebuilds: u64,
     /// Player turns skipped because the player was provably clean.
     pub skips: u64,
 }
 
-/// Per-player cached views with dirty-ball tracking.
+/// Per-player dirty bits plus the one view slot the runner solves on.
 ///
 /// Protocol (what [`crate::run_with`] does each turn of player `u`):
 ///
 /// 1. [`ViewCache::is_clean`]`(u)` — if `true`, skip the turn (call
 ///    [`ViewCache::note_skip`] for the statistics); the player had no
 ///    improving move when last solved and nothing in her ball changed.
-/// 2. Otherwise [`ViewCache::refresh`]`(state, u)` to get the current
-///    view (rebuilt in place, reusing allocations) and solve on it.
-///    The refresh clears the dirty bit, so a player left unmoved
-///    stays clean until a later move dirties her ball.
+/// 2. Otherwise [`ViewCache::refresh`]`(state, u)` to get her current
+///    view (the slot rebuilt in place, reusing its allocations) and
+///    solve on it. The refresh clears the dirty bit, so a player left
+///    unmoved stays clean until a later move dirties her ball. The
+///    view is only valid until the next refresh.
 /// 3. On an accepted move, route the mutation through
 ///    [`ViewCache::apply_move`] instead of calling
-///    [`GameState::set_strategy`] directly, so the cache can run its
-///    two invalidation sweeps around the mutation.
-#[derive(Debug, Clone)]
+///    [`GameState::set_strategy`] directly, so the cache can mark the
+///    touched balls dirty.
+///
+/// `Default` is a cache for zero players, to be re-armed by
+/// [`ViewCache::reset`].
+#[derive(Debug, Clone, Default)]
 pub struct ViewCache {
     k: u32,
-    views: Vec<Option<PlayerView>>,
+    view: Option<PlayerView>,
     dirty: Vec<bool>,
     scratch: ViewScratch,
     bfs: DistanceBuffer,
@@ -74,15 +81,7 @@ impl ViewCache {
     /// A cache for `n` players at knowledge radius `k`; every player
     /// starts dirty (nothing has been solved yet).
     pub fn new(n: usize, k: u32) -> Self {
-        ViewCache {
-            k,
-            views: vec![None; n],
-            dirty: vec![true; n],
-            scratch: ViewScratch::new(),
-            bfs: DistanceBuffer::new(),
-            touched: Vec::new(),
-            stats: CacheStats::default(),
-        }
+        ViewCache { k, dirty: vec![true; n], ..ViewCache::default() }
     }
 
     /// The knowledge radius the cache was built for.
@@ -92,26 +91,23 @@ impl ViewCache {
     }
 
     /// Re-arms the cache for a fresh run of `n` players at radius `k`,
-    /// keeping every allocation the previous run grew: cached
-    /// [`PlayerView`]s (their next [`ViewCache::refresh`] rebuilds in
-    /// place instead of building from scratch), the BFS buffer, and
-    /// the view scratch. Every player starts dirty and the statistics
-    /// restart at zero, so a reset cache is observationally identical
-    /// to [`ViewCache::new`] — the warm-start soundness argument of
+    /// keeping every allocation the previous run grew: the view slot
+    /// (its next [`ViewCache::refresh`] rebuilds in place instead of
+    /// building from scratch), the BFS buffer, and the view scratch.
+    /// Every player starts dirty and the statistics restart at zero,
+    /// so a reset cache is observationally identical to
+    /// [`ViewCache::new`] — the warm-start soundness argument of
     /// DESIGN.md §7 rests on exactly this equivalence.
     pub fn reset(&mut self, n: usize, k: u32) {
         self.k = k;
-        if self.views.len() != n {
-            self.views.resize_with(n, || None);
-        }
         self.dirty.clear();
         self.dirty.resize(n, true);
         self.touched.clear();
         self.stats = CacheStats::default();
     }
 
-    /// Whether player `u`'s cached view is current *and* she had no
-    /// improving move when last solved on it.
+    /// Whether player `u`'s view is unchanged since she was last
+    /// solved *and* she had no improving move then.
     #[inline]
     pub fn is_clean(&self, u: NodeId) -> bool {
         !self.dirty[u as usize]
@@ -123,108 +119,38 @@ impl ViewCache {
         self.stats.skips += 1;
     }
 
-    /// Returns player `u`'s up-to-date view, rebuilding it in place
-    /// (reusing the slot's allocations) and clearing her dirty bit.
+    /// Returns player `u`'s up-to-date view, rebuilt in place in the
+    /// one slot (reusing its allocations), and clears her dirty bit.
     /// The caller is expected to solve on the returned view; the
     /// clean-skip invariant relies on it.
     pub fn refresh(&mut self, state: &GameState, u: NodeId) -> &PlayerView {
         self.stats.rebuilds += 1;
         self.dirty[u as usize] = false;
-        let slot = &mut self.views[u as usize];
-        match slot {
+        match self.view.as_mut() {
             Some(view) => view.rebuild(state, u, self.k, &mut self.scratch),
-            None => *slot = Some(PlayerView::build_with(state, u, self.k, &mut self.scratch)),
+            None => self.view = Some(PlayerView::build_with(state, u, self.k, &mut self.scratch)),
         }
-        slot.as_ref().expect("slot filled above")
+        self.view.as_ref().expect("slot filled above")
     }
 
-    /// Applies player `u`'s accepted move through the cache: computes
-    /// the touched-endpoint set, sweeps the old graph, mutates the
-    /// state, sweeps the new graph (seeded from the returned
-    /// [`EdgeDiff::touched`]), and marks every reached player dirty.
-    /// Returns the [`EdgeDiff`] from the underlying
-    /// [`GameState::set_strategy`].
+    /// Applies player `u`'s accepted move through the cache: mutates
+    /// the state, then marks dirty every player within distance `k`
+    /// of the returned [`EdgeDiff::touched`] endpoints in the new
+    /// graph — the same set as in the old graph (see the module doc).
     pub fn apply_move(
         &mut self,
         state: &mut GameState,
         u: NodeId,
         new_strategy: Vec<NodeId>,
     ) -> EdgeDiff {
-        // Touched endpoints: the mover plus the symmetric difference
-        // of old and new purchases. The pre-move set must be computed
-        // *before* the mutation so the old-graph sweep can run first
-        // (edge removals can move a player out of every touched ball
-        // in the new graph while her own ball still shrank); the
-        // post-move sweep reuses the mutation's own endpoint report,
-        // and the debug assertion below pins the two computations to
-        // each other.
-        self.touched.clear();
-        self.touched.push(u);
-        let mut normalized = new_strategy;
-        normalized.sort_unstable();
-        normalized.dedup();
-        let old = state.strategy(u);
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < normalized.len() {
-            match (old.get(i), normalized.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    self.touched.push(a);
-                    i += 1;
-                }
-                (Some(_), Some(&b)) => {
-                    self.touched.push(b);
-                    j += 1;
-                }
-                (Some(&a), None) => {
-                    self.touched.push(a);
-                    i += 1;
-                }
-                (None, Some(&b)) => {
-                    self.touched.push(b);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        self.sweep_and_mark(state);
-        let diff = state.set_strategy(u, normalized);
-        debug_assert_eq!(
-            {
-                let mut pre = self.touched.clone();
-                pre.sort_unstable();
-                pre
-            },
-            {
-                let mut post: Vec<NodeId> = diff.touched().collect();
-                post.sort_unstable();
-                post.dedup();
-                post
-            },
-            "pre-move symmetric difference disagrees with the EdgeDiff endpoints"
-        );
+        let diff = state.set_strategy(u, new_strategy);
         self.touched.clear();
         self.touched.extend(diff.touched());
-        self.sweep_and_mark(state);
-        diff
-    }
-
-    /// One bounded multi-source BFS from the touched set, marking
-    /// every player within distance `k` dirty.
-    fn sweep_and_mark(&mut self, state: &GameState) {
         bfs_multi_bounded(state.graph(), &self.touched, self.k, &mut self.bfs);
         for &v in self.bfs.visited() {
             self.dirty[v as usize] = true;
         }
-    }
-
-    /// The cached view of `u`, if one was ever built (current only if
-    /// [`ViewCache::is_clean`]; test/diagnostic accessor).
-    pub fn view(&self, u: NodeId) -> Option<&PlayerView> {
-        self.views[u as usize].as_ref()
+        diff
     }
 
     /// Rebuild/skip counters accumulated so far.
@@ -283,22 +209,26 @@ mod tests {
 
     #[test]
     fn clean_views_stay_identical_to_fresh_builds_after_moves() {
+        // Each player's view as of her last refresh: a clean player's
+        // must still be what a fresh build returns after the move.
         let mut state = GameState::cycle_successor(10);
         let k = 2;
         let mut cache = ViewCache::new(10, k);
-        for u in 0..10 {
-            cache.refresh(&state, u);
-        }
+        let snapshots: Vec<PlayerView> =
+            (0..10).map(|u| cache.refresh(&state, u).clone()).collect();
         cache.apply_move(&mut state, 4, vec![0, 5]);
-        for u in 0..10u32 {
+        let mut clean = 0;
+        for (u, snapshot) in (0..10u32).zip(&snapshots) {
             if cache.is_clean(u) {
+                clean += 1;
                 assert_eq!(
-                    cache.view(u).unwrap(),
+                    snapshot,
                     &PlayerView::build(&state, u, k),
                     "clean player {u} holds a stale view"
                 );
             }
         }
+        assert!(clean > 0, "the move must leave someone clean");
     }
 
     #[test]

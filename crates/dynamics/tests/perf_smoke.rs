@@ -35,7 +35,7 @@ fn incremental_dynamics_mid_size_run_is_fast_and_skips() {
     let rounds = result.outcome.rounds();
     assert!(rounds >= 2, "need a multi-round run to exercise the cache (got {rounds})");
     let baseline_calls = 96 * rounds;
-    let stats = result.cache_stats.expect("cache on by default");
+    let stats = result.cache_stats.expect("every run reports its cache statistics");
     assert!(
         result.solver_calls < baseline_calls,
         "view cache skipped nothing: {} solver calls out of a {} baseline — \

@@ -8,8 +8,7 @@
 //! moves) the front must be an identity transformation: every accepted
 //! move, every trace event, every final strategy and every cost must
 //! come out bit-for-bit the same as a responder that inlines the old
-//! dispatch — with the view cache on and off, and under rayon pools of
-//! 1, 2 and 4 threads (the parallel branch-and-bound fan-out is policy-
+//! dispatch — under rayon pools of 1, 2 and 4 threads (the parallel branch-and-bound fan-out is policy-
 //! driven, so the pool size must be unobservable in the results).
 
 use ncg_core::equilibrium::Deviation;
@@ -41,11 +40,8 @@ impl ncg_core::equilibrium::BestResponder for LegacyResponder {
     }
 }
 
-fn assert_runs_identical(state: &GameState, spec: GameSpec, use_cache: bool) {
-    let mut config = DynamicsConfig::new(spec).with_trace();
-    if !use_cache {
-        config = config.without_view_cache();
-    }
+fn assert_runs_identical(state: &GameState, spec: GameSpec) {
+    let config = DynamicsConfig::new(spec).with_trace();
     let via_front = run_with(state.clone(), &config, &mut Responder::exact());
     let legacy = run_with(
         state.clone(),
@@ -71,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Full dynamics through the front == full dynamics through the
-    /// old dispatch, for both objectives, cache on and off.
+    /// old dispatch, for both objectives.
     #[test]
     fn front_dynamics_bit_identical_to_legacy_dispatch(
         seed in 0u64..500,
@@ -79,14 +75,13 @@ proptest! {
         alpha_i in 0usize..3,
         k in 2u32..=3,
         max_obj in any::<bool>(),
-        use_cache in any::<bool>(),
     ) {
         let alpha = [0.4f64, 1.2, 2.5][alpha_i];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = ncg_graph::generators::gnp_connected(n, 0.25, 100, &mut rng).unwrap();
         let state = GameState::from_graph_random_ownership(&g, &mut rng);
         let spec = if max_obj { GameSpec::max(alpha, k) } else { GameSpec::sum(alpha, k) };
-        assert_runs_identical(&state, spec, use_cache);
+        assert_runs_identical(&state, spec);
     }
 }
 

@@ -1,24 +1,26 @@
 //! Property tests for the incremental view cache.
 //!
-//! Two families of properties back the tentpole claim that the
-//! incremental engine is observationally identical to per-round
-//! rebuilding:
+//! Two families of properties back the claim that the incremental
+//! engine is observationally identical to per-round rebuilding:
 //!
 //! 1. **View parity** — after an arbitrary move sequence routed
-//!    through [`ViewCache::apply_move`], every *clean* player's cached
-//!    view is field-for-field identical to a fresh
+//!    through [`ViewCache::apply_move`], every *clean* player's view
+//!    as of her last refresh is field-for-field identical to a fresh
 //!    [`PlayerView::build`], and every refreshed dirty view is too
 //!    (exercising the allocation-reusing `rebuild` path).
-//! 2. **Dynamics parity** — full runs with the cache on and off agree
-//!    bit-for-bit on outcome, final state, move count, and trace.
+//! 2. **Dynamics parity** — full runs agree bit-for-bit with
+//!    [`rebuild_every_turn`], the seed's round loop kept here as the
+//!    oracle, on outcome, final state, move count, and trace.
 //!
 //! Plus the skip proof: an instrumented responder shows untouched
 //! players are never re-solved.
 
+use ncg_core::deviation::current_total;
 use ncg_core::equilibrium::BestResponder;
 use ncg_core::{GameSpec, GameState, PlayerView};
 use ncg_dynamics::{run, run_with, DynamicsConfig, Outcome, ViewCache};
 use ncg_graph::NodeId;
+use ncg_solver::Responder;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,6 +35,62 @@ fn state_from_pairs(n: usize, pairs: &[(NodeId, NodeId)]) -> GameState {
         }
     }
     GameState::from_strategies(n, strategies)
+}
+
+/// What [`rebuild_every_turn`] reports, in the shape of the runner's
+/// `RunResult` and trace.
+struct OracleRun {
+    outcome: Outcome,
+    state: GameState,
+    total_moves: usize,
+    solver_calls: usize,
+    /// `(round, player, new strategy as the responder returned it)`
+    /// per accepted move.
+    moves: Vec<(usize, NodeId, Vec<NodeId>)>,
+}
+
+/// The seed's round loop, the oracle of the incremental runner: every
+/// round builds every player's view from scratch and re-solves her,
+/// and a cycle is an end-of-round profile equal to an earlier one,
+/// found by comparing whole profiles. It shares neither the view
+/// cache's dirty bits nor the fingerprint detector with [`run`].
+fn rebuild_every_turn(initial: GameState, config: &DynamicsConfig) -> OracleRun {
+    let spec = config.spec;
+    let mut responder = Responder::new(config.mode);
+    let profile = |s: &GameState| -> Vec<Vec<NodeId>> {
+        (0..s.n() as NodeId).map(|u| s.strategy(u).to_vec()).collect()
+    };
+    let mut state = initial;
+    let mut seen = vec![profile(&state)];
+    let (mut total_moves, mut solver_calls, mut moves) = (0, 0, Vec::new());
+    let mut outcome = Outcome::MaxRoundsExceeded { rounds: config.max_rounds };
+    for round in 1..=config.max_rounds {
+        let mut moved = 0;
+        for u in 0..state.n() as NodeId {
+            let view = PlayerView::build(&state, u, spec.k);
+            let current = current_total(&spec, &view);
+            solver_calls += 1;
+            let best = responder.best_response(&spec, &view);
+            if GameSpec::strictly_better(best.total_cost, current) {
+                let global = view.strategy_to_global(&best.strategy_local);
+                moves.push((round, u, global.clone()));
+                state.set_strategy(u, global);
+                moved += 1;
+            }
+        }
+        total_moves += moved;
+        if moved == 0 {
+            outcome = Outcome::Converged { rounds: round };
+            break;
+        }
+        let end = profile(&state);
+        if let Some(first_seen) = seen.iter().position(|p| *p == end) {
+            outcome = Outcome::Cycled { first_seen, repeated_at: round };
+            break;
+        }
+        seen.push(end);
+    }
+    OracleRun { outcome, state, total_moves, solver_calls, moves }
 }
 
 /// `(n, ownership pairs, k, move sequence)`.
@@ -55,27 +113,27 @@ proptest! {
     // override with PROPTEST_CASES (and PROPTEST_SEED) for deeper runs.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property 1: cached-and-patched views are identical to
-    /// from-scratch builds after arbitrary move sequences — clean
-    /// players *before* any refresh (the invalidation never misses a
-    /// changed ball), dirty players after their in-place rebuild.
+    /// Property 1: each player's view as of her last refresh stays
+    /// identical to a from-scratch build after arbitrary move
+    /// sequences while she is clean (the invalidation never misses a
+    /// changed ball), and dirty players' in-place rebuilds equal
+    /// scratch builds.
     #[test]
     fn cached_views_match_scratch_builds((n, pairs, k, moves) in arb_scenario()) {
         let mut state = state_from_pairs(n, &pairs);
         let mut cache = ViewCache::new(n, k);
-        for u in 0..n as NodeId {
-            cache.refresh(&state, u);
-        }
+        let mut snapshots: Vec<PlayerView> =
+            (0..n as NodeId).map(|u| cache.refresh(&state, u).clone()).collect();
         for (mover, strategy) in moves {
             let strategy: Vec<NodeId> =
                 strategy.into_iter().filter(|&v| v != mover).collect();
             cache.apply_move(&mut state, mover, strategy);
-            // Clean views must already be current — this is the
-            // invalidation-soundness half of the tentpole.
-            for u in 0..n as NodeId {
+            // A clean player's last view must still be current — the
+            // invalidation-soundness half of the engine.
+            for (u, snapshot) in (0..n as NodeId).zip(&snapshots) {
                 if cache.is_clean(u) {
                     prop_assert_eq!(
-                        cache.view(u).expect("refreshed at start"),
+                        snapshot,
                         &PlayerView::build(&state, u, k),
                         "clean player {} holds a stale view", u
                     );
@@ -83,21 +141,23 @@ proptest! {
             }
             // Refreshing the dirty players exercises the in-place
             // rebuild path; results must equal scratch builds too.
-            for u in 0..n as NodeId {
+            for (u, snapshot) in (0..n as NodeId).zip(&mut snapshots) {
                 if !cache.is_clean(u) {
+                    let view = cache.refresh(&state, u);
                     prop_assert_eq!(
-                        cache.refresh(&state, u),
+                        view,
                         &PlayerView::build(&state, u, k),
                         "rebuilt view of {} diverges", u
                     );
+                    *snapshot = view.clone();
                 }
             }
         }
     }
 
     /// Property 2 (acceptance criterion): dynamics outcomes are
-    /// bit-identical with the cache on and off, real solver, both
-    /// workload classes the paper sweeps.
+    /// bit-identical to the rebuild-every-turn oracle, real solver,
+    /// both workload classes the paper sweeps.
     #[test]
     fn dynamics_parity_cache_on_vs_off(
         n in 6..=18usize,
@@ -115,21 +175,46 @@ proptest! {
             ncg_graph::generators::random_tree(n, &mut rng)
         };
         let initial = GameState::from_graph_random_ownership(&graph, &mut rng);
-        let cached_cfg = DynamicsConfig::new(GameSpec::max(alpha, k)).with_trace();
-        let rebuild_cfg = cached_cfg.without_view_cache();
-        let a = run(initial.clone(), &cached_cfg);
-        let b = run(initial, &rebuild_cfg);
+        let config = DynamicsConfig::new(GameSpec::max(alpha, k)).with_trace();
+        let a = run(initial.clone(), &config);
+        let b = rebuild_every_turn(initial, &config);
         prop_assert_eq!(a.outcome, b.outcome);
         prop_assert_eq!(a.total_moves, b.total_moves);
         prop_assert_eq!(a.state, b.state);
-        let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-        prop_assert_eq!(ta.events.len(), tb.events.len());
-        for (ea, eb) in ta.events.iter().zip(&tb.events) {
-            prop_assert_eq!(ea.round, eb.round);
-            prop_assert_eq!(ea.player, eb.player);
-            prop_assert_eq!(&ea.new_strategy, &eb.new_strategy);
+        let ta = a.trace.unwrap();
+        prop_assert_eq!(ta.events.len(), b.moves.len());
+        for (ea, (round, player, new_strategy)) in ta.events.iter().zip(&b.moves) {
+            prop_assert_eq!(ea.round, *round);
+            prop_assert_eq!(ea.player, *player);
+            prop_assert_eq!(&ea.new_strategy, new_strategy);
         }
         prop_assert!(a.solver_calls <= b.solver_calls);
+    }
+}
+
+/// The incremental runner and the rebuild-every-turn oracle agree on
+/// random trees across the α/k corners, and the cache only ever skips
+/// work.
+#[test]
+fn cache_and_rebuild_paths_agree() {
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    for _ in 0..3 {
+        let tree = ncg_graph::generators::random_tree(24, &mut rng);
+        let initial = GameState::from_graph_random_ownership(&tree, &mut rng);
+        for (alpha, k) in [(0.4, 2u32), (1.0, 3), (4.0, 2)] {
+            let config = DynamicsConfig::new(GameSpec::max(alpha, k));
+            let a = run(initial.clone(), &config);
+            let b = rebuild_every_turn(initial.clone(), &config);
+            assert_eq!(a.outcome, b.outcome, "α={alpha} k={k}");
+            assert_eq!(a.state, b.state, "α={alpha} k={k}");
+            assert_eq!(a.total_moves, b.total_moves, "α={alpha} k={k}");
+            assert!(
+                a.solver_calls <= b.solver_calls,
+                "the cache may only ever skip work (α={alpha} k={k})"
+            );
+            let stats = a.cache_stats.expect("every run reports its cache statistics");
+            assert_eq!(stats.rebuilds as usize, a.solver_calls, "α={alpha} k={k}");
+        }
     }
 }
 
@@ -187,7 +272,8 @@ fn untouched_players_are_provably_skipped() {
     assert_eq!(result.total_moves, 2, "player 0 moves once per executed round");
     // Round 1 solves everyone. The move touches endpoints {0, 1, 2},
     // so round 2 re-solves exactly the players within distance k = 2
-    // of those (in the graph before or after the toggle): 0..=4.
+    // of those (the same in the graph before and after the toggle):
+    // 0..=4.
     // Everyone further out is solved exactly once, then skipped.
     for (u, &count) in calls.iter().enumerate() {
         if u <= 4 {
@@ -197,7 +283,7 @@ fn untouched_players_are_provably_skipped() {
         }
     }
     let solved: usize = calls.iter().sum();
-    let stats = result.cache_stats.expect("cache on by default");
+    let stats = result.cache_stats.expect("every run reports its cache statistics");
     assert_eq!(stats.rebuilds as usize, solved);
     assert_eq!(stats.skips as usize, n * 2 - solved);
 }

@@ -414,14 +414,20 @@ pub fn solve_cell_guarded(
     }));
     outcome.map_err(|payload| {
         arena.rebuild();
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+        panic_message(payload.as_ref())
     })
+}
+
+/// A caught panic's payload as a string: the message of a `panic!`
+/// with a literal or a formatted string, else a fixed placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Runs this shard's cells of one grid, warm-starting per repetition,
@@ -531,13 +537,7 @@ pub fn solve_scale_cell_guarded(
     }));
     outcome.map_err(|payload| {
         *arena = ScaleArena::new();
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+        panic_message(payload.as_ref())
     })
 }
 

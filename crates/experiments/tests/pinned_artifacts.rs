@@ -1,7 +1,8 @@
-//! Pinned smoke artifacts: six experiments run through the real
-//! `ncg-experiments` binary at `--smoke --seed 7`, each into a fresh
-//! temp directory, and every file they write must hash to the FNV-1a
-//! digest committed below.
+//! Pinned smoke artifacts: every exact-dynamics experiment, plus the
+//! lower-bound certifications, run through the real `ncg-experiments`
+//! binary at `--smoke --seed 7`, each into a fresh temp directory, and
+//! every file they write must hash to the FNV-1a digest committed
+//! below.
 //!
 //! Same seed ⇒ same bytes is the workspace's signature invariant, so a
 //! performance change must leave every digest alone. A deliberate
@@ -128,6 +129,79 @@ fn nonuniform_smoke_artifacts_are_pinned() {
             ("nonuniform_quality.csv", 0x83c4_0177_f8f6_d0d9),
             ("nonuniform_rounds.csv", 0x96fb_729e_5be6_1b52),
             ("nonuniform_runs.jsonl", 0x10c5_1a5e_95d9_839c),
+        ],
+    );
+}
+
+#[test]
+fn table1_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "table1",
+        &[
+            ("table1_notes.txt", 0xd19a_bf36_4313_bbb6),
+            ("table1_random_trees.csv", 0x713a_198a_01d6_82b3),
+        ],
+    );
+}
+
+#[test]
+fn table2_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "table2",
+        &[
+            ("table2_er_graphs.csv", 0xc12a_57f2_a6d6_e3d8),
+            ("table2_notes.txt", 0xf535_d16c_dab6_9db9),
+        ],
+    );
+}
+
+#[test]
+fn figure6_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "figure6",
+        &[
+            ("figure6_notes.txt", 0x9006_381f_ea6e_35d5),
+            ("figure6_quality_alpha1.csv", 0xcbc9_c6d8_e480_3c33),
+            ("figure6_quality_alpha10.csv", 0xfa58_5339_1a14_501d),
+            ("figure6_runs.jsonl", 0x7aca_ff10_b7f4_6b76),
+        ],
+    );
+}
+
+#[test]
+fn figure7_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "figure7",
+        &[
+            ("figure7_er.csv", 0x0f2e_dd8b_3fea_f045),
+            ("figure7_notes.txt", 0x118b_9a99_bf4e_9f10),
+            ("figure7_runs.jsonl", 0xb3b0_5c3e_2970_a63b),
+            ("figure7_trees.csv", 0xbba5_143f_9517_9127),
+        ],
+    );
+}
+
+#[test]
+fn figure9_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "figure9",
+        &[
+            ("figure9_notes.txt", 0xedb7_cb1c_d6fe_304b),
+            ("figure9_runs.jsonl", 0xab04_c5d9_dc49_8f53),
+            ("figure9_unfairness.csv", 0x1939_61a0_fc17_880b),
+        ],
+    );
+}
+
+#[test]
+fn figure10_smoke_artifacts_are_pinned() {
+    assert_pinned(
+        "figure10",
+        &[
+            ("figure10_notes.txt", 0x6016_6b00_3189_5a49),
+            ("figure10_rounds_vs_alpha_n24.csv", 0x38ca_397d_39df_e8d0),
+            ("figure10_rounds_vs_n_alpha2.csv", 0x798b_7fa4_608a_a1f1),
+            ("figure10_runs.jsonl", 0x80ea_5f29_d472_bd43),
         ],
     );
 }
