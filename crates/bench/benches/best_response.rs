@@ -118,15 +118,27 @@ fn bench_sum(c: &mut Criterion) {
     // cap): the exact branch-and-bound on the dynamics hot path with
     // warm scratch, against the hill-climb heuristic it replaced as
     // the `Mode::Exact` fallback. Same instance class as the
-    // `perf_smoke.rs` pin (tree 64, seed 11, α = 2.0) — the α ≈ 1 tie
-    // plateau is deliberately avoided here; DESIGN.md §9 explains why
-    // no admissible bound can prune it.
+    // `perf_smoke.rs` pin (tree 64, seed 11, α = 2.0), in the
+    // p-median-like regime the dual ascent carries.
     let tree_full = tree_state(64, 11);
     let spec_full = GameSpec::sum(2.0, 1000);
     let view_full = PlayerView::build(&tree_full, 0, 1000);
     group.bench_function("bnb_full_view", |b| {
         let mut scratch = SolverScratch::new();
         b.iter(|| sum_br::sum_best_response_with(&spec_full, &view_full, Mode::Exact, &mut scratch))
+    });
+    // The α = 1 tie plateau (DESIGN.md §9) on a 40-node full-knowledge
+    // tree view: after the first incumbent most of the search proves
+    // that nothing ties it with fewer edges or a lex-smaller strategy,
+    // the work the raised-price layer bound cuts.
+    let tree_plateau = tree_state(40, 11);
+    let spec_plateau = GameSpec::sum(1.0, 1000);
+    let view_plateau = PlayerView::build(&tree_plateau, 0, 1000);
+    group.bench_function("bnb_full_view_alpha1", |b| {
+        let mut scratch = SolverScratch::new();
+        b.iter(|| {
+            sum_br::sum_best_response_with(&spec_plateau, &view_plateau, Mode::Exact, &mut scratch)
+        })
     });
     group.bench_function("hillclimb", |b| {
         b.iter(|| sum_br::sum_best_response(&spec_full, &view_full, Mode::Greedy))

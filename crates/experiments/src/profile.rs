@@ -133,13 +133,16 @@ impl Profile {
     /// in the profile that keeps *every* α cell tractable for the
     /// exact branch-and-bound. The binding cell is α ≈ 1, where the
     /// cost grid `α·t + usage` makes purchase-for-distance swaps
-    /// exactly cost-neutral: optima proliferate into a tie plateau no
-    /// admissible bound can prune (DESIGN.md §9), so exact solves
-    /// scale far worse there than in the cheap-α or p-median-like
-    /// regimes that `perf_smoke.rs` pins at n = 64. Sizes are chosen
+    /// exactly cost-neutral: optima proliferate into a tie plateau,
+    /// and most of the search proves that nothing ties the incumbent
+    /// with fewer edges or a lex-smaller strategy. The raised-price
+    /// layer bound cuts most of that proof (DESIGN.md §9), but exact
+    /// solves there still scale worse than in the cheap-α or
+    /// p-median-like regimes. The sizes were chosen before that bound,
     /// so the degenerate cells stay within each profile's time
     /// budget: seconds per solve for `paper`, tens of milliseconds
-    /// for `quick`.
+    /// for `quick`. They stay, because raising them changes the
+    /// sum-extension artifacts.
     pub fn sum_tree_n(&self) -> usize {
         let cap = if self.reps >= 20 { 50 } else { 30 };
         self.tree_ns.iter().copied().filter(|&n| n <= cap).max().unwrap_or(cap)

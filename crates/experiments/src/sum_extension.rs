@@ -34,8 +34,9 @@ pub struct Theorem44Check {
 
 /// Runs the SumNCG extension sweep (local mode) at the profile's
 /// [`sum_tree_n`](Profile::sum_tree_n) — exact branch-and-bound best
-/// responses throughout, sized so the degenerate α ≈ 1 tie plateau
-/// stays tractable (DESIGN.md §9).
+/// responses throughout, sized so the degenerate α ≈ 1 tie plateau,
+/// which the raised-price layer bound cuts only in part, stays
+/// tractable (DESIGN.md §9).
 pub fn run(profile: &Profile) -> ExperimentOutput {
     run_ctx(profile, &SweepContext::local())
 }

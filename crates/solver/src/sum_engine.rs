@@ -57,7 +57,9 @@
 //!   undmin))` and maxed pointwise against the packing curve, is
 //!   minimised over `t` like `LB₂`. The greedy set itself is recorded
 //!   as an incumbent candidate when feasible, so every node seeds the
-//!   race with a near-optimal completion for free.
+//!   race with a near-optimal completion for free. After each pick only
+//!   the vertices it brought closer change a marginal, so the
+//!   marginals drop by their terms there instead of being recomputed.
 //! * **Dual-ascent bound**: the node is an uncapacitated
 //!   facility-location relaxation (candidates are facilities at
 //!   opening cost α, vertices are clients with outside option
@@ -77,6 +79,13 @@
 //!   lift* (at a fixed purchase count `t` the cost is `α·(|I|+t)` plus
 //!   an integer, so the fractional dual floor rounds up onto each
 //!   layer's grid).
+//! * **Raised-price layer bound**: duals feasible at a raised facility
+//!   price `λ = α + δ` certify `L(λ) − (λ − α)·t` for a completion
+//!   buying `t` more candidates — a floor that rises as `t` falls,
+//!   where the dual floor is the same on every layer. It is computed
+//!   only for layers that could at best tie the incumbent (below), by
+//!   a second ascent started from the node's final α-duals, which stay
+//!   feasible at the higher price.
 //!
 //! Layers that survive the cost bounds still face the comparator:
 //! a size-`|I|+t` completion is explored only if it can be strictly
@@ -84,7 +93,11 @@
 //! at equal cost and edge count — have its lexicographically minimal
 //! completion (`I` merged with the `t` smallest undecided ids) beat
 //! the incumbent strategy, mirroring the exhaustive enumerator's
-//! tie-break exactly.
+//! tie-break exactly. A layer alive only on a tie must also reach the
+//! incumbent's cost under the raised-price bound. At integer α the
+//! dual floor sits exactly at that cost on the fewer-edges layers, so
+//! without it the α = 1 search spends most of its nodes proving that
+//! nothing ties the incumbent (DESIGN.md §9).
 //!
 //! Two exact reductions shrink nodes without search: a candidate whose
 //! *uncapped* gain against finite residuals is `≤ α + EPS` and that
@@ -116,6 +129,30 @@ use ncg_graph::{NodeId, INFINITY};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The raise `δ = λ − α` of the tie-layer bound's facility price: a
+/// layer that could at best tie the incumbent is cut when `L(α + δ) −
+/// δ·t`, lifted onto its grid, exceeds the bound (DESIGN.md §9, which
+/// has the node counts of the raises measured against this one).
+const RAISE: f64 = 0.25;
+
+/// The raised-price layer bound: with `l = L(α + RAISE)`, a completion
+/// buying `t` more candidates costs at least `l − RAISE·t`.
+fn layer_lag(l: f64, t: usize) -> f64 {
+    l - RAISE * t as f64
+}
+
+/// Rounds a fractional cost floor `lb` up onto the grid of a layer
+/// whose purchases cost `at`: its cost is `at` plus an integer usage
+/// (the small slack guards float drift between this product and
+/// `total_cost`'s).
+fn lift(lb: f64, at: f64) -> f64 {
+    if lb > at {
+        at + (lb - at - 1e-7).ceil()
+    } else {
+        lb
+    }
+}
 
 /// The engine's running best solution: a sorted local strategy and its
 /// total cost under the prepared spec. Starts as the view's current
@@ -209,6 +246,9 @@ pub struct SumEngine {
     g_set: Vec<NodeId>,
     g_rho: Vec<u64>,
     g_sorted: Vec<u64>,
+    /// The vertices a greedy pick brought closer, with their capped
+    /// residuals before and after it.
+    g_drop: Vec<(usize, u32, u32)>,
     /// Refined packing tables: per-candidate cumulative ball sizes
     /// (`und.len() × cap`) and per-radius top-`t` prefix sums.
     ball_mat: Vec<i64>,
@@ -220,15 +260,19 @@ pub struct SumEngine {
     /// Snapshot buffers for the dual adjustment phase's trial moves.
     dual_v2: Vec<f64>,
     dual_slack2: Vec<f64>,
+    /// The raised-price ascent's own duals and slacks, so the node's
+    /// α-duals survive it for branch selection and the children.
+    lag_v: Vec<f64>,
+    lag_slack: Vec<f64>,
     forced: Vec<NodeId>,
     record_buf: Vec<NodeId>,
     /// Racing incumbent cost (as f64 bits — nonnegative IEEE 754
     /// floats order as unsigned integers) shared across workers of a
     /// parallel solve.
     shared_bound: Option<Arc<AtomicU64>>,
-    /// Test-only audit of every node's dual ascent.
+    /// Test-only audit of every dual ascent and greedy pick.
     #[cfg(test)]
-    audit: Option<tests::AscentAudit>,
+    audit: Option<tests::SolveAudit>,
 }
 
 impl Default for SumEngine {
@@ -258,12 +302,15 @@ impl Default for SumEngine {
             g_set: Vec::new(),
             g_rho: Vec::new(),
             g_sorted: Vec::new(),
+            g_drop: Vec::new(),
             ball_mat: Vec::new(),
             bpref: Vec::new(),
             dual_v: Vec::new(),
             dual_slack: Vec::new(),
             dual_v2: Vec::new(),
             dual_slack2: Vec::new(),
+            lag_v: Vec::new(),
+            lag_slack: Vec::new(),
             forced: Vec::new(),
             record_buf: Vec::new(),
             shared_bound: None,
@@ -430,11 +477,14 @@ impl SumEngine {
     /// Erlenkotter-style dual ascent on the node's facility-location
     /// relaxation: clients are the non-center vertices with outside
     /// cost `min(best[v], cap)`, facilities are the undecided
-    /// candidates with opening cost α and service costs `row_c`. Any
-    /// dual-feasible `v` (client values below their outside cost whose
-    /// overshoots `Σ_j (v_j − row_c[j])⁺` stay within α per facility)
-    /// certifies `α·|I| + (n−1) + Σ_j v_j` as a cost lower bound for
-    /// every completion, by weak LP duality.
+    /// candidates with opening cost `price` and service costs `row_c`.
+    /// Any dual-feasible `v` (client values below their outside cost
+    /// whose overshoots `Σ_j (v_j − row_c[j])⁺` stay within `price` per
+    /// facility) certifies `α·|I| + (n−1) + Σ_j v_j`, the value
+    /// returned, as a cost lower bound for every completion when
+    /// `price` is α, by weak LP duality; a completion buying `t` more
+    /// candidates loses `(price − α)·t` of it at a raised price
+    /// (DESIGN.md §9).
     ///
     /// The root (`start` empty) starts at the slack-free floor
     /// `min(best, undmin, cap)`, which is exactly LB₀. Every other node
@@ -445,8 +495,9 @@ impl SumEngine {
     /// is a different list. Values then rise breakpoint by breakpoint
     /// in client order, for at most 48 passes, until facility slacks
     /// pin them, a deterministic procedure that is near-exact on tree
-    /// views where the additive gain bounds stay loose. When the ascent bound lands just below
-    /// the prune threshold (`bound − lb ≤ adjust_window`), an
+    /// views where the additive gain bounds stay loose. When `adjust`
+    /// is `Some((bound, window))` and the ascent bound lands just below
+    /// the prune threshold (`bound − lb ≤ window`), an
     /// Erlenkotter-style adjustment phase kicks in: clients paying into
     /// two or more slack-exhausted facilities drop back one breakpoint,
     /// freeing slack that a re-ascent redistributes to blocked clients,
@@ -459,13 +510,12 @@ impl SumEngine {
         und: &[NodeId],
         und_min: &[u32],
         start: &[f64],
-        bound: f64,
-        adjust_window: f64,
+        price: f64,
+        adjust: Option<(f64, f64)>,
     ) -> f64 {
         let n = self.n;
         let center = self.center as usize;
         let cap = self.cap;
-        let alpha = self.spec.alpha;
         let rows = &self.rows;
         let mut v = std::mem::take(&mut self.dual_v);
         let mut slack = std::mem::take(&mut self.dual_slack);
@@ -489,7 +539,7 @@ impl SumEngine {
                     over += vj - d as f64;
                 }
             }
-            alpha - over
+            price - over
         }));
         const TOL: f64 = 1e-9;
         // One converging ascent: raise each client to its next
@@ -549,8 +599,10 @@ impl SumEngine {
             sum
         };
         let mut sum = ascent(&mut v, &mut slack, 48);
-        let fixed = alpha * self.chosen.len() as f64 + (n - 1) as f64 - 1e-6;
-        if fixed + sum <= bound && bound - (fixed + sum) <= adjust_window {
+        let fixed = self.spec.alpha * self.chosen.len() as f64 + (n - 1) as f64 - 1e-6;
+        let near_threshold = adjust
+            .is_some_and(|(bound, window)| fixed + sum <= bound && bound - (fixed + sum) <= window);
+        if near_threshold {
             // Adjustment phase: a client paying into ≥ 2 tight
             // facilities splits its value across all of them; dropping
             // it one breakpoint frees slack in each, which a re-ascent
@@ -619,6 +671,24 @@ impl SumEngine {
         self.dual_v = v;
         self.dual_slack = slack;
         fixed + sum
+    }
+
+    /// `L(λ)` of the node's raised-price layer bound at `λ = α + RAISE`
+    /// ([`layer_lag`], DESIGN.md §9). The ascent starts from the
+    /// node's final α-duals, which stay feasible at any `λ ≥ α` (same
+    /// overshoots, slack `λ − over ≥ 0`), and skips the adjustment
+    /// phase. It runs in the `lag_*` buffers, leaving the α-duals and
+    /// slacks in place for branch selection and the children.
+    fn raised_lag(&mut self, best: &[u32], und: &[NodeId], und_min: &[u32]) -> f64 {
+        let duals = std::mem::replace(&mut self.dual_v, std::mem::take(&mut self.lag_v));
+        let slack = std::mem::replace(&mut self.dual_slack, std::mem::take(&mut self.lag_slack));
+        let price = self.spec.alpha + RAISE;
+        let lag = self.dual_ascent(best, und, und_min, &duals, price, None);
+        #[cfg(test)]
+        self.audit_ascent(best, und, price, |t| layer_lag(lag, t), false);
+        self.lag_v = std::mem::replace(&mut self.dual_v, duals);
+        self.lag_slack = std::mem::replace(&mut self.dual_slack, slack);
+        lag
     }
 
     /// Whether the lexicographically smallest completion of the sorted
@@ -718,6 +788,7 @@ impl SumEngine {
         let mut g_set = std::mem::take(&mut self.g_set);
         let mut g_rho = std::mem::take(&mut self.g_rho);
         let mut g_sorted = std::mem::take(&mut self.g_sorted);
+        let mut g_drop = std::mem::take(&mut self.g_drop);
         let mut ball_mat = std::mem::take(&mut self.ball_mat);
         let mut bpref = std::mem::take(&mut self.bpref);
         let mut forced = std::mem::take(&mut self.forced);
@@ -936,9 +1007,10 @@ impl SumEngine {
             // it also lifts the per-`t` curve below.
             let window =
                 if self.chosen.len() <= 6 { self.spec.alpha.mul_add(2.0, 6.0) } else { 0.0 };
-            let dual_lb = self.dual_ascent(best, und, &und_min, start, bound, window);
+            let dual_lb =
+                self.dual_ascent(best, und, &und_min, start, alpha, Some((bound, window)));
             #[cfg(test)]
-            self.audit_ascent(best, und, dual_lb, !start.is_empty());
+            self.audit_ascent(best, und, alpha, |_| dual_lb, !start.is_empty());
             if dual_lb > bound {
                 break SumStep::Pruned;
             }
@@ -1032,6 +1104,9 @@ impl SumEngine {
             // Sorted copy of the partial strategy for the lex test,
             // built lazily on the first tie-eligible layer.
             let mut lex_sorted = false;
+            // `L(α + RAISE)`, computed on the first tie-only layer that
+            // needs it and shared by every scan of the node.
+            let mut lag = None;
             loop {
                 g_sorted.clear();
                 g_sorted.extend_from_slice(&g_rho);
@@ -1064,11 +1139,9 @@ impl SumEngine {
                     // Integral lift of the dual floor: at fixed `t` the
                     // cost is alpha*(|I|+t) plus an integer usage, so the
                     // fractional dual bound rounds up onto this layer's
-                    // grid (the small slack guards float drift between
-                    // this product and `total_cost`'s).
-                    let at = self.spec.alpha * (bought + t) as f64;
-                    let dual_t =
-                        if dual_lb > at { at + (dual_lb - at - 1e-7).ceil() } else { dual_lb };
+                    // grid.
+                    let at = alpha * (bought + t) as f64;
+                    let dual_t = lift(dual_lb, at);
                     let g_raw = self.spec.total_cost(bought + t, Some(usage)).max(dual_lb);
                     // The lifted value is a sawtooth in `t` (the ceil
                     // drops by floor(alpha) or ceil(alpha) per layer),
@@ -1081,21 +1154,33 @@ impl SumEngine {
                     }
                     prev = g_raw;
                     if g <= bound {
-                        if GameSpec::strictly_better(g, inc.cost) || bought + t < e_star {
+                        if GameSpec::strictly_better(g, inc.cost) {
                             alive = true;
-                        } else if bought + t == e_star {
-                            if !lex_sorted {
-                                self.record_buf.clear();
-                                self.record_buf.extend_from_slice(&self.chosen);
-                                self.record_buf.sort_unstable();
-                                lex_sorted = true;
-                            }
-                            if Self::lex_min_completion_beats(
-                                &self.record_buf,
-                                &und[..t],
-                                &inc.strategy,
-                            ) {
-                                alive = true;
+                        } else if bought + t <= e_star {
+                            // Not strictly cheaper, the layer can only
+                            // win a cost tie: on fewer edges, or on equal
+                            // edges with a lex-smaller strategy.
+                            let ties = bought + t < e_star || {
+                                if !lex_sorted {
+                                    self.record_buf.clear();
+                                    self.record_buf.extend_from_slice(&self.chosen);
+                                    self.record_buf.sort_unstable();
+                                    lex_sorted = true;
+                                }
+                                Self::lex_min_completion_beats(
+                                    &self.record_buf,
+                                    &und[..t],
+                                    &inc.strategy,
+                                )
+                            };
+                            // A tie needs cost ≤ bound, which the
+                            // raised-price layer bound can rule out even
+                            // where every α-bound sits exactly at the
+                            // incumbent's cost.
+                            if ties {
+                                let l = *lag
+                                    .get_or_insert_with(|| self.raised_lag(best, und, &und_min));
+                                alive = lift(layer_lag(l, t), at) <= bound;
                             }
                         }
                     }
@@ -1120,27 +1205,30 @@ impl SumEngine {
                 f_s += g_rho[bi];
                 let c = und[bi];
                 g_set.push(c);
+                // Only the vertices the pick brought closer change any
+                // marginal (the center's column is ∞ in every row, so
+                // it never does). A candidate at distance `r` from `v`
+                // loses `(old − r)⁺ − (new − r)⁺ = old − max(r, new)`
+                // there when `r < old`.
                 let row = &self.rows[c as usize * n..(c as usize + 1) * n];
-                for (b, &r) in g_best.iter_mut().zip(row.iter()) {
+                g_drop.clear();
+                for (v, (b, &r)) in g_best.iter_mut().zip(row).enumerate() {
                     if r < *b {
+                        g_drop.push((v, (*b).min(cap), r));
                         *b = r;
                     }
                 }
                 for (rho, &c2) in g_rho.iter_mut().zip(und.iter()) {
                     let row2 = &self.rows[c2 as usize * n..(c2 as usize + 1) * n];
-                    let mut acc = 0u64;
-                    for v in 0..n {
-                        if v == center {
-                            continue;
-                        }
-                        let b = g_best[v].min(cap);
+                    for &(v, old, new) in g_drop.iter() {
                         let r = row2[v];
-                        if r < b {
-                            acc += (b - r) as u64;
+                        if r < old {
+                            *rho -= (old - r.max(new)) as u64;
                         }
                     }
-                    *rho = acc;
                 }
+                #[cfg(test)]
+                self.audit_marginals(&g_best, und, &g_rho);
             }
             if refined_prune {
                 break SumStep::Pruned;
@@ -1199,6 +1287,7 @@ impl SumEngine {
         self.g_set = g_set;
         self.g_rho = g_rho;
         self.g_sorted = g_sorted;
+        self.g_drop = g_drop;
         self.ball_mat = ball_mat;
         self.bpref = bpref;
         self.forced = forced;
@@ -1322,32 +1411,38 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// How many dual ascents [`SumEngine::audit_ascent`] checked, and
-    /// how many of them started from a parent's duals.
+    /// What the audit checked: dual ascents, how many of them started
+    /// from a parent's duals and how many ran at a raised price, and
+    /// greedy picks whose incremental marginals were recomputed.
     #[derive(Debug, Clone, Default)]
-    pub(super) struct AscentAudit {
-        nodes: usize,
+    pub(super) struct SolveAudit {
+        ascents: usize,
         warm: usize,
+        raised: usize,
+        picks: usize,
     }
 
     impl SumEngine {
-        /// Called after every dual ascent when `self.audit` is set.
-        /// Asserts that the final duals are feasible for the node —
-        /// each client at most its outside option `min(best, cap)`,
-        /// each undecided facility's overshoot at most α — and that
-        /// the ascent bound is at most the cost of `I ∪ T` for every
-        /// `T ⊆ U`, found by enumeration.
+        /// Called after every dual ascent when `self.audit` is set,
+        /// with the ascent's facility `price` and its bound `lb(t)` on
+        /// a completion buying `t` more candidates. Asserts that the
+        /// final duals in `dual_v` are feasible at that price — each
+        /// client at most its outside option `min(best, cap)`, each
+        /// undecided facility's overshoot at most `price` — and that
+        /// `lb(|T|)` is at most the cost of `I ∪ T` for every `T ⊆ U`,
+        /// found by enumeration.
         pub(super) fn audit_ascent(
             &mut self,
             best: &[u32],
             und: &[NodeId],
-            dual_lb: f64,
+            price: f64,
+            lb: impl Fn(usize) -> f64,
             warm: bool,
         ) {
             if self.audit.is_none() {
                 return;
             }
-            let (n, center, alpha) = (self.n, self.center as usize, self.spec.alpha);
+            let (n, center) = (self.n, self.center as usize);
             let clients = || (0..n).filter(move |&j| j != center);
             let v = &self.dual_v;
             for j in clients() {
@@ -1357,12 +1452,11 @@ mod tests {
             for &c in und {
                 let row = self.row(c);
                 let over: f64 = clients().map(|j| (v[j] - row[j] as f64).max(0.0)).sum();
-                assert!(over <= alpha + 1e-9, "facility {c}: overshoot {over} > α = {alpha}");
+                assert!(over <= price + 1e-9, "facility {c}: overshoot {over} > price {price}");
             }
             // Residuals of `I ∪ T` for every subset mask of `und`, each
             // built from the mask without its lowest candidate.
             let mut dist = best.to_vec();
-            let mut min_cost = f64::INFINITY;
             for mask in 0usize..1 << und.len() {
                 if mask > 0 {
                     let from = (mask & (mask - 1)) * n;
@@ -1374,14 +1468,42 @@ mod tests {
                 let d = &dist[mask * n..(mask + 1) * n];
                 if clients().all(|j| d[j] != INFINITY) {
                     let usage = clients().map(|j| 1 + d[j] as u64).sum();
-                    let bought = self.chosen.len() + mask.count_ones() as usize;
-                    min_cost = min_cost.min(self.spec.total_cost(bought, Some(usage)));
+                    let t = mask.count_ones() as usize;
+                    let cost = self.spec.total_cost(self.chosen.len() + t, Some(usage));
+                    let bound = lb(t);
+                    assert!(
+                        bound <= cost,
+                        "price {price}: bound {bound} > completion {mask:#b} at {cost}"
+                    );
                 }
             }
-            assert!(dual_lb <= min_cost, "dual bound {dual_lb} > cheapest completion {min_cost}");
+            let raised = price > self.spec.alpha;
             let audit = self.audit.as_mut().expect("checked above");
-            audit.nodes += 1;
+            audit.ascents += 1;
             audit.warm += usize::from(warm);
+            audit.raised += usize::from(raised);
+        }
+
+        /// Called after every greedy pick when `self.audit` is set:
+        /// each incrementally updated marginal must equal its dense
+        /// recompute `Σ_v (min(g_best[v], cap) − row_c[v])⁺`.
+        pub(super) fn audit_marginals(&mut self, g_best: &[u32], und: &[NodeId], g_rho: &[u64]) {
+            if self.audit.is_none() {
+                return;
+            }
+            let (center, cap) = (self.center as usize, self.cap);
+            for (&rho, &c) in g_rho.iter().zip(und) {
+                let dense: u64 = self
+                    .row(c)
+                    .iter()
+                    .zip(g_best)
+                    .enumerate()
+                    .filter(|&(v, _)| v != center)
+                    .map(|(_, (&r, &b))| b.min(cap).saturating_sub(r) as u64)
+                    .sum();
+                assert_eq!(rho, dense, "candidate {c}: incremental marginal");
+            }
+            self.audit.as_mut().expect("checked above").picks += 1;
         }
     }
 
@@ -1419,7 +1541,7 @@ mod tests {
     #[test]
     fn every_ascent_is_feasible_and_admissible() {
         let mut rng = ChaCha8Rng::seed_from_u64(18);
-        let mut total = AscentAudit::default();
+        let mut total = SolveAudit::default();
         for case in 0..6 {
             let n = 8 + case % 4;
             let g = if case % 2 == 0 {
@@ -1434,24 +1556,27 @@ mod tests {
                     for u in 0..state.n() as NodeId {
                         let view = PlayerView::build(&state, u, k);
                         let mut engine = SumEngine {
-                            audit: Some(AscentAudit::default()),
+                            audit: Some(SolveAudit::default()),
                             ..SumEngine::default()
                         };
                         engine.prepare(&spec, &view);
                         let seq = engine.solve();
                         let audit = engine.audit.take().expect("set above");
-                        total.nodes += audit.nodes;
+                        total.ascents += audit.ascents;
                         total.warm += audit.warm;
+                        total.raised += audit.raised;
+                        total.picks += audit.picks;
                         // The parallel frontier hands each subproblem its
                         // starting duals; worker snapshots audit too.
-                        engine.audit = Some(AscentAudit::default());
+                        engine.audit = Some(SolveAudit::default());
                         engine.prepare(&spec, &view);
                         assert_eq!(engine.solve_parallel(2, 2), seq, "u={u} α={alpha} k={k}");
                     }
                 }
             }
         }
-        assert!(total.warm > 0 && total.nodes > total.warm, "{total:?}");
+        assert!(total.warm > 0 && total.ascents > total.warm + total.raised, "{total:?}");
+        assert!(total.raised > 0 && total.picks > 0, "{total:?}");
     }
 
     #[test]
