@@ -58,7 +58,7 @@ pub mod view;
 pub use scenario::{EdgeCost, EdgeCostModel, MoveRule, MoveRulePolicy, Scenario, UsageCost};
 pub use spec::{GameSpec, Objective, EPS};
 pub use state::{EdgeDiff, GameState};
-pub use view::{PlayerView, ViewScratch};
+pub use view::{PlayerView, ViewScratch, ViewSource};
 
 /// Re-exported graph substrate, so downstream crates can name graph
 /// types without an explicit `ncg-graph` dependency.

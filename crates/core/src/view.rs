@@ -10,12 +10,46 @@
 //! [`PlayerView::bfs_minus_center`] and
 //! [`PlayerView::neighbors_minus_center`] are the only two places that
 //! know it.
+//!
+//! Both dynamics tiers build their views here. [`PlayerView::rebuild`]
+//! reads any [`ViewSource`]: the exact tier's [`GameState`] and the
+//! scale tier's flat state implement it.
 
-use ncg_graph::bfs::{bfs_skipping, DistanceBuffer};
+use ncg_graph::bfs::{bfs_skipping, Adjacency, DistanceBuffer};
 use ncg_graph::view::{ball_into, StampMap, Subgraph};
-use ncg_graph::{NodeId, INFINITY};
+use ncg_graph::{Graph, NodeId, INFINITY};
 
 use crate::GameState;
+
+/// What a [`PlayerView`] is built from: the network and who bought
+/// which edge.
+pub trait ViewSource {
+    /// The network's adjacency representation.
+    type Graph: Adjacency;
+    /// The network induced by the strategy profile.
+    fn graph(&self) -> &Self::Graph;
+    /// Player `u`'s purchases, sorted ascending.
+    fn strategy(&self, u: NodeId) -> &[NodeId];
+    /// Overwrites `out` with the neighbours of `u` that bought their
+    /// edge towards `u`, ascending.
+    fn incoming_into(&self, u: NodeId, out: &mut Vec<NodeId>);
+}
+
+impl ViewSource for GameState {
+    type Graph = Graph;
+
+    fn graph(&self) -> &Graph {
+        GameState::graph(self)
+    }
+
+    fn strategy(&self, u: NodeId) -> &[NodeId] {
+        GameState::strategy(self, u)
+    }
+
+    fn incoming_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        GameState::incoming_into(self, u, out)
+    }
+}
 
 /// Reusable workspace for building [`PlayerView`]s: the BFS buffer, the
 /// ball, and the epoch-stamped global→local id map of the induced-ball
@@ -50,7 +84,10 @@ impl ViewScratch {
 /// observationally identical, which is what the incremental view cache
 /// relies on (a clean player's last view *is* the view a fresh
 /// [`PlayerView::build`] would produce).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Default` is an empty view slot (no nodes), to be filled by
+/// [`PlayerView::rebuild`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlayerView {
     /// The induced ball subgraph `H` (one ball-local CSR, rows sorted)
     /// with its id mapping. `H ∖ {center}` is this graph read with the
@@ -79,14 +116,19 @@ impl PlayerView {
     ///
     /// # Panics
     /// Panics if `u` is out of range.
-    pub fn build(state: &GameState, u: NodeId, k: u32) -> Self {
+    pub fn build<S: ViewSource>(state: &S, u: NodeId, k: u32) -> Self {
         Self::build_with(state, u, k, &mut ViewScratch::new())
     }
 
     /// [`PlayerView::build`] with caller-provided scratch, for hot
     /// loops that build many views.
-    pub fn build_with(state: &GameState, u: NodeId, k: u32, scratch: &mut ViewScratch) -> Self {
-        let mut view = Self::empty(u, k);
+    pub fn build_with<S: ViewSource>(
+        state: &S,
+        u: NodeId,
+        k: u32,
+        scratch: &mut ViewScratch,
+    ) -> Self {
+        let mut view = Self::default();
         view.rebuild(state, u, k, scratch);
         view
     }
@@ -100,22 +142,9 @@ impl PlayerView {
         ball: &[NodeId],
         scratch: &mut ViewScratch,
     ) -> Self {
-        let mut view = Self::empty(u, k);
+        let mut view = Self::default();
         view.rebuild_from_ball(state, u, k, ball, scratch);
         view
-    }
-
-    /// The allocation-free skeleton every build entry point fills in.
-    fn empty(u: NodeId, k: u32) -> Self {
-        PlayerView {
-            sub: Subgraph::default(),
-            center: 0,
-            center_global: u,
-            k,
-            purchases: Vec::new(),
-            incoming: Vec::new(),
-            dist: Vec::new(),
-        }
     }
 
     /// Overwrites this view with the view of player `u` at radius `k`
@@ -130,7 +159,13 @@ impl PlayerView {
     ///
     /// # Panics
     /// Panics if `u` is out of range.
-    pub fn rebuild(&mut self, state: &GameState, u: NodeId, k: u32, scratch: &mut ViewScratch) {
+    pub fn rebuild<S: ViewSource>(
+        &mut self,
+        state: &S,
+        u: NodeId,
+        k: u32,
+        scratch: &mut ViewScratch,
+    ) {
         let ViewScratch { buf, ball, globals, ids } = scratch;
         ball_into(state.graph(), u, k, buf, ball);
         self.load_ball(state, u, k, ball, ids, globals);
@@ -176,9 +211,9 @@ impl PlayerView {
     /// Everything of a (re)build but `dist`: the induced-ball CSR and
     /// id maps, the center, and her purchases and incoming edges in
     /// local ids.
-    fn load_ball(
+    fn load_ball<S: ViewSource>(
         &mut self,
-        state: &GameState,
+        state: &S,
         u: NodeId,
         k: u32,
         ball: &[NodeId],
@@ -209,6 +244,23 @@ impl PlayerView {
     /// deviation). Returns the largest finite distance reached.
     pub fn bfs_minus_center(&self, sources: &[NodeId], buf: &mut DistanceBuffer) -> u32 {
         bfs_skipping(&self.sub.graph, sources, self.center, buf)
+    }
+
+    /// Appends one [`PlayerView::bfs_minus_center`] row per source to
+    /// `rows`, in source order, `len()` distances each. The center's
+    /// row comes out all `INFINITY`: the sweep ignores a skipped
+    /// source. The Sum engine's row matrix and the scale responder's
+    /// per-source rows are both built here.
+    pub fn extend_rows_minus_center(
+        &self,
+        sources: impl IntoIterator<Item = NodeId>,
+        buf: &mut DistanceBuffer,
+        rows: &mut Vec<u32>,
+    ) {
+        for s in sources {
+            self.bfs_minus_center(&[s], buf);
+            rows.extend_from_slice(buf.distances());
+        }
     }
 
     /// The neighbours of local node `v` in `H ∖ {center}`, ascending:

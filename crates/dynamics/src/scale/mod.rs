@@ -1,14 +1,16 @@
-//! The million-node scale tier: CSR-native approximate dynamics.
+//! The million-node scale tier: approximate dynamics on flat state.
 //!
-//! The exact tier (crate root) prices every candidate deviation
-//! through materialised [`PlayerView`](ncg_core::PlayerView) graphs —
-//! faithful to the paper but `O(n)` allocations per round, which caps
-//! it around `n ≈ 10^5`. This module trades *none of the cost
-//! semantics* and *some of the search breadth* for three orders of
-//! magnitude: flat structure-of-arrays state ([`ScaleState`]), a
-//! greedy responder working directly on distance arrays
+//! The exact tier (crate root) keeps a `GameState` of per-player
+//! vectors and solves every dirty player's view exactly — faithful to
+//! the paper, but it caps the tier around `n ≈ 10^5`. This module
+//! trades *none of the cost semantics* and *some of the search
+//! breadth* for three orders of magnitude: flat structure-of-arrays
+//! state ([`ScaleState`]), a greedy responder over flat distance rows
 //! ([`respond`]), and simultaneous rounds with deterministic conflict
-//! resolution ([`run_scale`]). See DESIGN.md §13 for the layout, the
+//! resolution ([`run_scale`]). The view is the exact tier's: each
+//! worker rebuilds one [`PlayerView`](ncg_core::PlayerView) slot per
+//! priced player with the same builder, so both tiers price on the
+//! same input. See DESIGN.md §13 for the layout, the
 //! conflict-resolution rule, and the approximation contract.
 //!
 //! Every move the tier applies is *provably* strictly improving under

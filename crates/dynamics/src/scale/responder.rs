@@ -1,22 +1,21 @@
-//! CSR-native greedy best-response for the million-node tier.
+//! Greedy best response for the million-node tier.
 //!
-//! The exact tier answers "what should player `u` do?" by building a
-//! [`PlayerView`](ncg_core::PlayerView) of the radius-`k` ball — kept
-//! per player in the dynamics view cache — and running an exact engine
-//! over it. At `n = 10^6` that is a view slot per player. This
-//! responder builds no view: it builds the same ball-local CSR with the
-//! same builder ([`CsrGraph::rebuild_induced`]) into one epoch-stamped
-//! scratch per worker, works on flat distance arrays produced by the
-//! workspace's one BFS kernel ([`ncg_graph::bfs`]) over it, and climbs
-//! the same add/drop/swap neighbourhood as
-//! [`ncg_solver::front::hill_climb`] with the identical cost →
-//! fewer-edges → lexicographic tie-break.
+//! The exact tier answers "what should player `u` do?" by running an
+//! exact engine over her [`PlayerView`]. This responder reads the same
+//! view — the scale runner rebuilds it per player in one slot per
+//! worker with [`PlayerView::rebuild`], as the exact tier's view cache
+//! does — and replaces the exact engine by a climb over flat distance
+//! rows on `H ∖ {u}`, built by the row builder the Sum engine also uses
+//! ([`PlayerView::extend_rows_minus_center`]). It climbs the same
+//! add/drop/swap neighbourhood as [`ncg_solver::front::hill_climb`]
+//! with the identical cost → fewer-edges → lexicographic tie-break.
 //!
-//! **Approximation contract.** On balls with at most
+//! **Approximation contract.** On views with at most
 //! [`ScaleResponderConfig::exhaustive_ball`] candidates the
-//! neighbourhood is the full hill-climb neighbourhood, so a returned
-//! move matches `hill_climb` exactly (and the exact engines whenever
-//! the optimum is one move away). On larger balls only the
+//! neighbourhood is the full hill-climb neighbourhood, so with
+//! [`ScaleResponderConfig::max_steps`] at `hill_climb`'s step cap a
+//! returned move matches `hill_climb` exactly (and the exact engines
+//! whenever the optimum is one move away). On larger views only the
 //! [`ScaleResponderConfig::max_add_candidates`] farthest ball nodes
 //! (ties towards smaller id) are considered as new endpoints — the
 //! nodes a shortcut helps most. Every *returned* move is still scored
@@ -26,13 +25,11 @@
 //! improving; approximation can only cause a missed improvement,
 //! never a false one.
 
-use ncg_core::{EdgeCostModel, GameSpec, MoveRulePolicy, Objective, EPS};
-use ncg_graph::bfs::{bfs, bfs_skipping, DistanceBuffer};
-use ncg_graph::view::StampMap;
-use ncg_graph::{CsrGraph, NodeId, INFINITY};
+use ncg_core::deviation::sum_source_limit;
+use ncg_core::{EdgeCostModel, GameSpec, MoveRulePolicy, Objective, PlayerView, EPS};
+use ncg_graph::bfs::DistanceBuffer;
+use ncg_graph::{NodeId, INFINITY};
 use ncg_solver::bound::purchase_cutoff;
-
-use super::state::ScaleState;
 
 /// Sentinel "no unique nearest purchase" in the per-step tables.
 const NO_ARG: u32 = u32::MAX;
@@ -40,13 +37,14 @@ const NO_ARG: u32 = u32::MAX;
 /// Knobs bounding the responder's work per player.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleResponderConfig {
-    /// On balls with more candidates than [`Self::exhaustive_ball`],
+    /// On views with more candidates than [`Self::exhaustive_ball`],
     /// only this many add-endpoints are considered (the farthest ball
     /// nodes, ties towards smaller id).
     pub max_add_candidates: usize,
     /// Candidate-count threshold up to which the full hill-climb
-    /// neighbourhood is used and the responder matches
-    /// [`ncg_solver::front::hill_climb`] move for move.
+    /// neighbourhood is used, so that the responder matches
+    /// [`ncg_solver::front::hill_climb`] move for move when
+    /// [`Self::max_steps`] is at least `hill_climb`'s step cap.
     pub exhaustive_ball: usize,
     /// Cap on steepest-descent steps per response (each step strictly
     /// decreases the cost, so this bounds work, not correctness).
@@ -72,23 +70,17 @@ pub struct ScaleMove {
     pub new_cost: f64,
 }
 
-/// Reusable buffers for [`respond`]: an epoch-stamped global→local
-/// map sized to the full graph, plus the ball-local CSR, the BFS buffer
-/// that runs on it, and ball-sized work arrays. One instance per worker
-/// thread; `O(n)` once, then allocation-free.
+/// Reusable buffers for [`respond`]: the BFS buffer for the view's
+/// ball-local CSR, the distance rows and the climb's ball-sized work
+/// arrays. The view itself lives in the caller's slot. One instance
+/// per worker thread; allocation-free once warm.
 #[derive(Debug, Clone, Default)]
 pub struct ScaleScratch {
-    ids: StampMap,
-    ball_graph: CsrGraph,
     buf: DistanceBuffer,
-    dist0: Vec<u32>,
     base: Vec<u32>,
     drop_row: Vec<u32>,
     fields: Vec<u32>,
     src_ids: Vec<u32>,
-    purchases: Vec<u32>,
-    incoming_globals: Vec<NodeId>,
-    incoming: Vec<u32>,
     cand: Vec<u32>,
     sel: Vec<(u32, u32)>,
     current: Vec<u32>,
@@ -107,111 +99,59 @@ impl ScaleScratch {
         Self::default()
     }
 
-    /// The climb's outcome as a move of `u`, or `None` when it ended
-    /// on the player's current strategy.
-    fn finish(
-        &self,
-        u: NodeId,
-        ball: &[NodeId],
-        old_cost: f64,
-        new_cost: f64,
-    ) -> Option<ScaleMove> {
-        if self.current == self.purchases {
+    /// The climb's outcome as a move of the view's player, or `None`
+    /// when it ended on her current strategy.
+    fn finish(&self, view: &PlayerView, old_cost: f64, new_cost: f64) -> Option<ScaleMove> {
+        if self.current == view.purchases {
             return None;
         }
         debug_assert!(GameSpec::strictly_better(new_cost, old_cost));
         Some(ScaleMove {
-            player: u,
-            strategy: self.current.iter().map(|&l| ball[l as usize]).collect(),
+            player: view.center_global,
+            strategy: self.current.iter().map(|&l| view.sub.to_global(l)).collect(),
             old_cost,
             new_cost,
         })
     }
 }
 
-/// Builds everything the climb prices against for `u`: the induced
-/// ball CSR, the center's distances `dist0`, the incoming-edge row
+/// Builds the rows the climb prices against: the incoming-edge row
 /// `base`, the add candidates `cand`, and one distance row per field
 /// source (`src_ids` = purchases ∪ candidates, rows in `fields`).
-/// Returns the center's local id.
-fn build_fields(
-    state: &ScaleState,
-    cfg: &ScaleResponderConfig,
-    u: NodeId,
-    ball: &[NodeId],
-    scratch: &mut ScaleScratch,
-) -> u32 {
-    let b = ball.len();
-    let ScaleScratch {
-        ids,
-        ball_graph,
-        buf,
-        dist0,
-        base,
-        fields,
-        src_ids,
-        purchases,
-        incoming_globals,
-        incoming,
-        cand,
-        sel,
-        ..
-    } = scratch;
-    // The exact tier's induced-ball CSR builder, in local ids.
-    ball_graph.rebuild_induced(state.graph(), ball, ids);
-    let center = ids.get(u).expect("ball must contain the center");
-
-    // Center's distances inside the ball (= the exact tier's
-    // `view.dist`: radius-k shortest paths never leave the ball).
-    bfs(ball_graph, center, buf);
-    dist0.clear();
-    dist0.extend_from_slice(buf.distances());
-
-    let to_local = |v: NodeId| ids.get(v).expect("neighbours of the center lie in the ball");
-    purchases.clear();
-    purchases.extend(state.strategy(u).iter().map(|&v| to_local(v)));
-    state.incoming_into(u, incoming_globals);
-    incoming.clear();
-    incoming.extend(incoming_globals.iter().map(|&v| to_local(v)));
-
-    // Distance fields on the ball minus the center: one shared
-    // multi-source row for the incoming sources, one row per possible
-    // purchase endpoint (current purchases ∪ add candidates).
-    bfs_skipping(ball_graph, incoming, center, buf);
+fn build_fields(cfg: &ScaleResponderConfig, view: &PlayerView, scratch: &mut ScaleScratch) {
+    let ScaleScratch { buf, base, fields, src_ids, cand, sel, .. } = scratch;
+    // One shared multi-source row for the incoming sources.
+    view.bfs_minus_center(&view.incoming, buf);
     base.clear();
     base.extend_from_slice(buf.distances());
 
     cand.clear();
-    if b - 1 <= cfg.exhaustive_ball {
-        cand.extend((0..b as u32).filter(|&v| v != center));
+    if view.candidate_count() <= cfg.exhaustive_ball {
+        cand.extend(view.candidates_iter());
     } else {
+        let keep = cfg.max_add_candidates.max(1);
         sel.clear();
-        for v in 0..b as u32 {
-            if v == center {
-                continue;
-            }
-            let d = dist0[v as usize];
+        for v in view.candidates_iter() {
+            let d = view.dist[v as usize];
             let pos = sel.partition_point(|&(pd, pv)| pd > d || (pd == d && pv < v));
-            if pos < cfg.max_add_candidates.max(1) {
+            if pos < keep {
                 sel.insert(pos, (d, v));
-                sel.truncate(cfg.max_add_candidates.max(1));
+                sel.truncate(keep);
             }
         }
         cand.extend(sel.iter().map(|&(_, v)| v));
         cand.sort_unstable();
     }
 
+    // One row per possible purchase endpoint (current purchases ∪ add
+    // candidates).
     src_ids.clear();
-    src_ids.extend_from_slice(purchases);
+    src_ids.extend_from_slice(&view.purchases);
     src_ids.extend_from_slice(cand);
     src_ids.sort_unstable();
     src_ids.dedup();
     fields.clear();
-    for &s in src_ids.iter() {
-        bfs_skipping(ball_graph, &[s], center, buf);
-        fields.extend_from_slice(buf.distances());
-    }
-    center
+    view.extend_rows_minus_center(src_ids.iter().copied(), buf, fields);
 }
 
 /// Per-step tables of a strategy whose purchases have field rows at
@@ -261,13 +201,10 @@ fn fill_drop_row(i: usize, near1: &[u32], near2: &[u32], arg: &[u32], out: &mut 
     );
 }
 
-/// The ball as pricing sees it: objective, radius, the center's local
-/// id and its distances.
+/// The view as pricing sees it, under one objective.
 struct Pricer<'a> {
     objective: Objective,
-    k: u32,
-    center: usize,
-    dist0: &'a [u32],
+    view: &'a PlayerView,
 }
 
 impl Pricer<'_> {
@@ -276,25 +213,27 @@ impl Pricer<'_> {
     /// from ball node `v` in the ball minus the center: `d(u, v) =
     /// 1 + near(v)`, exactly Propositions 2.1/2.2. Returns `None` when
     /// the deviation disconnects the ball, violates the Sum frontier
-    /// rule (a vertex at distance exactly `k` whose nearest source sits
-    /// at distance `> k − 1`), or once the running usage — monotone
-    /// under both objectives — reaches `limit`.
+    /// rule ([`sum_source_limit`]), or once the running usage —
+    /// monotone under both objectives — reaches `limit`.
     #[inline]
     fn usage(&self, limit: u64, near: impl Fn(usize) -> u32) -> Option<u64> {
+        let view = self.view;
         let mut acc = 0u64;
-        for (v, &d0) in self.dist0.iter().enumerate() {
-            if v == self.center {
+        for v in 0..view.len() {
+            if v == view.center as usize {
                 continue;
             }
             let d = near(v);
-            if d == INFINITY {
-                return None; // disconnecting
-            }
             match self.objective {
-                Objective::Max => acc = acc.max(d as u64 + 1),
+                Objective::Max => {
+                    if d == INFINITY {
+                        return None; // disconnecting
+                    }
+                    acc = acc.max(d as u64 + 1);
+                }
                 Objective::Sum => {
-                    if d0 == self.k && d > self.k - 1 {
-                        return None; // forbidden frontier
+                    if d > sum_source_limit(view, v as NodeId) {
+                        return None; // disconnecting or forbidden frontier
                     }
                     acc += d as u64 + 1;
                 }
@@ -378,16 +317,14 @@ fn offer(
 fn climb(
     spec: &GameSpec,
     cfg: &ScaleResponderConfig,
-    center: u32,
+    view: &PlayerView,
     scratch: &mut ScaleScratch,
 ) -> (f64, f64) {
     let ScaleScratch {
-        dist0,
         base,
         drop_row,
         fields,
         src_ids,
-        purchases,
         cand,
         current,
         trial,
@@ -399,9 +336,8 @@ fn climb(
         arg,
         ..
     } = scratch;
-    let b = dist0.len();
-    let pricer =
-        Pricer { objective: spec.objective, k: spec.k, center: center as usize, dist0: &dist0[..] };
+    let b = view.len();
+    let pricer = Pricer { objective: spec.objective, view };
     let row_of =
         |s: &u32| src_ids.binary_search(s).expect("strategy member must be a field source") * b;
     cand_rows.clear();
@@ -412,7 +348,7 @@ fn climb(
     // current cost bit for bit (every shortest path from the center
     // starts at a purchase or an incoming neighbour).
     current.clear();
-    current.extend_from_slice(purchases);
+    current.extend_from_slice(&view.purchases);
     rows.clear();
     rows.extend(current.iter().map(row_of));
     build_tables(base, fields, rows, near1, near2, arg);
@@ -507,44 +443,41 @@ fn climb(
     (start_cost, current_cost)
 }
 
-/// Greedy best response for `u` over its radius-`k` ball (`ball` must
-/// be the sorted ascending ball of `u` in `state.graph()`, center
-/// included, as [`ncg_graph::view::ball_into`] produces it).
-/// Returns a strictly improving move with exact old/new costs, or
-/// `None` when the climb finds nothing better than the current
-/// strategy.
+/// Greedy best response of the view's player, on her view as
+/// [`PlayerView::rebuild`] builds it at radius `spec.k`. Returns a
+/// strictly improving move with exact old/new costs, or `None` when
+/// the climb finds nothing better than the current strategy.
 ///
 /// Only the paper's base scenario is supported (uniform edge cost,
 /// any-subset moves) — asserted, because the count-based pruning via
 /// [`purchase_cutoff`] is unsound otherwise.
 pub fn respond(
-    state: &ScaleState,
     spec: &GameSpec,
     cfg: &ScaleResponderConfig,
-    u: NodeId,
-    ball: &[NodeId],
+    view: &PlayerView,
     scratch: &mut ScaleScratch,
 ) -> Option<ScaleMove> {
     assert!(
         spec.edge_cost == EdgeCostModel::Uniform && spec.move_rule == MoveRulePolicy::AnySubset,
         "scale responder supports the uniform any-subset scenario only"
     );
-    if ball.len() <= 1 {
+    debug_assert_eq!(view.k, spec.k, "the view's radius must be the game's");
+    if view.is_empty() {
         // An isolated player has no purchases and no candidates.
         return None;
     }
-    let center = build_fields(state, cfg, u, ball, scratch);
-    let (old_cost, new_cost) = climb(spec, cfg, center, scratch);
-    scratch.finish(u, ball, old_cost, new_cost)
+    build_fields(cfg, view, scratch);
+    let (old_cost, new_cost) = climb(spec, cfg, view, scratch);
+    scratch.finish(view, old_cost, new_cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ScaleState;
     use ncg_core::deviation::evaluate_total;
-    use ncg_core::{GameState, PlayerView, ViewScratch};
+    use ncg_core::{GameState, ViewScratch};
     use ncg_graph::generators;
-    use ncg_graph::view::ball_into;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -556,30 +489,27 @@ mod tests {
     /// Reference pricing: usage of the trial whose purchases have field
     /// rows at `row_offs`, re-taking the minimum over every row at
     /// every ball node, scored to the end.
-    #[allow(clippy::too_many_arguments)]
     fn usage_of(
         objective: Objective,
-        k: u32,
-        center: u32,
-        dist0: &[u32],
+        view: &PlayerView,
         base: &[u32],
         fields: &[u32],
         row_offs: &[usize],
     ) -> Option<u64> {
-        let b = dist0.len();
+        let (b, k) = (view.len(), view.k);
         if b == 1 {
             return Some(0);
         }
         let mut acc = 0u64;
         for v in 0..b {
-            if v == center as usize {
+            if v == view.center as usize {
                 continue;
             }
             let mut d = base[v];
             for &ro in row_offs {
                 d = d.min(fields[ro + v]);
             }
-            if objective == Objective::Sum && dist0[v] == k && d > k - 1 {
+            if objective == Objective::Sum && view.dist[v] == k && d > k - 1 {
                 return None; // forbidden frontier
             }
             if d == INFINITY {
@@ -598,8 +528,7 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn consider(
         spec: &GameSpec,
-        center: u32,
-        dist0: &[u32],
+        view: &PlayerView,
         base: &[u32],
         fields: &[u32],
         src_ids: &[u32],
@@ -610,13 +539,13 @@ mod tests {
         best_cost: &mut f64,
         found: &mut bool,
     ) {
-        let b = dist0.len();
+        let b = view.len();
         rows.clear();
         for &s in trial {
             let idx = src_ids.binary_search(&s).expect("trial member must be a field source");
             rows.push(idx * b);
         }
-        let usage = usage_of(spec.objective, spec.k, center, dist0, base, fields, rows);
+        let usage = usage_of(spec.objective, view, base, fields, rows);
         let cost = spec.total_cost(trial.len(), usage);
         if !GameSpec::strictly_better(cost, current_cost) {
             return;
@@ -638,35 +567,21 @@ mod tests {
     fn climb_reference(
         spec: &GameSpec,
         cfg: &ScaleResponderConfig,
-        center: u32,
+        view: &PlayerView,
         scratch: &mut ScaleScratch,
     ) -> (f64, f64) {
-        let ScaleScratch {
-            dist0,
-            base,
-            fields,
-            src_ids,
-            purchases,
-            cand,
-            current,
-            trial,
-            best,
-            rows,
-            ..
-        } = scratch;
-        let b = dist0.len();
+        let ScaleScratch { base, fields, src_ids, cand, current, trial, best, rows, .. } = scratch;
+        let b = view.len();
         current.clear();
-        current.extend_from_slice(purchases);
+        current.extend_from_slice(&view.purchases);
         rows.clear();
         for &s in current.iter() {
             rows.push(src_ids.binary_search(&s).expect("purchase is a field source") * b);
         }
-        let start_cost = spec.total_cost(
-            current.len(),
-            usage_of(spec.objective, spec.k, center, dist0, base, fields, rows),
-        );
+        let start_cost =
+            spec.total_cost(current.len(), usage_of(spec.objective, view, base, fields, rows));
         let mut current_cost = start_cost;
-        let empty_usage = usage_of(spec.objective, spec.k, center, dist0, base, fields, &[]);
+        let empty_usage = usage_of(spec.objective, view, base, fields, &[]);
         let empty_cost = spec.total_cost(0, empty_usage);
         if GameSpec::strictly_better(empty_cost, current_cost) {
             current.clear();
@@ -690,8 +605,7 @@ mod tests {
                         trial.insert(pos, c);
                         consider(
                             spec,
-                            center,
-                            dist0,
+                            view,
                             base,
                             fields,
                             src_ids,
@@ -711,8 +625,7 @@ mod tests {
                 trial.remove(i);
                 consider(
                     spec,
-                    center,
-                    dist0,
+                    view,
                     base,
                     fields,
                     src_ids,
@@ -735,8 +648,7 @@ mod tests {
                             trial.insert(pos, c);
                             consider(
                                 spec,
-                                center,
-                                dist0,
+                                view,
                                 base,
                                 fields,
                                 src_ids,
@@ -762,19 +674,17 @@ mod tests {
 
     /// [`respond`] driven by the reference climb.
     fn respond_reference(
-        state: &ScaleState,
         spec: &GameSpec,
         cfg: &ScaleResponderConfig,
-        u: NodeId,
-        ball: &[NodeId],
+        view: &PlayerView,
         scratch: &mut ScaleScratch,
     ) -> Option<ScaleMove> {
-        if ball.len() <= 1 {
+        if view.is_empty() {
             return None;
         }
-        let center = build_fields(state, cfg, u, ball, scratch);
-        let (old_cost, new_cost) = climb_reference(spec, cfg, center, scratch);
-        scratch.finish(u, ball, old_cost, new_cost)
+        build_fields(cfg, view, scratch);
+        let (old_cost, new_cost) = climb_reference(spec, cfg, view, scratch);
+        scratch.finish(view, old_cost, new_cost)
     }
 
     /// A move with its costs as bit patterns, so equality is exact.
@@ -828,18 +738,19 @@ mod tests {
             };
             let state = if gnp { gnp_state(n, seed) } else { tree_state(n, seed) };
             let mut scratch = ScaleScratch::new();
-            let (mut buf, mut ball) = (DistanceBuffer::new(), Vec::new());
+            let (mut view, mut views) = (PlayerView::default(), ViewScratch::new());
             for u in 0..n as NodeId {
-                ball_into(state.graph(), u, k, &mut buf, &mut ball);
-                let fast = respond(&state, &spec, &cfg, u, &ball, &mut scratch);
-                let reference = respond_reference(&state, &spec, &cfg, u, &ball, &mut scratch);
+                view.rebuild(&state, u, k, &mut views);
+                let fast = respond(&spec, &cfg, &view, &mut scratch);
+                let reference = respond_reference(&spec, &cfg, &view, &mut scratch);
                 prop_assert_eq!(bits(&fast), bits(&reference), "player {}", u);
             }
         }
     }
 
-    /// Runs the responder for `u` and cross-checks every claimed cost
-    /// against the exact tier's evaluator on a freshly built view.
+    /// Runs the responder for `u` on her view of the flat state and
+    /// cross-checks every claimed cost against the exact tier's
+    /// evaluator on her view of `gs`.
     fn respond_checked(
         gs: &GameState,
         spec: &GameSpec,
@@ -847,10 +758,8 @@ mod tests {
         cfg: &ScaleResponderConfig,
     ) -> Option<ScaleMove> {
         let ss = ScaleState::from_game_state(gs);
-        let mut scratch = ScaleScratch::new();
-        let ball = ncg_graph::view::ball(gs.graph(), u, spec.k);
-        let mv = respond(&ss, spec, cfg, u, &ball, &mut scratch);
-        let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
+        let mv = respond(spec, cfg, &PlayerView::build(&ss, u, spec.k), &mut ScaleScratch::new());
+        let view = PlayerView::build(gs, u, spec.k);
         let current = ncg_core::deviation::current_total(spec, &view);
         if let Some(mv) = &mv {
             assert_eq!(mv.old_cost.to_bits(), current.to_bits(), "old cost disagrees with view");

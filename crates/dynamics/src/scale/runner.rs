@@ -66,9 +66,7 @@
 
 use std::sync::Mutex;
 
-use ncg_core::GameSpec;
-use ncg_graph::bfs::{bfs_bounded, DistanceBuffer};
-use ncg_graph::view::ball_into;
+use ncg_core::{GameSpec, PlayerView, ViewScratch};
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
@@ -180,13 +178,27 @@ pub struct ScaleRunResult {
     pub view_sample: ViewSample,
 }
 
-/// Per-worker scratch: responder buffers, plus the BFS buffer on the
-/// whole network that finds each player's ball and the ball itself.
+/// Per-worker scratch: one view slot, rebuilt in place for each
+/// player the worker prices ([`PlayerView::rebuild`], the exact tier's
+/// builder), its [`ViewScratch`], and the responder's buffers.
 #[derive(Debug, Default)]
 struct WorkerScratch {
+    view: PlayerView,
+    views: ViewScratch,
     responder: ScaleScratch,
-    buf: DistanceBuffer,
-    ball: Vec<NodeId>,
+}
+
+impl WorkerScratch {
+    /// Player `u`'s greedy response on her radius-`k` view of `state`.
+    fn respond(
+        &mut self,
+        state: &ScaleState,
+        config: &ScaleConfig,
+        u: NodeId,
+    ) -> Option<ScaleMove> {
+        self.view.rebuild(state, u, config.spec.k, &mut self.views);
+        respond(&config.spec, &config.responder, &self.view, &mut self.responder)
+    }
 }
 
 /// Checks a worker scratch out of the shared pool and returns it on
@@ -302,7 +314,6 @@ pub struct ScaleArena {
     next_dirty: Vec<NodeId>,
     touched: Vec<NodeId>,
     accepted: Vec<(NodeId, Vec<NodeId>)>,
-    sample: DistanceBuffer,
 }
 
 impl ScaleArena {
@@ -339,11 +350,11 @@ fn touched_of(u: NodeId, old: &[NodeId], new: &[NodeId], out: &mut Vec<NodeId>) 
     out.insert(pos, u);
 }
 
-/// Ball sizes of `min(64, n)` evenly spaced players, one bounded BFS
-/// each, once per run. The arena's BFS buffer is sized to `n` on its
-/// first run; after that a call costs in proportion to the balls it
-/// reaches, not to `n`.
-fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSample {
+/// View sizes of `min(64, n)` evenly spaced players, once per run, in
+/// a worker's view slot. The slot's scratch is sized to `n` once;
+/// after that a rebuild costs in proportion to the ball it reaches,
+/// not to `n`.
+fn sample_views(state: &ScaleState, k: u32, ws: &mut WorkerScratch) -> ViewSample {
     let n = state.n();
     if n == 0 {
         return ViewSample { lanes: 0, min: 0, max: 0, avg: 0.0 };
@@ -351,8 +362,8 @@ fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSampl
     let lanes = n.min(VIEW_SAMPLE);
     let sizes: Vec<usize> = (0..lanes)
         .map(|i| {
-            bfs_bounded(state.graph(), (i * n / lanes) as NodeId, k, &mut arena.sample);
-            arena.sample.visited().len()
+            ws.view.rebuild(state, (i * n / lanes) as NodeId, k, &mut ws.views);
+            ws.view.len()
         })
         .collect();
     ViewSample {
@@ -381,8 +392,6 @@ fn simultaneous_round(
 
     arena.mark.begin(n);
     arena.accepted.clear();
-    let spec = &config.spec;
-    let rcfg = &config.responder;
     let pool = &arena.pool;
     let frozen: &ScaleState = state;
     for players in arena.dirty.chunks(window) {
@@ -394,14 +403,7 @@ fn simultaneous_round(
         skipped += players.len() - live.len();
         let moves: Vec<Option<ScaleMove>> = live
             .into_par_iter()
-            .map_init(
-                || PoolGuard::take(pool),
-                |guard, u| {
-                    let ws = guard.get();
-                    ball_into(frozen.graph(), u, k, &mut ws.buf, &mut ws.ball);
-                    respond(frozen, spec, rcfg, u, &ws.ball, &mut ws.responder)
-                },
-            )
+            .map_init(|| PoolGuard::take(pool), |guard, u| guard.get().respond(frozen, config, u))
             .collect();
 
         // Phase 2: resolve the window in canonical order on the frozen
@@ -454,11 +456,7 @@ fn sequential_round(
     std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
     for i in 0..arena.next_dirty.len() {
         let u = arena.next_dirty[i];
-        let ws = &mut arena.seq;
-        ball_into(state.graph(), u, k, &mut ws.buf, &mut ws.ball);
-        let Some(mv) =
-            respond(state, &config.spec, &config.responder, u, &ws.ball, &mut ws.responder)
-        else {
+        let Some(mv) = arena.seq.respond(state, config, u) else {
             continue;
         };
         let old = state.strategy(u);
@@ -539,7 +537,7 @@ fn run_rounds(
             break;
         }
     }
-    let view_sample = sample_views(state, config.spec.k, arena);
+    let view_sample = sample_views(state, config.spec.k, PoolGuard::take(&arena.pool).get());
     ScaleRunResult {
         outcome,
         rounds,
@@ -575,18 +573,9 @@ mod tests {
         let k = config.spec.k;
         let n = state.n();
         let dirty_count = arena.dirty.len();
-        let ws = &mut arena.seq;
         let mut proposals = Vec::new();
         for &u in &arena.dirty {
-            ball_into(state.graph(), u, k, &mut ws.buf, &mut ws.ball);
-            proposals.extend(respond(
-                state,
-                &config.spec,
-                &config.responder,
-                u,
-                &ws.ball,
-                &mut ws.responder,
-            ));
+            proposals.extend(arena.seq.respond(state, config, u));
         }
         let proposal_count = proposals.len();
         if proposal_count == 0 {
@@ -796,8 +785,7 @@ mod tests {
     #[test]
     fn view_sample_covers_small_graphs() {
         let state = successor_path(5);
-        let mut arena = ScaleArena::new();
-        let sample = sample_views(&state, 2, &mut arena);
+        let sample = sample_views(&state, 2, &mut WorkerScratch::default());
         assert_eq!(sample.lanes, 5);
         assert!(sample.min >= 1 && sample.avg > 0.0);
     }

@@ -13,9 +13,11 @@
 //!
 //! Ownership queries (`owns`, `incoming_into`) binary-search the
 //! strategy rows exactly like the exact tier, so the two tiers agree
-//! on every ownership-dependent quantity.
+//! on every ownership-dependent quantity. [`ScaleState`] is a
+//! [`ViewSource`]: the scale runner builds its players' views with the
+//! exact tier's [`PlayerView::rebuild`](ncg_core::PlayerView::rebuild).
 
-use ncg_core::GameState;
+use ncg_core::{GameState, ViewSource};
 use ncg_graph::{CsrGraph, NodeId};
 
 /// Reusable buffers for [`ScaleState::apply_moves`]: the next round's
@@ -162,8 +164,8 @@ impl ScaleState {
 
     /// Neighbours `v` of `u` (in the induced network) that pay for
     /// their edge towards `u` — the sources beyond `u`'s own purchases
-    /// whose distance fields a deviation of `u` inherits. Appended to
-    /// `out` in ascending order.
+    /// whose distance fields a deviation of `u` inherits. Overwrites
+    /// `out` with them, ascending.
     pub fn incoming_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         for &v in self.graph.neighbors(u) {
@@ -254,6 +256,22 @@ impl ScaleState {
             return Err("adjacency out of sync with strategy rows".to_string());
         }
         Ok(())
+    }
+}
+
+impl ViewSource for ScaleState {
+    type Graph = CsrGraph;
+
+    fn graph(&self) -> &CsrGraph {
+        ScaleState::graph(self)
+    }
+
+    fn strategy(&self, u: NodeId) -> &[NodeId] {
+        ScaleState::strategy(self, u)
+    }
+
+    fn incoming_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        ScaleState::incoming_into(self, u, out)
     }
 }
 

@@ -69,7 +69,7 @@ pub struct CacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct ViewCache {
     k: u32,
-    view: Option<PlayerView>,
+    view: PlayerView,
     dirty: Vec<bool>,
     scratch: ViewScratch,
     bfs: DistanceBuffer,
@@ -92,8 +92,8 @@ impl ViewCache {
 
     /// Re-arms the cache for a fresh run of `n` players at radius `k`,
     /// keeping every allocation the previous run grew: the view slot
-    /// (its next [`ViewCache::refresh`] rebuilds in place instead of
-    /// building from scratch), the BFS buffer, and the view scratch.
+    /// (its next [`ViewCache::refresh`] rebuilds in place into the
+    /// grown buffers), the BFS buffer, and the view scratch.
     /// Every player starts dirty and the statistics restart at zero,
     /// so a reset cache is observationally identical to
     /// [`ViewCache::new`] — the warm-start soundness argument of
@@ -126,11 +126,8 @@ impl ViewCache {
     pub fn refresh(&mut self, state: &GameState, u: NodeId) -> &PlayerView {
         self.stats.rebuilds += 1;
         self.dirty[u as usize] = false;
-        match self.view.as_mut() {
-            Some(view) => view.rebuild(state, u, self.k, &mut self.scratch),
-            None => self.view = Some(PlayerView::build_with(state, u, self.k, &mut self.scratch)),
-        }
-        self.view.as_ref().expect("slot filled above")
+        self.view.rebuild(state, u, self.k, &mut self.scratch);
+        &self.view
     }
 
     /// Applies player `u`'s accepted move through the cache: mutates

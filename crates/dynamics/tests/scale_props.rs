@@ -1,9 +1,10 @@
-//! Property tests for the scale tier: the CSR-native greedy responder
-//! prices exactly (bit-for-bit against the exact tier's view
-//! evaluator), never worsens a player, never beats the exact best
-//! response, and the simultaneous round loop agrees with the
-//! sequential reference whenever rounds are conflict-free — plus
-//! bit-identical artifacts across worker-pool sizes.
+//! Property tests for the scale tier: its views are the exact tier's
+//! views, the greedy responder prices exactly (bit-for-bit against the
+//! exact tier's view evaluator), matches `hill_climb` on exhaustive
+//! views, never worsens a player, never beats the exact best response,
+//! and the simultaneous round loop agrees with the sequential reference
+//! whenever rounds are conflict-free — plus bit-identical artifacts
+//! across worker-pool sizes and pinned runs.
 
 use ncg_core::deviation::{current_total, evaluate_total, EvalScratch};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
@@ -11,9 +12,10 @@ use ncg_dynamics::scale::{
     respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleResponderConfig, ScaleScratch,
     ScaleState,
 };
+use ncg_dynamics::Outcome;
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{generators, view, NodeId};
-use ncg_solver::front::best_response_with;
+use ncg_graph::{generators, NodeId, INFINITY};
+use ncg_solver::front::{best_response_with, hill_climb};
 use ncg_solver::{Mode, SolverScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -36,6 +38,20 @@ fn gnp_state(n: usize, seed: u64) -> GameState {
     GameState::from_graph_random_ownership(&graph, &mut rng)
 }
 
+/// A sparse `G(n, avg_deg/(n − 1))` state, edge ownership alternating
+/// between the endpoints.
+fn gnp_scale_state(n: usize, avg_deg: f64, seed: u64) -> ScaleState {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    generators::gnp_edges(n, avg_deg / (n - 1) as f64, &mut rng, &mut edges).unwrap();
+    let owned: Vec<(NodeId, NodeId)> = edges
+        .into_iter()
+        .enumerate()
+        .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
+        .collect();
+    ScaleState::from_owned_edges(n, &owned)
+}
+
 /// A responder configuration wide enough that truncation never hides
 /// candidates on these test sizes.
 fn exhaustive_cfg() -> ScaleResponderConfig {
@@ -49,13 +65,13 @@ fn exhaustive_cfg() -> ScaleResponderConfig {
 fn check_all_players(gs: &GameState, spec: &GameSpec) -> Vec<(NodeId, f64, f64)> {
     let ss = ScaleState::from_game_state(gs);
     let mut scratch = ScaleScratch::new();
-    let (mut buf, mut ball) = (DistanceBuffer::new(), Vec::new());
+    let (mut slot, mut views) = (PlayerView::default(), ViewScratch::new());
     let mut solver = SolverScratch::new();
     let mut out = Vec::new();
     for u in 0..gs.n() as NodeId {
-        view::ball_into(ss.graph(), u, spec.k, &mut buf, &mut ball);
-        let mv = respond(&ss, spec, &exhaustive_cfg(), u, &ball, &mut scratch);
-        let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
+        slot.rebuild(&ss, u, spec.k, &mut views);
+        let mv = respond(spec, &exhaustive_cfg(), &slot, &mut scratch);
+        let view = PlayerView::build(gs, u, spec.k);
         let current = current_total(spec, &view);
         let achieved = match &mv {
             Some(mv) => {
@@ -102,6 +118,79 @@ fn check_all_players(gs: &GameState, spec: &GameSpec) -> Vec<(NodeId, f64, f64)>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Both tiers build their views with `PlayerView::rebuild`: one
+    /// warm slot rebuilt from the flat state, player by player and
+    /// radius by radius, equals a fresh view of the exact state field
+    /// for field. The rows the responder and the Sum engine read are
+    /// the per-source `H ∖ {u}` sweeps, and the center's row is all
+    /// `INFINITY`.
+    #[test]
+    fn scale_views_and_rows_are_the_exact_tiers(
+        seed in 0u64..1_000_000,
+        n in 4usize..40,
+        gnp in any::<bool>(),
+    ) {
+        let gs = if gnp { gnp_state(n, seed) } else { tree_state(n, seed) };
+        let ss = ScaleState::from_game_state(&gs);
+        let exact = ss.to_game_state();
+        let (mut slot, mut views) = (PlayerView::default(), ViewScratch::new());
+        let (mut buf, mut rows) = (DistanceBuffer::new(), Vec::new());
+        for k in [1u32, 2, 3, 1000] {
+            for u in 0..n as NodeId {
+                slot.rebuild(&ss, u, k, &mut views);
+                prop_assert_eq!(&slot, &PlayerView::build(&exact, u, k), "u {} k {}", u, k);
+
+                let b = slot.len();
+                rows.clear();
+                slot.extend_rows_minus_center(0..b as NodeId, &mut buf, &mut rows);
+                prop_assert_eq!(rows.len(), b * b);
+                for (s, row) in rows.chunks(b).enumerate() {
+                    if s == slot.center as usize {
+                        prop_assert!(row.iter().all(|&d| d == INFINITY), "center row, u {}", u);
+                    } else {
+                        slot.bfs_minus_center(&[s as NodeId], &mut buf);
+                        prop_assert_eq!(row, buf.distances(), "row {}, u {} k {}", s, u, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// With every candidate in the neighbourhood and `hill_climb`'s
+    /// step cap, the responder is `hill_climb`: the same strategy and
+    /// the same cost bits on the same view, under uniform Max and Sum.
+    #[test]
+    fn exhaustive_responder_is_hill_climb(
+        seed in 0u64..1_000_000,
+        n in 4usize..24,
+        ai in 0usize..6,
+        k in 1u32..4,
+        sum in any::<bool>(),
+        gnp in any::<bool>(),
+    ) {
+        let alpha = [0.3, 0.8, 1.0, 1.5, 2.0, 5.0][ai];
+        let spec = if sum { GameSpec::sum(alpha, k) } else { GameSpec::max(alpha, k) };
+        let gs = if gnp { gnp_state(n, seed) } else { tree_state(n, seed) };
+        let ss = ScaleState::from_game_state(&gs);
+        let (mut slot, mut views) = (PlayerView::default(), ViewScratch::new());
+        let (mut scratch, mut eval) = (ScaleScratch::new(), EvalScratch::new());
+        for u in 0..n as NodeId {
+            slot.rebuild(&ss, u, k, &mut views);
+            let cfg = ScaleResponderConfig {
+                max_add_candidates: 1,
+                exhaustive_ball: slot.candidate_count(),
+                max_steps: 4 * slot.len().max(4),
+            };
+            let climbed = hill_climb(&spec, &slot, &mut eval);
+            let (strategy, cost) = match respond(&spec, &cfg, &slot, &mut scratch) {
+                Some(mv) => (mv.strategy, mv.new_cost),
+                None => (slot.strategy_to_global(&slot.purchases), current_total(&spec, &slot)),
+            };
+            prop_assert_eq!(&strategy, &slot.strategy_to_global(&climbed.strategy_local), "u {}", u);
+            prop_assert_eq!(cost.to_bits(), climbed.total_cost.to_bits(), "u {}", u);
+        }
+    }
 
     /// (a) + (b) + (c): exact pricing, no worsening, agreement with
     /// `best_response_with` whenever the greedy move is exact-optimal
@@ -199,15 +288,7 @@ fn parity_condition_is_reachable_on_a_known_instance() {
 /// make this exact, not approximate, counters included.
 #[test]
 fn runs_are_bit_identical_across_thread_counts() {
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let mut edges = Vec::new();
-    generators::gnp_edges(3_000, 8.0 / 2_999.0, &mut rng, &mut edges).unwrap();
-    let owned: Vec<(NodeId, NodeId)> = edges
-        .into_iter()
-        .enumerate()
-        .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
-        .collect();
-    let initial = ScaleState::from_owned_edges(3_000, &owned);
+    let initial = gnp_scale_state(3_000, 8.0, 77);
     let mut config = ScaleConfig::new(GameSpec::max(1.0, 2));
     config.max_rounds = 4;
     let run_with_threads = |threads: usize| {
@@ -225,4 +306,93 @@ fn runs_are_bit_identical_across_thread_counts() {
     assert_eq!(single.2, four.2);
     assert_eq!(single.3, four.3);
     assert_eq!(single.4, four.4);
+}
+
+/// FNV-1a, 64-bit, fed little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Hashes everything a `run_scale` run reports: the outcome, every
+/// round's counters, the view sample and the final strategies.
+fn run_digest(initial: &ScaleState, config: &ScaleConfig) -> u64 {
+    let mut state = initial.clone();
+    let result = run_scale(&mut state, config, &mut ScaleArena::new());
+    let mut h = Fnv::new();
+    let (tag, a, b) = match result.outcome {
+        Outcome::Converged { rounds } => (0, rounds, 0),
+        Outcome::Cycled { first_seen, repeated_at } => (1, first_seen, repeated_at),
+        Outcome::MaxRoundsExceeded { rounds } => (2, rounds, 0),
+    };
+    for w in [tag, a as u64, b as u64, result.rounds.len() as u64] {
+        h.word(w);
+    }
+    for r in &result.rounds {
+        for w in [r.dirty, r.proposals, r.skipped, r.applied, r.conflicts] {
+            h.word(w as u64);
+        }
+    }
+    let sample = result.view_sample;
+    for w in [sample.lanes as u64, sample.min as u64, sample.max as u64, sample.avg.to_bits()] {
+        h.word(w);
+    }
+    for u in 0..state.n() as NodeId {
+        let row = state.strategy(u);
+        h.word(row.len() as u64);
+        row.iter().for_each(|&v| h.word(v as u64));
+    }
+    h.0
+}
+
+/// Pinned scale-tier runs: every move, counter and the final profile of
+/// `run_scale` on fixed sparse `G(n, p)` states, Max at α ∈ {1, 3, 5}
+/// and k ∈ {2, 3} plus one Sum cell. Nothing else pins the scale
+/// tier's moves across changes (the responder's in-crate oracle shares
+/// its distance rows), so a refactor of the responder or the round
+/// loop must leave every digest alone. A deliberate change of moves
+/// re-pins: copy the digests the failure prints and record the reason
+/// in the change log.
+#[test]
+fn scale_runs_are_pinned() {
+    // (n, average degree, seed, spec, round cap)
+    let cells = [
+        (2_000, 6.0, 1, GameSpec::max(1.0, 2), 6),
+        (2_000, 8.0, 2, GameSpec::max(3.0, 2), 6),
+        (2_000, 10.0, 3, GameSpec::max(5.0, 2), 6),
+        (2_000, 6.0, 4, GameSpec::max(3.0, 3), 4),
+        (2_000, 6.0, 5, GameSpec::max(5.0, 3), 4),
+        (2_000, 6.0, 6, GameSpec::sum(1.0, 3), 6),
+    ];
+    let pins: [u64; 6] = [
+        0x2d7a_170c_b0a4_cb77,
+        0x806f_acea_685c_3cd0,
+        0xadf6_caf3_c1c3_a883,
+        0xb51e_82bc_e198_03c3,
+        0x23e3_9bea_cebc_0d64,
+        0xd5a0_f679_f205_570d,
+    ];
+    let actual: Vec<u64> = cells
+        .iter()
+        .map(|&(n, avg_deg, seed, spec, max_rounds)| {
+            let mut config = ScaleConfig::new(spec);
+            config.max_rounds = max_rounds;
+            run_digest(&gnp_scale_state(n, avg_deg, seed), &config)
+        })
+        .collect();
+    let listing: String = actual.iter().map(|d| format!("0x{d:016x}, ")).collect();
+    assert_eq!(
+        actual, pins,
+        "scale-tier runs no longer match their pins; if the change is intended, re-pin with: \
+         [{listing}]"
+    );
 }

@@ -272,6 +272,27 @@ fn mismatched_handshakes_are_rejected() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A RESULT whose record nests deeper than any stack holds draws a
+/// rejection like any unparsable record, and the coordinator keeps
+/// serving: the genuine result for the same cell still lands.
+#[test]
+fn deeply_nested_result_records_are_rejected() {
+    let specs = plan();
+    let dir = temp_dir("deep");
+    let c = Coordinator::open(&dir, "q_deep", plan(), opts(Duration::from_secs(60))).unwrap();
+    let t0 = Instant::now();
+    let (si, cell) = lease(&c, "a", t0);
+    let record = "[".repeat(100_000);
+    match c.handle("a", Request::Result { si, cell, record }, t0) {
+        Some(Reply::Reject { reason }) => {
+            assert!(reason.contains("unparsable record JSON"), "{reason}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert!(!report(&c, &specs, "a", (si, cell), t0), "the genuine result is the first");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn repeated_panics_abandon_the_cell_and_finish_reports_it() {
     let specs = plan();

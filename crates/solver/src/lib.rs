@@ -226,19 +226,15 @@ pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
     let _: Vec<()> = starts
         .into_par_iter()
         .map_init(
-            || (Responder::exact(), ViewScratch::new(), None::<PlayerView>),
+            || (Responder::exact(), ViewScratch::new(), PlayerView::default()),
             |(responder, vscratch, view), lo| {
                 for u in lo..(lo + LKE_GROUP as NodeId).min(n) {
                     if violated.load(Ordering::Relaxed) {
                         return;
                     }
-                    match view.as_mut() {
-                        Some(v) => v.rebuild(state, u, spec.k, vscratch),
-                        None => *view = Some(PlayerView::build_with(state, u, spec.k, vscratch)),
-                    }
-                    let v = view.as_ref().expect("slot filled above");
-                    let current = ncg_core::deviation::current_total(spec, v);
-                    let best = responder.best_response(spec, v);
+                    view.rebuild(state, u, spec.k, vscratch);
+                    let current = ncg_core::deviation::current_total(spec, view);
+                    let best = responder.best_response(spec, view);
                     if GameSpec::strictly_better(best.total_cost, current) {
                         violated.store(true, Ordering::Relaxed);
                     }

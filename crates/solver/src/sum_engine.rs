@@ -321,13 +321,12 @@ impl Default for SumEngine {
 }
 
 impl SumEngine {
-    /// Loads a view: one BFS per non-center vertex in `H ∖ {u}` into
-    /// the flat row matrix, the incoming-edge residual, the
+    /// Loads a view: the flat row matrix (one `H ∖ {u}` row per local
+    /// vertex, from [`PlayerView::extend_rows_minus_center`], which
+    /// reads the view's CSR with the center skipped, so no per-solve
+    /// graph copy or freeze is made), the incoming-edge residual, the
     /// Proposition 2.2 limits, and the current strategy as the seed
-    /// incumbent. The BFS reads the view's CSR with the center skipped
-    /// ([`PlayerView::bfs_minus_center`]), so no per-solve graph copy
-    /// or freeze is made. Buffers are reused across calls
-    /// (allocations only).
+    /// incumbent. Buffers are reused across calls (allocations only).
     ///
     /// The view must have at least two vertices (callers shortcut the
     /// singleton view).
@@ -339,15 +338,7 @@ impl SumEngine {
         self.spec = *spec;
         self.cap = (n - 1) as u32;
         self.rows.clear();
-        self.rows.resize(n * n, 0);
-        for s in 0..n {
-            if s == view.center as usize {
-                self.rows[s * n..(s + 1) * n].fill(INFINITY);
-            } else {
-                view.bfs_minus_center(&[s as NodeId], &mut self.buf);
-                self.rows[s * n..(s + 1) * n].copy_from_slice(self.buf.distances());
-            }
-        }
+        view.extend_rows_minus_center(0..n as NodeId, &mut self.buf, &mut self.rows);
         self.base.clear();
         self.base.resize(n, INFINITY);
         for &inc in &view.incoming {
