@@ -16,7 +16,7 @@
 use ncg_graph::NodeId;
 
 use crate::deviation::{current_total, evaluate_total, EvalScratch};
-use crate::scenario::{MoveRule as _, MoveRulePolicy};
+use crate::scenario::MoveRulePolicy;
 use crate::{GameSpec, GameState, PlayerView};
 
 /// A concrete deviation: a strategy (in *local* view coordinates) and

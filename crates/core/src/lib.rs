@@ -55,7 +55,7 @@ mod spec;
 mod state;
 pub mod view;
 
-pub use scenario::{EdgeCost, EdgeCostModel, MoveRule, MoveRulePolicy, Scenario, UsageCost};
+pub use scenario::{EdgeCostModel, MoveRulePolicy, Scenario, UsageCost};
 pub use spec::{GameSpec, Objective, EPS};
 pub use state::{EdgeDiff, GameState};
 pub use view::{PlayerView, ViewScratch, ViewSource};
@@ -71,8 +71,7 @@ pub mod prelude {
     pub use crate::social;
     pub use crate::view::{PlayerView, ViewScratch};
     pub use crate::{
-        EdgeCost, EdgeCostModel, EdgeDiff, GameSpec, GameState, MoveRule, MoveRulePolicy,
-        Objective, Scenario, EPS,
+        EdgeCostModel, EdgeDiff, GameSpec, GameState, MoveRulePolicy, Objective, Scenario, EPS,
     };
     pub use ncg_graph::prelude::*;
 }

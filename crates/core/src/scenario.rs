@@ -5,11 +5,11 @@
 //! (eccentricity vs. status) — and the related work varies two more
 //! axes the original `Objective` match sites could not express:
 //!
-//! * **Edge cost** ([`EdgeCost`] / [`EdgeCostModel`]): uniform `α` per
+//! * **Edge cost** ([`EdgeCostModel`]): uniform `α` per
 //!   edge (the paper) vs. non-uniform per-target pricing (Chauhan et
 //!   al., PAPERS.md), where buying an edge towards `v` costs
 //!   `α·w(v)` for a deterministic per-node multiplier `w(v)`.
-//! * **Move rule** ([`MoveRule`] / [`MoveRulePolicy`]): buy any subset
+//! * **Move rule** ([`MoveRulePolicy`]): buy any subset
 //!   of the view (the paper) vs. *edge swaps* (Yamauchi & Yoshimura,
 //!   PAPERS.md), where one move removes exactly one owned edge and
 //!   adds one new one, keeping the purchase count invariant.
@@ -194,20 +194,8 @@ impl Objective {
     }
 }
 
-/// The edge-pricing side of the cost function: what buying one edge
-/// costs, as a function of the target node.
-pub trait EdgeCost: std::fmt::Debug {
-    /// Price of buying an edge towards global node `target`.
-    fn edge_price(&self, alpha: f64, target_global: NodeId) -> f64;
-
-    /// Total price of a strategy in `view`-local coordinates.
-    fn strategy_price(&self, alpha: f64, view: &PlayerView, strategy_local: &[NodeId]) -> f64;
-
-    /// Total price of a set of global purchase targets.
-    fn bought_price(&self, alpha: f64, targets_global: &[NodeId]) -> f64;
-}
-
-/// The concrete edge-cost models a [`GameSpec`] can carry.
+/// The edge-cost models a [`GameSpec`] can carry: what buying one
+/// edge costs, as a function of the target node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EdgeCostModel {
     /// Every edge costs `α` (the paper's model).
@@ -256,15 +244,15 @@ impl EdgeCostModel {
     pub fn is_uniform(&self) -> bool {
         matches!(self, EdgeCostModel::Uniform)
     }
-}
 
-impl EdgeCost for EdgeCostModel {
+    /// Price of buying an edge towards global node `target_global`.
     #[inline]
-    fn edge_price(&self, alpha: f64, target_global: NodeId) -> f64 {
+    pub fn edge_price(&self, alpha: f64, target_global: NodeId) -> f64 {
         alpha * self.multiplier(target_global)
     }
 
-    fn strategy_price(&self, alpha: f64, view: &PlayerView, strategy_local: &[NodeId]) -> f64 {
+    /// Total price of a strategy in `view`-local coordinates.
+    pub fn strategy_price(&self, alpha: f64, view: &PlayerView, strategy_local: &[NodeId]) -> f64 {
         match self {
             // Verbatim the pre-trait expression `α · |σ'|` — the
             // uniform path must stay bit-identical.
@@ -275,7 +263,8 @@ impl EdgeCost for EdgeCostModel {
         }
     }
 
-    fn bought_price(&self, alpha: f64, targets_global: &[NodeId]) -> f64 {
+    /// Total price of a set of global purchase targets.
+    pub fn bought_price(&self, alpha: f64, targets_global: &[NodeId]) -> f64 {
         match self {
             EdgeCostModel::Uniform => alpha * targets_global.len() as f64,
             EdgeCostModel::PerTarget { .. } => {
@@ -283,24 +272,6 @@ impl EdgeCost for EdgeCostModel {
             }
         }
     }
-}
-
-/// The move rule: which strategies a player may switch to in one move.
-pub trait MoveRule: std::fmt::Debug {
-    /// Whether `strategy_local` (sorted local ids) is reachable from
-    /// the view's current strategy in a single move.
-    fn is_legal(&self, view: &PlayerView, strategy_local: &[NodeId]) -> bool;
-
-    /// Number of legal one-move strategies (staying put included), or
-    /// `None` when the move set is too large to count in a `usize`
-    /// (subset moves on wide views).
-    fn move_count(&self, view: &PlayerView) -> Option<usize>;
-
-    /// Visits every legal one-move strategy exactly once, as sorted
-    /// local ids, staying put included. Deterministic order; for
-    /// subset moves the order is the mask order of the pre-trait
-    /// exhaustive search.
-    fn for_each_move(&self, view: &PlayerView, f: &mut dyn FnMut(&[NodeId]));
 }
 
 /// The concrete move rules a [`GameSpec`] can carry.
@@ -317,44 +288,18 @@ pub enum MoveRulePolicy {
     Swap,
 }
 
-impl MoveRule for MoveRulePolicy {
-    fn is_legal(&self, view: &PlayerView, strategy_local: &[NodeId]) -> bool {
-        let in_view = strategy_local.iter().all(|&v| v != view.center && (v as usize) < view.len());
-        match self {
-            MoveRulePolicy::AnySubset => in_view,
-            MoveRulePolicy::Swap => {
-                if !in_view || strategy_local.len() != view.purchases.len() {
-                    return false;
-                }
-                // Both sorted: count elements unique to each side.
-                let removed = view
-                    .purchases
-                    .iter()
-                    .filter(|p| strategy_local.binary_search(p).is_err())
-                    .count();
-                removed <= 1
-            }
-        }
-    }
-
-    fn move_count(&self, view: &PlayerView) -> Option<usize> {
-        let candidates = view.candidate_count();
-        match self {
-            MoveRulePolicy::AnySubset => 1usize.checked_shl(candidates.try_into().ok()?),
-            MoveRulePolicy::Swap => {
-                let owned = view.purchases.len();
-                Some(1 + owned * (candidates - owned))
-            }
-        }
-    }
-
-    fn for_each_move(&self, view: &PlayerView, f: &mut dyn FnMut(&[NodeId])) {
+impl MoveRulePolicy {
+    /// Visits every legal one-move strategy exactly once, as sorted
+    /// local ids, staying put included. Deterministic order; for
+    /// subset moves the order is the mask order of the pre-trait
+    /// exhaustive search.
+    pub fn for_each_move(&self, view: &PlayerView, f: &mut dyn FnMut(&[NodeId])) {
         let candidates = view.candidate_count();
         match self {
             MoveRulePolicy::AnySubset => {
                 assert!(
                     candidates < usize::BITS as usize,
-                    "subset enumeration over {candidates} candidates; gate on move_count()"
+                    "subset enumeration over {candidates} candidates; gate on EXHAUSTIVE_CAP"
                 );
                 let mut strat: Vec<NodeId> = Vec::with_capacity(candidates);
                 for mask in 0usize..(1usize << candidates) {
@@ -501,18 +446,37 @@ mod tests {
         }
     }
 
+    /// Every swap move of `view`, checked against the rule: each keeps
+    /// the purchase count and drops at most one purchase, all are
+    /// distinct, sorted and in the view, and there are `1 + owned ·
+    /// (candidates − owned)` of them (staying put plus every single
+    /// swap).
+    fn checked_swap_moves(view: &PlayerView) -> Vec<Vec<NodeId>> {
+        let mut seen: Vec<Vec<NodeId>> = Vec::new();
+        MoveRulePolicy::Swap.for_each_move(view, &mut |s| seen.push(s.to_vec()));
+        for s in &seen {
+            assert_eq!(s.len(), view.purchases.len(), "swaps preserve the purchase count");
+            let dropped = view.purchases.iter().filter(|p| s.binary_search(p).is_err()).count();
+            assert!(dropped <= 1, "{s:?} drops {dropped} purchases");
+            assert!(s.windows(2).all(|w| w[0] < w[1]));
+            assert!(s.iter().all(|&v| v != view.center && (v as usize) < view.len()));
+        }
+        let mut distinct = seen.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), seen.len(), "every move is visited once");
+        let owned = view.purchases.len();
+        assert_eq!(seen.len(), 1 + owned * (view.candidate_count() - owned));
+        seen
+    }
+
     #[test]
     fn swap_moves_on_a_star_center() {
-        // Star center owns all leaves: the only swap-legal strategies
-        // are staying put (no unowned candidate exists to add).
+        // Star center owns all leaves: the only swap-legal strategy is
+        // staying put (no unowned candidate exists to add).
         let state = GameState::star_center_owned(6);
         let view = PlayerView::build(&state, 0, 2);
-        let rule = MoveRulePolicy::Swap;
-        assert_eq!(rule.move_count(&view), Some(1));
-        let mut seen = Vec::new();
-        rule.for_each_move(&view, &mut |s| seen.push(s.to_vec()));
-        assert_eq!(seen, vec![view.purchases.clone()]);
-        assert!(rule.is_legal(&view, &view.purchases));
+        assert_eq!(checked_swap_moves(&view), vec![view.purchases.clone()]);
     }
 
     #[test]
@@ -521,36 +485,28 @@ mod tests {
         let state = GameState::star_center_owned(6);
         let leaf = PlayerView::build(&state, 3, 2);
         assert!(leaf.purchases.is_empty());
-        assert_eq!(MoveRulePolicy::Swap.move_count(&leaf), Some(1));
+        assert_eq!(checked_swap_moves(&leaf), vec![Vec::<NodeId>::new()]);
 
         // A cycle player owns one edge and sees 2k other nodes: she can
         // re-point her single purchase at any of the 2k − 1 others.
         let cyc = GameState::cycle_successor(8);
         let view = PlayerView::build(&cyc, 0, 2);
-        let candidates = view.candidate_count();
-        assert_eq!(MoveRulePolicy::Swap.move_count(&view), Some(1 + (candidates - 1)));
-        let mut count = 0usize;
-        MoveRulePolicy::Swap.for_each_move(&view, &mut |s| {
-            assert_eq!(s.len(), 1, "swaps preserve the purchase count");
-            assert!(MoveRulePolicy::Swap.is_legal(&view, s));
-            count += 1;
-        });
-        assert_eq!(Some(count), MoveRulePolicy::Swap.move_count(&view));
+        assert_eq!(checked_swap_moves(&view).len(), 1 + (view.candidate_count() - 1));
     }
 
     #[test]
     fn swap_legality_rejects_resizes_and_double_swaps() {
-        let cyc = GameState::cycle_successor(10);
-        let view = PlayerView::build(&cyc, 0, 3);
-        let rule = MoveRulePolicy::Swap;
-        // Dropping the only edge changes the count: illegal.
-        assert!(!rule.is_legal(&view, &[]));
-        // Two purchases where there was one: illegal.
-        let two: Vec<NodeId> = view.candidates_iter().take(2).collect();
-        assert!(!rule.is_legal(&view, &two));
-        // AnySubset accepts both.
-        assert!(MoveRulePolicy::AnySubset.is_legal(&view, &[]));
-        assert!(MoveRulePolicy::AnySubset.is_legal(&view, &two));
+        // A player owning two edges: no enumerated move drops or adds
+        // an edge, or re-points both at once.
+        let state = GameState::from_strategies(
+            7,
+            vec![vec![1, 2], vec![3], vec![4], vec![5], vec![6], vec![], vec![]],
+        );
+        let view = PlayerView::build(&state, 0, 3);
+        assert_eq!(view.purchases.len(), 2);
+        let moves = checked_swap_moves(&view);
+        assert!(!moves.contains(&Vec::new()));
+        assert!(moves.iter().all(|s| s.len() == 2));
     }
 
     #[test]
@@ -561,10 +517,10 @@ mod tests {
         MoveRulePolicy::AnySubset.for_each_move(&view, &mut |s| seen.push(s.to_vec()));
         assert_eq!(seen.len(), 1 << view.candidate_count());
         assert_eq!(seen[0], Vec::<NodeId>::new());
-        // Every enumerated strategy is sorted and legal.
+        // Every enumerated strategy is sorted and inside the view.
         for s in &seen {
             assert!(s.windows(2).all(|w| w[0] < w[1]));
-            assert!(MoveRulePolicy::AnySubset.is_legal(&view, s));
+            assert!(s.iter().all(|&v| v != view.center && (v as usize) < view.len()));
         }
     }
 

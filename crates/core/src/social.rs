@@ -8,7 +8,6 @@
 //! which matches the benchmarks the paper plots ("quality of
 //! equilibrium", Figures 6–7).
 
-use crate::scenario::EdgeCost as _;
 use crate::{GameSpec, GameState};
 
 /// Per-player cost vector `C_u(σ)` under the *true* (full-knowledge)

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{EdgeCost, EdgeCostModel, MoveRulePolicy, Scenario};
+use crate::scenario::{EdgeCostModel, MoveRulePolicy, Scenario};
 use crate::PlayerView;
 
 /// Comparison slack for floating-point costs.

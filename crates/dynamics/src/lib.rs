@@ -31,9 +31,10 @@
 //!   after every round (diameter, social cost, degrees, bought edges,
 //!   view sizes, fairness).
 //! * [`scale`] — the million-node tier: flat structure-of-arrays
-//!   state, CSR-native greedy responders, and simultaneous rounds
-//!   with deterministic conflict resolution (approximate responders,
-//!   exact pricing; see DESIGN.md §13).
+//!   state, a greedy responder (the exact tier's greedy climb over
+//!   narrowed candidates), and simultaneous rounds with deterministic
+//!   conflict resolution (approximate responders, exact pricing; see
+//!   DESIGN.md §13).
 //! * [`CycleDetector`] — the one cycle detector of both tiers: an
 //!   incremental profile fingerprint whose hits are verified exactly
 //!   against a journal of accepted moves.

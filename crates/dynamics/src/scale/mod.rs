@@ -5,8 +5,9 @@
 //! the paper, but it caps the tier around `n ≈ 10^5`. This module
 //! trades *none of the cost semantics* and *some of the search
 //! breadth* for three orders of magnitude: flat structure-of-arrays
-//! state ([`ScaleState`]), a greedy responder over flat distance rows
-//! ([`respond`]), and simultaneous rounds with deterministic conflict
+//! state ([`ScaleState`]), a greedy responder ([`respond`]: candidate
+//! narrowing in front of `ncg_solver`'s greedy climb, the exact tier's
+//! `hill_climb`), and simultaneous rounds with deterministic conflict
 //! resolution ([`run_scale`]). The view is the exact tier's: each
 //! worker rebuilds one [`PlayerView`](ncg_core::PlayerView) slot per
 //! priced player with the same builder, so both tiers price on the
@@ -23,7 +24,7 @@ mod responder;
 mod runner;
 mod state;
 
-pub use responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
+pub use responder::{respond, ScaleMove, ScaleScratch};
 pub use runner::{
     run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleRoundStats, ScaleRunResult, ViewSample,
 };

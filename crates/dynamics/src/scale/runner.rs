@@ -70,7 +70,7 @@ use ncg_core::{GameSpec, PlayerView, ViewScratch};
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
-use super::responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
+use super::responder::{respond, ScaleMove, ScaleScratch};
 use super::state::{ApplyScratch, ScaleState};
 use crate::{CycleDetector, Outcome};
 
@@ -99,8 +99,6 @@ pub enum RoundMode {
 pub struct ScaleConfig {
     /// Game parameters (uniform any-subset scenarios only).
     pub spec: GameSpec,
-    /// Responder approximation knobs.
-    pub responder: ScaleResponderConfig,
     /// Safety cap on rounds.
     pub max_rounds: usize,
     /// Turn-taking discipline.
@@ -108,14 +106,9 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// Defaults: simultaneous rounds, default responder, 64-round cap.
+    /// Defaults: simultaneous rounds, 64-round cap.
     pub fn new(spec: GameSpec) -> Self {
-        ScaleConfig {
-            spec,
-            responder: ScaleResponderConfig::default(),
-            max_rounds: 64,
-            mode: RoundMode::Simultaneous,
-        }
+        ScaleConfig { spec, max_rounds: 64, mode: RoundMode::Simultaneous }
     }
 }
 
@@ -197,7 +190,7 @@ impl WorkerScratch {
         u: NodeId,
     ) -> Option<ScaleMove> {
         self.view.rebuild(state, u, config.spec.k, &mut self.views);
-        respond(&config.spec, &config.responder, &self.view, &mut self.responder)
+        respond(&config.spec, &self.view, &mut self.responder)
     }
 }
 

@@ -199,19 +199,33 @@ pub fn read(path: &Path) -> std::io::Result<Vec<JournalEntry>> {
         .collect())
 }
 
+/// The bytes of the file at `path`; a missing file reads as empty.
+pub(crate) fn read_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// The lines of `bytes` that are valid UTF-8, split as [`str::lines`]
+/// splits text. A line holding a byte that is not UTF-8 (garbage, or a
+/// write torn inside a multi-byte character) is skipped, so one bad
+/// line never makes the rest of a file unreadable.
+pub(crate) fn utf8_lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)).ok())
+}
+
 /// Reads a journal, returning every parsable line (completed and
-/// failed cells) in file order. Unparsable lines are skipped.
+/// failed cells) in file order. Unparsable lines, including lines
+/// that are not valid UTF-8, are skipped.
 pub fn read_lines(path: &Path) -> std::io::Result<Vec<JournalLine>> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
+    let bytes = read_bytes(path)?;
     // An entry line requires `record`, a failure line requires
     // `failed`; each parse rejects the other, so trying both is an
     // unambiguous dispatch.
-    Ok(text
-        .lines()
+    Ok(utf8_lines(&bytes)
         .filter_map(|line| {
             serde_json::from_str(line)
                 .map(JournalLine::Ok)
@@ -423,6 +437,96 @@ mod tests {
             vec![JournalLine::Ok(ok.clone()), JournalLine::Failed(marker.clone())]
         );
         assert_eq!(read(&path).unwrap(), vec![ok], "read() yields completed cells only");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed-cell marker whose message is not ASCII, as panics
+    /// about `α` are.
+    fn failed(s: &SweepSpec, cell: usize) -> CellFailed {
+        CellFailed {
+            sweep: s.label.clone(),
+            cell,
+            grid: s.fingerprint(),
+            failed: format!("α = {} ≤ 0 in cell {cell}", s.alphas[0]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary byte lines (invalid UTF-8 included) between valid
+        /// lines, and an arbitrary torn tail: `read_lines` returns
+        /// exactly the valid lines in order, and the lease ledger opens
+        /// the same mix and recovers exactly its outstanding grants.
+        #[test]
+        fn unreadable_lines_never_hide_the_readable_ones(
+            lines in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+                    0usize..3,
+                ),
+                0..12,
+            ),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..8),
+        ) {
+            let dir = temp_path(&format!("bytes_{}", lines.len()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let s = spec("main", 0.5, 2, 3);
+            let (mut journal, mut ledger) = (Vec::new(), Vec::new());
+            let (mut expected, mut grants) = (Vec::new(), std::collections::BTreeSet::new());
+            for (i, (valid, garbage, cell)) in lines.iter().enumerate() {
+                if *valid {
+                    let line = if i % 2 == 0 {
+                        JournalLine::Ok(entry(&s, *cell))
+                    } else {
+                        JournalLine::Failed(failed(&s, *cell))
+                    };
+                    let text = match &line {
+                        JournalLine::Ok(e) => serde_json::to_string(e).unwrap(),
+                        JournalLine::Failed(f) => serde_json::to_string(f).unwrap(),
+                    };
+                    journal.extend_from_slice(text.as_bytes());
+                    expected.push(line);
+                    ledger.extend_from_slice(format!("grant 0 {cell} w1").as_bytes());
+                    grants.insert((0, *cell));
+                } else {
+                    let garbage = garbage.iter().map(|&b| if b == b'\n' { 0xff } else { b });
+                    journal.extend(garbage.clone());
+                    ledger.extend(garbage);
+                }
+                journal.push(b'\n');
+                ledger.push(b'\n');
+            }
+            let tail = tail.iter().map(|&b| if b == b'\n' { 0xce } else { b });
+            journal.extend(tail.clone());
+            ledger.extend(tail);
+            let path = journal_path(&dir, "demo");
+            fs::write(&path, &journal).unwrap();
+            proptest::prop_assert_eq!(read_lines(&path).unwrap(), expected);
+            let ledger_path = dir.join("demo_leases.log");
+            fs::write(&ledger_path, &ledger).unwrap();
+            let (_, outstanding) = crate::queue::LeaseLedger::open(&ledger_path).unwrap();
+            proptest::prop_assert_eq!(outstanding, grants.into_iter().collect::<Vec<_>>());
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_line_cut_inside_a_multibyte_character_reads_as_skipped() {
+        let dir = temp_path("utf8");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = journal_path(&dir, "demo");
+        let s = spec("main", 0.5, 2, 2);
+        let mut bytes = serde_json::to_string(&entry(&s, 0)).unwrap().into_bytes();
+        bytes.extend_from_slice(b"\n{\"not\":\"a record\"}\n\xff\xfe garbage\n");
+        let marker = serde_json::to_string(&failed(&s, 1)).unwrap();
+        let cut = marker.find('α').unwrap() + 1; // between the two bytes of `α`
+        bytes.extend_from_slice(&marker.as_bytes()[..cut]);
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_lines(&path).unwrap(), vec![JournalLine::Ok(entry(&s, 0))]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -314,6 +314,65 @@ mod tests {
         );
     }
 
+    /// Frame keywords, field shapes and awkward characters that
+    /// arbitrary lines are assembled from.
+    const TOKENS: [&str; 24] = [
+        "HELLO",
+        "LEASE",
+        "BEAT",
+        "RESULT",
+        "FAILED",
+        "BYE",
+        "WELCOME",
+        "REJECT",
+        "CELL",
+        "WAIT",
+        "DONE",
+        "ACK",
+        "fresh",
+        "dup",
+        "-",
+        ",",
+        "0",
+        "7",
+        "+3",
+        "18446744073709551616",
+        "deadbeef",
+        "{\"n\":10}",
+        "α",
+        "\r\n",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Any line parses to `Ok` or `Err` without panicking, as a
+        /// request and as a reply; a line that parses renders back to
+        /// a line that parses to the same frame.
+        #[test]
+        fn arbitrary_lines_parse_or_fail_without_panicking(
+            parts in proptest::collection::vec(
+                (0usize..TOKENS.len() + 1, proptest::prelude::any::<u32>(), 0usize..3),
+                0..8,
+            ),
+        ) {
+            let mut line = String::new();
+            for (token, code, sep) in parts {
+                match TOKENS.get(token) {
+                    Some(t) => line.push_str(t),
+                    None => line.extend(char::from_u32(code % 0x3000)),
+                }
+                line.push_str(["", " ", "  "][sep]);
+            }
+            if let Ok(frame) = Request::parse(&line) {
+                proptest::prop_assert_eq!(Request::parse(&frame.render()), Ok(frame));
+            }
+            if let Ok(frame) = Reply::parse(&line) {
+                proptest::prop_assert_eq!(Reply::parse(&frame.render()), Ok(frame));
+            }
+        }
+    }
+
     #[test]
     fn garbage_is_rejected_not_misparsed() {
         for bad in [

@@ -289,7 +289,8 @@ pub struct LeaseLedger {
 
 impl LeaseLedger {
     /// Opens (or creates) the ledger at `path` for appending,
-    /// truncating a torn trailing line first, and replays it:
+    /// truncating a torn trailing line first, and replays it, skipping
+    /// lines it cannot read (not UTF-8, or not an event):
     /// returns the ledger plus the keys of grants with no terminal
     /// event — the leases a previous coordinator took to its grave.
     pub fn open(path: &Path) -> std::io::Result<(Self, Vec<CellKey>)> {
@@ -298,30 +299,23 @@ impl LeaseLedger {
         }
         journal::truncate_torn_tail(path)?;
         let mut outstanding: BTreeSet<CellKey> = BTreeSet::new();
-        match fs::read_to_string(path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    let mut it = line.split(' ');
-                    let (Some(event), Some(si), Some(cell)) = (it.next(), it.next(), it.next())
-                    else {
-                        continue;
-                    };
-                    let (Ok(si), Ok(cell)) = (si.parse::<usize>(), cell.parse::<usize>()) else {
-                        continue;
-                    };
-                    match event {
-                        "grant" => {
-                            outstanding.insert((si, cell));
-                        }
-                        "complete" | "dup" | "fail" | "expire" | "release" | "abandon" => {
-                            outstanding.remove(&(si, cell));
-                        }
-                        _ => {}
-                    }
+        for line in journal::utf8_lines(&journal::read_bytes(path)?) {
+            let mut it = line.split(' ');
+            let (Some(event), Some(si), Some(cell)) = (it.next(), it.next(), it.next()) else {
+                continue;
+            };
+            let (Ok(si), Ok(cell)) = (si.parse::<usize>(), cell.parse::<usize>()) else {
+                continue;
+            };
+            match event {
+                "grant" => {
+                    outstanding.insert((si, cell));
                 }
+                "complete" | "dup" | "fail" | "expire" | "release" | "abandon" => {
+                    outstanding.remove(&(si, cell));
+                }
+                _ => {}
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
         }
         let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
         Ok((LeaseLedger { file: BufWriter::new(file) }, outstanding.into_iter().collect()))

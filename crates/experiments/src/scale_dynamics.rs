@@ -6,7 +6,8 @@
 //! Tables I–II but caps throughput around `n ≈ 10^5`. This experiment
 //! runs the approximate scale tier ([`ncg_dynamics::scale`]) instead:
 //! flat `G(n, avg_deg/(n-1))` inputs in structure-of-arrays layout,
-//! greedy CSR-native responders (exact pricing, narrowed search), and
+//! the exact tier's greedy climb over narrowed candidates (exact
+//! pricing, narrowed search), and
 //! simultaneous rounds with deterministic conflict resolution. Under
 //! `--full` this is `n = 10^6` at average degree 10; the `--smoke`
 //! grid (`n = 10^5`, four rounds) is the CI scale lane.

@@ -9,8 +9,9 @@
 //!   with per-rep `CacheArena` warm starts are bit-identical to cold
 //!   runs.
 //! * **Kill/resume**: truncating a journal mid-grid (including a
-//!   torn trailing line) and re-running recomputes only the missing
-//!   cells and ends with byte-identical artifacts.
+//!   torn trailing line, even one cut inside a multi-byte character)
+//!   and re-running recomputes only the missing cells and ends with
+//!   byte-identical artifacts.
 //! * **Merge refuses incomplete inputs** instead of writing wrong
 //!   tables.
 
@@ -237,6 +238,43 @@ fn killed_run_resumes_to_identical_artifacts() {
     assert_eq!(report.cells_resumed, 12);
     assert_eq!(fold_a, fold_c);
     assert_eq!(bytes_a, fs::read_to_string(&path_b).unwrap());
+
+    let _ = fs::remove_dir_all(&dir_a);
+    let _ = fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn a_tail_torn_inside_a_multibyte_character_resumes_identically() {
+    // A kill inside the `α` of a failed-cell marker leaves a tail that
+    // is not UTF-8. Resume reads the journal before reopening it for
+    // append (which truncates the tail), so the read must skip the
+    // tail like any other torn line.
+    let specs = vec![SweepSpec::tree("main", 10, 2, 7, vec![0.5, 2.0], vec![2], Objective::Max)];
+    let dir_a = temp_dir("utf8_a");
+    let dir_b = temp_dir("utf8_b");
+    let ctx = |dir: &PathBuf| SweepContext {
+        mode: SweepMode::Local,
+        journal_dir: Some(dir.clone()),
+        warm_start: true,
+    };
+    let (fold_a, _) = capture(&ctx(&dir_a), "utf8", &specs);
+    let bytes_a = fs::read(journal::journal_path(&dir_a, "utf8")).unwrap();
+
+    let (_, first) = capture(&ctx(&dir_b), "utf8", &specs);
+    assert_eq!(first.cells_run, 4);
+    let path_b = journal::journal_path(&dir_b, "utf8");
+    let full = fs::read_to_string(&path_b).unwrap();
+    let mut torn: Vec<u8> =
+        full.lines().take(2).flat_map(|l| format!("{l}\n").into_bytes()).collect();
+    let marker = r#"{"sweep":"main","cell":2,"grid":1,"failed":"α"#;
+    torn.extend_from_slice(&marker.as_bytes()[..marker.len() - 1]);
+    fs::write(&path_b, &torn).unwrap();
+
+    let (fold_b, report) = capture(&ctx(&dir_b), "utf8", &specs);
+    assert_eq!(report.cells_resumed, 2);
+    assert_eq!(report.cells_run, 2);
+    assert_eq!(fold_a, fold_b, "resumed fold stream diverged");
+    assert_eq!(bytes_a, fs::read(&path_b).unwrap(), "resumed journal diverged");
 
     let _ = fs::remove_dir_all(&dir_a);
     let _ = fs::remove_dir_all(&dir_b);

@@ -1,18 +1,18 @@
 //! Shared pruning bounds used across best-response engines.
 //!
 //! The MaxNCG eccentricity-guess loop ([`crate::max_br`]) and the
-//! CSR-native scale-tier responder (`ncg_dynamics::scale`) prune the
-//! same way: under **uniform** edge pricing, a candidate strategy with
-//! `c` purchases costs at least `α·c + usage_floor`, so once `c`
-//! reaches `⌈(cost_to_beat − usage_floor)/α⌉` the candidate cannot
-//! strictly beat the incumbent and the whole purchase-count stratum
-//! can be skipped. Factoring the arithmetic here keeps the two engines
-//! agreeing on the boundary case (`slack` exactly integral) instead of
-//! each re-deriving the ceiling dance inline.
+//! greedy climb ([`crate::climb`]) prune the same way: when every edge
+//! costs at least `α`, a candidate strategy with `c` purchases costs at
+//! least `α·c + usage_floor`, so once `c` reaches
+//! `⌈(cost_to_beat − usage_floor)/α⌉` the candidate cannot strictly
+//! beat the incumbent and the whole purchase-count stratum can be
+//! skipped. Factoring the arithmetic here keeps the two agreeing on
+//! the boundary case (`slack` exactly integral) instead of each
+//! re-deriving the ceiling dance inline.
 
 /// Smallest purchase count that can **no longer** strictly beat
 /// `cost_to_beat` given that any candidate's usage cost is at least
-/// `usage_floor` and edges are uniformly priced at `alpha`.
+/// `usage_floor` and every edge costs at least `alpha`.
 ///
 /// Returns `0` when even a purchase-free strategy cannot win (the
 /// caller skips the stratum entirely), and `usize::MAX` when `alpha`
@@ -20,8 +20,10 @@
 /// sound). A candidate with `count` purchases is worth evaluating iff
 /// `count < purchase_cutoff(..)`.
 ///
-/// Only sound for uniform edge costs and subset move rules — the same
-/// precondition [`crate::max_br::max_best_response_with`] asserts.
+/// Sound whenever every edge costs at least `alpha`: uniform pricing,
+/// and per-target pricing, whose multipliers are all at least 1. The
+/// Max engine runs only under uniform pricing (its reduction minimises
+/// the purchase count); the greedy climb cuts with it under both.
 #[inline]
 pub fn purchase_cutoff(cost_to_beat: f64, usage_floor: f64, alpha: f64) -> usize {
     if alpha <= 0.0 {

@@ -7,7 +7,7 @@
 //! |-----------|-----------|-----------|--------|
 //! | `Swap` | any | any | exact swap-neighbourhood enumeration (polynomial) |
 //! | `AnySubset` | `Uniform` | `Max` | [`max_br`] (eccentricity guessing + domination B&B) |
-//! | `AnySubset` | `Uniform` | `Sum` | [`sum_br`] (include/exclude B&B; hill climb in Greedy) |
+//! | `AnySubset` | `Uniform` | `Sum` | [`sum_br`] (include/exclude B&B; [`hill_climb`] in Greedy) |
 //! | `AnySubset` | `PerTarget` | any | exhaustive enumeration up to [`EXHAUSTIVE_CAP`], else [`hill_climb`] |
 //!
 //! The two exact engines stay gated to uniform pricing because their
@@ -16,15 +16,16 @@
 //! both would silently prune optima under per-target multipliers.
 //! Swap neighbourhoods are quadratic in the view, so the swap arm is
 //! exact for every pricing model and both modes; per-target subset
-//! games are exact up to the enumeration cap and fall back to the
-//! deterministic hill climb beyond it (the `nonuniform` experiment
-//! documents which of its columns sit on which side of the cap).
+//! games are exact up to the enumeration cap and fall back to
+//! [`hill_climb`] beyond it (the `nonuniform` experiment documents
+//! which of its columns sit on which side of the cap). [`hill_climb`]
+//! runs [`crate::climb`] over every candidate; the scale tier's
+//! responder runs the same climb over a narrowed list.
 
-use ncg_core::deviation::{current_total, evaluate_total, EvalScratch};
 use ncg_core::equilibrium::{self, Deviation, EXHAUSTIVE_CAP};
 use ncg_core::{GameSpec, MoveRulePolicy, Objective, PlayerView};
-use ncg_graph::NodeId;
 
+use crate::climb::{climb, ClimbScratch};
 use crate::{max_br, sum_br, Mode, SolverScratch};
 
 /// Computes a best response for any scenario the workspace ships,
@@ -68,85 +69,25 @@ fn non_uniform_best_response(
         return equilibrium::best_response_exhaustive_with(spec, view, &mut scratch.eval)
             .expect("gated on EXHAUSTIVE_CAP");
     }
-    hill_climb(spec, view, &mut scratch.eval)
+    hill_climb(spec, view, &mut scratch.climb)
 }
 
-/// Deterministic steepest-descent local search over single additions,
-/// removals and swaps, scored through [`evaluate_total`] — the shared
-/// greedy fallback of the front (SumNCG's [`Mode::Greedy`] ablation
-/// arm and the beyond-cap non-uniform path). Objective- and
-/// pricing-agnostic: every candidate is scored by the scenario's own
-/// evaluator, with the standard cost → fewer-edges → lexicographic
-/// tie-break.
-pub fn hill_climb(spec: &GameSpec, view: &PlayerView, scratch: &mut EvalScratch) -> Deviation {
-    let mut current = view.purchases.clone();
-    let mut current_cost = current_total(spec, view);
-    // The empty strategy is a useful second seed: when the player's
-    // incoming edges alone keep the view connected, the hill climb can
-    // otherwise be stuck paying for redundant purchases.
-    let empty_cost = evaluate_total(spec, view, &[], scratch);
-    if GameSpec::strictly_better(empty_cost, current_cost) {
-        current = Vec::new();
-        current_cost = empty_cost;
-    }
-    // Bounded by the strictly-decreasing cost; the cap is a safety net.
-    for _round in 0..4 * view.len().max(4) {
-        let mut best_neighbor: Option<(Vec<NodeId>, f64)> = None;
-        let mut consider = |strategy: Vec<NodeId>, scratch: &mut EvalScratch| {
-            let cost = evaluate_total(spec, view, &strategy, scratch);
-            if GameSpec::strictly_better(cost, current_cost)
-                && best_neighbor.as_ref().is_none_or(|(bs, bc)| {
-                    GameSpec::strictly_better(cost, *bc)
-                        || ((cost - bc).abs() <= ncg_core::EPS
-                            && (strategy.len() < bs.len()
-                                || (strategy.len() == bs.len() && strategy < *bs)))
-                })
-            {
-                best_neighbor = Some((strategy, cost));
-            }
-        };
-        // Additions.
-        for c in view.candidates_iter() {
-            if current.binary_search(&c).is_err() {
-                let mut s = current.clone();
-                let pos = s.binary_search(&c).unwrap_err();
-                s.insert(pos, c);
-                consider(s, scratch);
-            }
-        }
-        // Removals.
-        for i in 0..current.len() {
-            let mut s = current.clone();
-            s.remove(i);
-            consider(s, scratch);
-        }
-        // Swaps: drop one purchase, add one non-purchase.
-        for i in 0..current.len() {
-            for c in view.candidates_iter() {
-                if current.binary_search(&c).is_err() {
-                    let mut s = current.clone();
-                    s.remove(i);
-                    let pos = s.binary_search(&c).unwrap_err();
-                    s.insert(pos, c);
-                    consider(s, scratch);
-                }
-            }
-        }
-        match best_neighbor {
-            Some((s, c)) => {
-                current = s;
-                current_cost = c;
-            }
-            None => break,
-        }
-    }
-    Deviation { strategy_local: current, total_cost: current_cost }
+/// The greedy climb over every candidate of the view, capped at
+/// `4·max(len, 4)` steps — the front's greedy fallback (SumNCG's
+/// [`Mode::Greedy`] ablation arm and the beyond-cap non-uniform path).
+/// Objective- and pricing-agnostic, with the standard cost →
+/// fewer-edges → lexicographic tie-break; see [`crate::climb`].
+pub fn hill_climb(spec: &GameSpec, view: &PlayerView, scratch: &mut ClimbScratch) -> Deviation {
+    let candidates = view.candidates();
+    climb(spec, view, &candidates, 4 * view.len().max(4), scratch).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncg_core::deviation::current_total;
     use ncg_core::{GameState, Scenario};
+    use ncg_graph::NodeId;
 
     #[test]
     fn front_matches_direct_engines_on_default_scenarios() {

@@ -16,8 +16,8 @@
 //!   domination of powers of `H ∖ {u}`, driving one engine per view.
 //! * [`sum_br`] / [`sum_engine`] — SumNCG best response: an exact
 //!   include/exclude branch-and-bound over candidate purchases
-//!   (admissible residual-improvement bounds, DESIGN.md §9) with hill
-//!   climbing as the greedy ablation arm. The paper's experiments
+//!   (admissible residual-improvement bounds, DESIGN.md §9) with the
+//!   greedy climb as the ablation arm. The paper's experiments
 //!   avoid SumNCG for its hardness; our exact path handles the
 //!   ~100-node full-knowledge views of the dynamics.
 //! * [`front`] — the generic best-response front: one entry point
@@ -26,6 +26,11 @@
 //!   their uniform subset-move home turf, exact swap-neighbourhood
 //!   enumeration for swap games, enumeration-or-hill-climb for
 //!   non-uniform pricing.
+//! * [`climb`] — the workspace's one greedy best response: a
+//!   steepest-descent add/drop/swap climb priced from distance tables
+//!   in `O(ball)` per trial, for any edge-cost model. The front's
+//!   [`hill_climb`](front::hill_climb) runs it over every candidate;
+//!   the scale tier's responder over a narrowed list.
 //! * [`SolverScratch`] — the reusable allocation bundle (evaluation
 //!   buffers, the reduction's ring growth, the engines) threaded
 //!   through the `*_with` entry points; hold one per thread or
@@ -54,6 +59,7 @@
 
 pub mod bitset;
 pub mod bound;
+pub mod climb;
 pub mod dominating;
 pub mod engine;
 pub mod front;
@@ -129,7 +135,8 @@ impl ParallelPolicy {
 }
 
 /// Reusable allocation bundle for the best-response engines: the
-/// deviation-evaluation scratch, the reduction's ring growth
+/// deviation-evaluation scratch, the greedy climb's
+/// [`ClimbScratch`](climb::ClimbScratch), the reduction's ring growth
 /// ([`max_br::RingGrowth`]: adjacency and ring bitsets of `H ∖ {u}`),
 /// the incremental [`DominationEngine`](engine::DominationEngine) and
 /// the [`SumEngine`](sum_engine::SumEngine).
@@ -143,6 +150,7 @@ impl ParallelPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
     pub(crate) eval: EvalScratch,
+    pub(crate) climb: climb::ClimbScratch,
     pub(crate) rings: max_br::RingGrowth,
     pub(crate) engine: engine::DominationEngine,
     pub(crate) sum: sum_engine::SumEngine,

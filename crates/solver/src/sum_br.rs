@@ -13,16 +13,19 @@
 //!   gone). Large views fan out over the work-stealing pool per the
 //!   scratch's [`ParallelPolicy`](crate::ParallelPolicy), with
 //!   bit-identical results for any worker count.
-//! * [`Mode::Greedy`] is deterministic hill climbing (best improving
-//!   add / drop / swap, repeated to a fixed point) — kept as the
-//!   heuristic ablation arm and as the proptest foil the exact path
-//!   must never lose to.
+//! * [`Mode::Greedy`] is [`hill_climb`], the workspace's one greedy
+//!   climb (best improving add / drop / swap, repeated to a fixed
+//!   point or its step cap, priced from distance tables —
+//!   [`crate::climb`]) — kept as the heuristic ablation arm and as the
+//!   proptest foil the exact path must never lose to.
 //!
-//! Both respect Proposition 2.2's frontier rule through
-//! [`ncg_core::deviation::evaluate_sum`]: the engine prunes with the
-//! same per-vertex [`sum_source_limit`](ncg_core::deviation::sum_source_limit)
-//! the evaluator enforces, and every returned deviation is re-scored
-//! through [`evaluate_total`], so the evaluator stays authoritative.
+//! Both respect Proposition 2.2's frontier rule: the engine and the
+//! climb apply the same per-vertex
+//! [`sum_source_limit`](ncg_core::deviation::sum_source_limit)
+//! [`ncg_core::deviation::evaluate_sum`] enforces. The engine's winner
+//! is re-scored through [`evaluate_total`], and the climb's costs are
+//! the evaluator's bit for bit (`tests/climb_parity.rs`), so the
+//! evaluator stays authoritative.
 
 use ncg_core::deviation::evaluate_total;
 use ncg_core::equilibrium::Deviation;
@@ -43,7 +46,7 @@ pub fn sum_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
 
 /// [`sum_best_response`] with caller-provided scratch: the BFS rows,
 /// per-depth pools and node buffers of the branch-and-bound (and the
-/// evaluation buffers of the hill climb) are reused across calls, so
+/// distance tables of the greedy climb) are reused across calls, so
 /// dynamics rounds warm-restart the solver exactly like `max_br`.
 ///
 /// The scratch's [`ParallelPolicy`](crate::ParallelPolicy) governs
@@ -68,7 +71,7 @@ pub fn sum_best_response_with(
     if mode == Mode::Exact {
         return branch_and_bound(spec, view, scratch);
     }
-    hill_climb(spec, view, &mut scratch.eval)
+    hill_climb(spec, view, &mut scratch.climb)
 }
 
 /// The exact path: prepare the scratch's [`SumEngine`](crate::sum_engine::SumEngine)
