@@ -132,7 +132,7 @@ fn bench_dominating_incremental(c: &mut Criterion) {
     let mut engine = DominationEngine::new(BitSet::full(n), &[]);
     let mut rings = RingGrowth::default();
     let mut incremental = || -> Vec<Option<Vec<u32>>> {
-        engine.reset(BitSet::full(n), &[]);
+        engine.reset(n, None, &[]);
         rings.reset(n, None, |v| g.neighbors(v).iter().copied());
         radii
             .clone()

@@ -165,17 +165,17 @@ pub fn evaluate_sum(
 /// Evaluates a candidate strategy under the spec's objective and
 /// returns the player's **total** worst-case cost — the edge-cost
 /// model's price of `σ'` plus the usage (`+∞` for disconnecting /
-/// forbidden moves). Dispatches through the spec's
-/// [`UsageCost`](crate::scenario::UsageCost) instance; on the default
-/// (uniform, Max/Sum) scenarios this is bit-identical to the pre-trait
-/// `α·|σ'| + usage`.
+/// forbidden moves). Dispatches on the spec's objective
+/// ([`Objective::evaluate`](crate::Objective::evaluate)); on the
+/// default (uniform, Max/Sum) scenarios this is bit-identical to the
+/// pre-scenario `α·|σ'| + usage`.
 pub fn evaluate_total(
     spec: &GameSpec,
     view: &PlayerView,
     strategy_local: &[NodeId],
     scratch: &mut EvalScratch,
 ) -> f64 {
-    let eval = spec.objective.usage_cost().evaluate(view, strategy_local, scratch);
+    let eval = spec.objective.evaluate(view, strategy_local, scratch);
     spec.priced_total(view, strategy_local, eval.usage())
 }
 
@@ -183,7 +183,7 @@ pub fn evaluate_total(
 /// measured inside the view). This is the baseline a deviation must
 /// strictly beat.
 pub fn current_total(spec: &GameSpec, view: &PlayerView) -> f64 {
-    let usage = spec.objective.usage_cost().current_usage(view);
+    let usage = spec.objective.current_usage(view);
     spec.priced_total(view, &view.purchases, Some(usage))
 }
 

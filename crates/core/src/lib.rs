@@ -55,7 +55,7 @@ mod spec;
 mod state;
 pub mod view;
 
-pub use scenario::{EdgeCostModel, MoveRulePolicy, Scenario, UsageCost};
+pub use scenario::{EdgeCostModel, MoveRulePolicy, Scenario};
 pub use spec::{GameSpec, Objective, EPS};
 pub use state::{EdgeDiff, GameState};
 pub use view::{PlayerView, ViewScratch, ViewSource};

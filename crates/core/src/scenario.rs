@@ -1,4 +1,4 @@
-//! The model-zoo scenario layer: pluggable usage costs, edge-cost
+//! The model-zoo scenario layer: the objectives' usage costs, edge-cost
 //! models, and move rules.
 //!
 //! The paper's two games differ in exactly one place — the usage cost
@@ -14,12 +14,12 @@
 //!   PAPERS.md), where one move removes exactly one owned edge and
 //!   adds one new one, keeping the purchase count invariant.
 //!
-//! A [`Scenario`] bundles one choice per axis;
-//! [`Objective::usage_cost`] exposes the paper's two objectives as
-//! canonical [`UsageCost`] instances ([`Eccentricity`], [`Status`]).
+//! A [`Scenario`] bundles one choice per axis; the usage cost of the
+//! paper's two objectives is a set of inherent methods on
+//! [`Objective`] ([`Objective::evaluate`] and its siblings).
 //! The default scenario (`Uniform` + `AnySubset`) reproduces the
 //! paper's games bit for bit — every dispatch below keeps the exact
-//! floating-point expressions of the pre-trait code (property-tested
+//! floating-point expressions of the pre-scenario code (property-tested
 //! across crates), and serialized [`GameSpec`]s only
 //! mention the new axes when they are non-default, so old journals
 //! keep round-tripping.
@@ -41,155 +41,94 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 /// The usage-cost side of an objective: how a player's distances are
-/// aggregated into the non-edge part of her cost.
-///
-/// [`Eccentricity`] (MaxNCG) and [`Status`] (SumNCG) are the canonical
-/// instances, reachable from [`Objective::usage_cost`]. Every method
-/// that replaces a pre-trait `match spec.objective` site keeps that
-/// site's expression verbatim, so Max/Sum behavior is bit-identical
-/// through the dispatch.
-pub trait UsageCost: std::fmt::Debug + Sync {
+/// aggregated into the non-edge part of her cost — her eccentricity
+/// under MaxNCG (Eq. (2)), her status `Σ_v d(u, v)` under SumNCG
+/// (Eq. (1)). Every method keeps the expression of the pre-scenario
+/// `match spec.objective` site it replaced, so Max/Sum behavior is
+/// bit-identical.
+impl Objective {
     /// Worst-case usage of playing `strategy_local` from this view
     /// (Propositions 2.1/2.2 — the per-objective deviation semantics,
     /// including SumNCG's frontier rule).
-    fn evaluate(
-        &self,
+    pub fn evaluate(
+        self,
         view: &PlayerView,
         strategy_local: &[NodeId],
         scratch: &mut EvalScratch,
-    ) -> DeviationEval;
+    ) -> DeviationEval {
+        match self {
+            Objective::Max => evaluate_max(view, strategy_local, scratch),
+            Objective::Sum => evaluate_sum(view, strategy_local, scratch),
+        }
+    }
 
     /// The player's current usage as she perceives it inside her view.
-    fn current_usage(&self, view: &PlayerView) -> u64;
+    pub fn current_usage(self, view: &PlayerView) -> u64 {
+        match self {
+            Objective::Max => view.ecc_in_view() as u64,
+            Objective::Sum => view.status_in_view(),
+        }
+    }
 
     /// Usage from one full per-vertex distance array (the metrics
     /// path): `None` when the player does not reach everyone.
-    fn distance_usage(&self, reaches_all: bool, ecc: u32, distances: &[u32]) -> Option<u64>;
+    pub fn distance_usage(self, reaches_all: bool, ecc: u32, distances: &[u32]) -> Option<u64> {
+        match self {
+            Objective::Max => reaches_all.then_some(ecc as u64),
+            Objective::Sum => reaches_all.then(|| distances.iter().map(|&d| d as u64).sum()),
+        }
+    }
 
     /// Per-vertex usages on the true (full-knowledge) graph.
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>>;
+    pub fn graph_usages(self, g: &Graph) -> Vec<Option<u64>> {
+        match self {
+            Objective::Max => metrics::eccentricities(g)
+                .into_iter()
+                .map(|e| if e == ncg_graph::INFINITY { None } else { Some(e as u64) })
+                .collect(),
+            Objective::Sum => metrics::statuses(g),
+        }
+    }
 
     /// One vertex's usage on the true graph.
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64>;
+    pub fn vertex_usage(self, g: &Graph, u: NodeId) -> Option<u64> {
+        match self {
+            Objective::Max => metrics::eccentricity(g, u).map(|e| e as u64),
+            Objective::Sum => metrics::status(g, u),
+        }
+    }
 
     /// Closed-form social cost of the uniform-α spanning star on
     /// `n ≥ 3` nodes (the `n ≤ 2` degenerate cases are shared).
-    fn star_cost_uniform(&self, n: f64, alpha: f64) -> f64;
+    pub fn star_cost_uniform(self, n: f64, alpha: f64) -> f64 {
+        match self {
+            Objective::Max => alpha * (n - 1.0) + 1.0 + 2.0 * (n - 1.0),
+            Objective::Sum => alpha * (n - 1.0) + 2.0 * (n - 1.0) * (n - 1.0),
+        }
+    }
 
     /// Closed-form social cost of the uniform-α clique on `n ≥ 2`.
-    fn clique_cost_uniform(&self, n: f64, alpha: f64) -> f64;
+    pub fn clique_cost_uniform(self, n: f64, alpha: f64) -> f64 {
+        match self {
+            Objective::Max => alpha * n * (n - 1.0) / 2.0 + n,
+            Objective::Sum => alpha * n * (n - 1.0) / 2.0 + n * (n - 1.0),
+        }
+    }
 
     /// The usage part of the spanning-star social cost (`n ≥ 3`), for
     /// edge-cost models whose edge part must be computed per edge.
-    fn star_usage(&self, n: f64) -> f64;
+    pub fn star_usage(self, n: f64) -> f64 {
+        match self {
+            Objective::Max => 1.0 + 2.0 * (n - 1.0),
+            Objective::Sum => 2.0 * (n - 1.0) * (n - 1.0),
+        }
+    }
 
     /// The usage part of the clique social cost (`n ≥ 2`).
-    fn clique_usage(&self, n: f64) -> f64;
-}
-
-/// MaxNCG's usage cost: the player's eccentricity (Eq. (2)).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Eccentricity;
-
-impl UsageCost for Eccentricity {
-    fn evaluate(
-        &self,
-        view: &PlayerView,
-        strategy_local: &[NodeId],
-        scratch: &mut EvalScratch,
-    ) -> DeviationEval {
-        evaluate_max(view, strategy_local, scratch)
-    }
-
-    fn current_usage(&self, view: &PlayerView) -> u64 {
-        view.ecc_in_view() as u64
-    }
-
-    fn distance_usage(&self, reaches_all: bool, ecc: u32, _distances: &[u32]) -> Option<u64> {
-        reaches_all.then_some(ecc as u64)
-    }
-
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>> {
-        metrics::eccentricities(g)
-            .into_iter()
-            .map(|e| if e == ncg_graph::INFINITY { None } else { Some(e as u64) })
-            .collect()
-    }
-
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64> {
-        metrics::eccentricity(g, u).map(|e| e as u64)
-    }
-
-    fn star_cost_uniform(&self, n: f64, alpha: f64) -> f64 {
-        alpha * (n - 1.0) + 1.0 + 2.0 * (n - 1.0)
-    }
-
-    fn clique_cost_uniform(&self, n: f64, alpha: f64) -> f64 {
-        alpha * n * (n - 1.0) / 2.0 + n
-    }
-
-    fn star_usage(&self, n: f64) -> f64 {
-        1.0 + 2.0 * (n - 1.0)
-    }
-
-    fn clique_usage(&self, n: f64) -> f64 {
-        n
-    }
-}
-
-/// SumNCG's usage cost: the player's status, `Σ_v d(u, v)` (Eq. (1)).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Status;
-
-impl UsageCost for Status {
-    fn evaluate(
-        &self,
-        view: &PlayerView,
-        strategy_local: &[NodeId],
-        scratch: &mut EvalScratch,
-    ) -> DeviationEval {
-        evaluate_sum(view, strategy_local, scratch)
-    }
-
-    fn current_usage(&self, view: &PlayerView) -> u64 {
-        view.status_in_view()
-    }
-
-    fn distance_usage(&self, reaches_all: bool, _ecc: u32, distances: &[u32]) -> Option<u64> {
-        reaches_all.then(|| distances.iter().map(|&d| d as u64).sum())
-    }
-
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>> {
-        metrics::statuses(g)
-    }
-
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64> {
-        metrics::status(g, u)
-    }
-
-    fn star_cost_uniform(&self, n: f64, alpha: f64) -> f64 {
-        alpha * (n - 1.0) + 2.0 * (n - 1.0) * (n - 1.0)
-    }
-
-    fn clique_cost_uniform(&self, n: f64, alpha: f64) -> f64 {
-        alpha * n * (n - 1.0) / 2.0 + n * (n - 1.0)
-    }
-
-    fn star_usage(&self, n: f64) -> f64 {
-        2.0 * (n - 1.0) * (n - 1.0)
-    }
-
-    fn clique_usage(&self, n: f64) -> f64 {
-        n * (n - 1.0)
-    }
-}
-
-impl Objective {
-    /// The canonical [`UsageCost`] instance of this objective.
-    pub fn usage_cost(self) -> &'static dyn UsageCost {
+    pub fn clique_usage(self, n: f64) -> f64 {
         match self {
-            Objective::Max => &Eccentricity,
-            Objective::Sum => &Status,
+            Objective::Max => n,
+            Objective::Sum => n * (n - 1.0),
         }
     }
 }
@@ -388,11 +327,11 @@ mod tests {
     fn objective_dispatches_to_canonical_instances() {
         let state = GameState::cycle_successor(6);
         let view = PlayerView::build(&state, 0, 3);
-        assert_eq!(Objective::Max.usage_cost().current_usage(&view), view.ecc_in_view() as u64);
-        assert_eq!(Objective::Sum.usage_cost().current_usage(&view), view.status_in_view());
+        assert_eq!(Objective::Max.current_usage(&view), view.ecc_in_view() as u64);
+        assert_eq!(Objective::Sum.current_usage(&view), view.status_in_view());
         let mut scratch = EvalScratch::new();
         assert_eq!(
-            Objective::Max.usage_cost().evaluate(&view, &view.purchases.clone(), &mut scratch),
+            Objective::Max.evaluate(&view, &view.purchases.clone(), &mut scratch),
             evaluate_max(&view, &view.purchases, &mut scratch.clone()),
         );
     }

@@ -15,7 +15,7 @@ use crate::{GameSpec, GameState};
 /// what players can see. `None` entries mean the graph is disconnected
 /// (infinite cost).
 pub fn player_costs(state: &GameState, spec: &GameSpec) -> Vec<Option<f64>> {
-    let usages = spec.objective.usage_cost().graph_usages(state.graph());
+    let usages = spec.objective.graph_usages(state.graph());
     player_costs_with_usages(state, spec, &usages)
 }
 
@@ -69,7 +69,7 @@ pub fn social_cost_with_usages(
 /// One player's true (full-knowledge) cost `α·|σ_u| + usage_u`;
 /// `None` when she does not reach the whole graph.
 pub fn player_cost(state: &GameState, spec: &GameSpec, u: ncg_graph::NodeId) -> Option<f64> {
-    let usage = spec.objective.usage_cost().vertex_usage(state.graph(), u)?;
+    let usage = spec.objective.vertex_usage(state.graph(), u)?;
     Some(spec.edge_cost.bought_price(spec.alpha, state.strategy(u)) + usage as f64)
 }
 
@@ -88,13 +88,12 @@ pub fn star_cost(n: usize, spec: &GameSpec) -> f64 {
     if n <= 1 {
         return 0.0;
     }
-    let uc = spec.objective.usage_cost();
     if spec.edge_cost.is_uniform() {
         if n == 2 {
             // Single edge: both endpoints have usage 1 under either objective.
             return spec.alpha + 2.0;
         }
-        return uc.star_cost_uniform(n as f64, spec.alpha);
+        return spec.objective.star_cost_uniform(n as f64, spec.alpha);
     }
     let edge_part = (0..n as ncg_graph::NodeId)
         .map(|c| {
@@ -108,7 +107,7 @@ pub fn star_cost(n: usize, spec: &GameSpec) -> f64 {
     if n == 2 {
         return edge_part + 2.0;
     }
-    edge_part + uc.star_usage(n as f64)
+    edge_part + spec.objective.star_usage(n as f64)
 }
 
 /// Closed-form social cost of the clique on `n` nodes.
@@ -123,9 +122,8 @@ pub fn clique_cost(n: usize, spec: &GameSpec) -> f64 {
     if n <= 1 {
         return 0.0;
     }
-    let uc = spec.objective.usage_cost();
     if spec.edge_cost.is_uniform() {
-        return uc.clique_cost_uniform(n as f64, spec.alpha);
+        return spec.objective.clique_cost_uniform(n as f64, spec.alpha);
     }
     let mut edge_part = 0.0;
     for u in 0..n as ncg_graph::NodeId {
@@ -134,7 +132,7 @@ pub fn clique_cost(n: usize, spec: &GameSpec) -> f64 {
             edge_part += spec.alpha * spec.edge_cost.multiplier(v).min(wu);
         }
     }
-    edge_part + uc.clique_usage(n as f64)
+    edge_part + spec.objective.clique_usage(n as f64)
 }
 
 /// The social optimum benchmark: `min(star, clique)`.

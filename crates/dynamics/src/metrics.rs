@@ -88,7 +88,6 @@ impl StateMetrics {
         let mut ecc_max = 0u32;
         let mut connected = true;
         scratch.usages.clear();
-        let usage_cost = spec.objective.usage_cost();
         for u in 0..n as u32 {
             let ecc = scratch.csr.bfs(u, &mut scratch.buf);
             let reaches_all = scratch.buf.visited().len() == n;
@@ -100,7 +99,7 @@ impl StateMetrics {
             let size = buf.visited().partition_point(|&v| buf.dist(v) <= spec.k);
             min_view = min_view.min(size);
             view_total += size;
-            scratch.usages.push(usage_cost.distance_usage(
+            scratch.usages.push(spec.objective.distance_usage(
                 reaches_all,
                 ecc,
                 scratch.buf.distances(),

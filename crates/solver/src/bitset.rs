@@ -1,16 +1,36 @@
-//! A small fixed-capacity bitset over `u64` words.
+//! A small fixed-capacity bitset over `u64` words, and the per-vertex
+//! rows of bitsets the Max reduction keeps across views.
 //!
 //! The dominating-set branch-and-bound manipulates coverage sets of at
 //! most a few hundred elements millions of times; a dedicated bitset
-//! with word-level operations keeps that inner loop branch-free and
-//! allocation-free (cloning into a scratch is the only copy).
+//! with word-level operations keeps that inner loop branch-free. Every
+//! operation that re-targets or overwrites a set — [`BitSet::reset`],
+//! `fill`, [`BitSet::assign_difference`] and `clone_from` — reuses its
+//! word storage, so a warm set only allocates when it must hold more
+//! words than ever before.
+
+use std::ops::{Deref, DerefMut};
 
 /// Fixed-capacity set of `u32` elements `< capacity`, bit-packed. The
 /// default is the empty set of capacity 0.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet { words: self.words.clone(), capacity: self.capacity }
+    }
+
+    /// Copies `source` into this set's word storage: no allocation
+    /// unless `source` has more words than this set ever held (the
+    /// derived `clone_from` would allocate a fresh copy every call).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -22,13 +42,7 @@ impl BitSet {
     /// Set containing every element `0..capacity`.
     pub fn full(capacity: usize) -> Self {
         let mut s = Self::new(capacity);
-        for (i, w) in s.words.iter_mut().enumerate() {
-            let lo = i * 64;
-            let hi = (lo + 64).min(capacity);
-            if hi > lo {
-                *w = if hi - lo == 64 { !0 } else { (1u64 << (hi - lo)) - 1 };
-            }
-        }
+        s.fill();
         s
     }
 
@@ -97,6 +111,16 @@ impl BitSet {
     #[inline]
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
+    }
+
+    /// Inserts every element `0..capacity`.
+    pub(crate) fn fill(&mut self) {
+        let capacity = self.capacity;
+        for (i, w) in self.words.iter_mut().enumerate() {
+            let lo = i * 64;
+            let hi = (lo + 64).min(capacity);
+            *w = if hi - lo == 64 { !0 } else { (1u64 << (hi - lo)) - 1 };
+        }
     }
 
     /// Clears the set and re-targets it to a (possibly different)
@@ -203,6 +227,54 @@ impl BitSet {
     }
 }
 
+/// One bitset row per vertex of a graph on `0..n`, each of capacity
+/// `n`, with storage kept across graphs of any size: a
+/// [`reset`](BitRows::reset) to fewer rows parks the surplus rows with
+/// their words, a reset to more rows takes parked rows back first, and
+/// every live row is re-targeted through [`BitSet::reset`], which
+/// reuses its words. The slice this derefs to, and [`Clone`], hold the
+/// live rows only, so a parked row is never read.
+#[derive(Debug, Default)]
+pub(crate) struct BitRows {
+    rows: Vec<BitSet>,
+    parked: Vec<BitSet>,
+}
+
+impl BitRows {
+    /// `n` empty rows of capacity `n`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        if self.rows.len() > n {
+            self.parked.extend(self.rows.drain(n..));
+        }
+        while self.rows.len() < n {
+            self.rows.push(self.parked.pop().unwrap_or_default());
+        }
+        for row in &mut self.rows {
+            row.reset(n);
+        }
+    }
+}
+
+impl Clone for BitRows {
+    fn clone(&self) -> Self {
+        BitRows { rows: self.rows.clone(), parked: Vec::new() }
+    }
+}
+
+impl Deref for BitRows {
+    type Target = [BitSet];
+
+    fn deref(&self) -> &[BitSet] {
+        &self.rows
+    }
+}
+
+impl DerefMut for BitRows {
+    fn deref_mut(&mut self) -> &mut [BitSet] {
+        &mut self.rows
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +354,38 @@ mod tests {
         assert_eq!(d.to_vec(), vec![0, 129]);
         assert_eq!(d.capacity(), 130);
         assert_eq!(d.len(), a.missing_from(&b).max(b.missing_from(&a)));
+    }
+
+    #[test]
+    fn clone_from_reuses_allocation() {
+        let mut target = BitSet::full(300); // warmed to 5 words
+        let (ptr, cap) = (target.words.as_ptr(), target.words.capacity());
+        for source in [BitSet::from_elems(70, [0, 69]), BitSet::from_elems(250, [3, 64, 249])] {
+            target.clone_from(&source);
+            assert_eq!(target, source);
+            assert_eq!(target.words.as_ptr(), ptr, "clone_from reallocated");
+            assert_eq!(target.words.capacity(), cap);
+        }
+    }
+
+    #[test]
+    fn rows_keep_their_storage_and_expose_the_live_rows_only() {
+        let mut rows = BitRows::default();
+        rows.reset(130);
+        rows[129].insert(7);
+        let words: Vec<*const u64> = rows.iter().map(|r| r.words.as_ptr()).collect();
+        rows.reset(5);
+        assert_eq!(rows.len(), 5);
+        assert!(rows.iter().all(|r| r.capacity() == 5 && r.is_empty()));
+        let copy = rows.clone();
+        assert_eq!((copy.len(), copy.parked.len()), (5, 0), "a clone copies the live rows only");
+        rows.reset(130);
+        assert!(rows.iter().all(|r| r.capacity() == 130 && r.is_empty()), "stale row");
+        let mut again: Vec<*const u64> = rows.iter().map(|r| r.words.as_ptr()).collect();
+        again.sort_unstable();
+        let mut words = words;
+        words.sort_unstable();
+        assert_eq!(again, words, "a row was reallocated");
     }
 
     #[test]

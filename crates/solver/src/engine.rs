@@ -15,10 +15,13 @@
 //! dominator set of `v` (the contract on [`DominationEngine`]).
 //!
 //! The engine also carries every scratch buffer the branch-and-bound
-//! needs (one probe bitset and one candidate list **per recursion
-//! depth**, a marginal-gain array, a packing scratch), so repeated
-//! solves — thousands per dynamics round — allocate nothing after
-//! warm-up.
+//! needs (one probe bitset, live mask, candidate list and alive list
+//! **per recursion depth**, a marginal-gain array, a packing scratch,
+//! the greedy incumbent's pick list), and [`DominationEngine::reset`]
+//! keeps all of it, the per-vertex coverage rows included, across
+//! views of any size. Repeated solves — thousands per dynamics round —
+//! therefore allocate only for the solutions they return and when a
+//! view or a search is larger than any seen before.
 //!
 //! Before any search, a **root gate** answers the guesses the root
 //! alone decides: an already-dominated universe, and any guess whose
@@ -62,7 +65,7 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitRows, BitSet};
 use crate::dominating::{DominationInstance, Solution};
 
 /// Incremental solver state for a growing family of domination
@@ -88,7 +91,7 @@ pub struct DominationEngine {
     n: usize,
     /// `covers[s]` = set of vertices dominated when `s` is chosen and,
     /// by symmetry, the set of dominators of `s`.
-    covers: Vec<BitSet>,
+    covers: BitRows,
     /// Vertices that must be dominated.
     universe: BitSet,
     /// Elements already in `D` for free (their coverage is merged into
@@ -126,6 +129,8 @@ pub struct DominationEngine {
     gain_hist: Vec<u32>,
     used_scratch: BitSet,
     greedy_covered: BitSet,
+    /// The pruned greedy incumbent, sorted.
+    greedy_picks: Vec<u32>,
     /// Racing incumbent bound shared across the per-worker engines of
     /// a parallel pass 1; `None` on every sequential solve (and after
     /// [`DominationEngine::reset`]).
@@ -145,7 +150,7 @@ impl DominationEngine {
         let n = universe.capacity();
         let mut e = DominationEngine {
             n,
-            covers: Vec::new(),
+            covers: BitRows::default(),
             universe: BitSet::new(0),
             forced: Vec::new(),
             forced_set: BitSet::new(0),
@@ -163,9 +168,12 @@ impl DominationEngine {
             gain_hist: Vec::new(),
             used_scratch: BitSet::new(0),
             greedy_covered: BitSet::new(0),
+            greedy_picks: Vec::new(),
             shared_bound: None,
         };
-        e.reset(universe, forced);
+        e.reset(n, None, forced);
+        // Nothing is fed yet, so no count depends on the universe.
+        e.universe = universe;
         e
     }
 
@@ -191,27 +199,24 @@ impl DominationEngine {
         e
     }
 
-    /// Re-targets the engine at a new instance family, recycling the
-    /// allocations grow-only: per-element buffers keep their word/heap
-    /// storage across *any* size change (consecutive dynamics views
-    /// almost never share a size, so the old same-`n`-only fast path
-    /// reallocated ~3n buffers per solve), and only the per-depth
-    /// pools — whose bitsets are pinned to the old capacity — are
-    /// dropped when `n` changes, bounded by the previous search depth.
-    pub fn reset(&mut self, universe: BitSet, forced: &[u32]) {
-        let n = universe.capacity();
-        if n != self.n {
-            self.probe_pool.clear();
-            self.live_pool.clear();
-            self.cand_pool.clear();
-            self.alive_pool.clear();
-            self.n = n;
+    /// Re-targets the engine at a new instance family over `0..n` with
+    /// empty coverage, whose universe is every vertex but `center` —
+    /// the reduction's `H ∖ {u}` with the center undominated. Every
+    /// buffer keeps its storage across *any* size change (consecutive
+    /// dynamics views rarely share a size): the coverage rows park and
+    /// reuse theirs (`BitRows`), the per-vertex bitsets and the
+    /// universe are re-targeted in place, and the per-depth pools are
+    /// kept whole, since every use overwrites its slot first. A reset
+    /// allocates only for a view larger than any this engine has
+    /// seen.
+    pub fn reset(&mut self, n: usize, center: Option<u32>, forced: &[u32]) {
+        self.n = n;
+        self.covers.reset(n);
+        self.universe.reset(n);
+        self.universe.fill();
+        if let Some(c) = center {
+            self.universe.remove(c);
         }
-        self.covers.truncate(n);
-        for c in &mut self.covers {
-            c.reset(n);
-        }
-        self.covers.resize_with(n, || BitSet::new(n));
         self.cover_sizes.clear();
         self.cover_sizes.resize(n, 0);
         self.gains.clear();
@@ -223,7 +228,6 @@ impl DominationEngine {
         self.greedy_covered.reset(n);
         self.max_cover = 0;
         self.shared_bound = None;
-        self.universe = universe;
         self.forced.clear();
         self.forced.extend_from_slice(forced);
         for &f in forced {
@@ -290,7 +294,13 @@ impl DominationEngine {
     /// union.
     #[cfg(test)]
     pub(crate) fn coverage_state(&self) -> (&[BitSet], &[u32], usize, &BitSet, &BitSet) {
-        (&self.covers, &self.cover_sizes, self.max_cover, &self.initial_covered, &self.any_cover)
+        (
+            &self.covers[..],
+            &self.cover_sizes,
+            self.max_cover,
+            &self.initial_covered,
+            &self.any_cover,
+        )
     }
 
     /// Whether every universe vertex currently has at least one
@@ -356,11 +366,13 @@ impl DominationEngine {
     }
 
     /// Greedy solution with provably redundant elements removed — a
-    /// tighter incumbent to seed the branch-and-bound with.
-    fn greedy_pruned(&mut self) -> Option<Solution> {
-        let mut chosen = Vec::new();
+    /// tighter incumbent to seed the branch-and-bound with — left
+    /// sorted in `greedy_picks`. Returns feasibility.
+    fn greedy_pruned(&mut self) -> bool {
+        let mut chosen = std::mem::take(&mut self.greedy_picks);
         if !self.greedy_into(&mut chosen) {
-            return None;
+            self.greedy_picks = chosen;
+            return false;
         }
         // Drop any element whose removal keeps the universe covered;
         // later picks first (they have the smallest marginal gains).
@@ -378,7 +390,8 @@ impl DominationEngine {
             }
         }
         chosen.sort_unstable();
-        Some(chosen)
+        self.greedy_picks = chosen;
+        true
     }
 
     /// The answer the root alone decides, before any incumbent is
@@ -410,13 +423,10 @@ impl DominationEngine {
         self.packing_order.clear();
         self.packing_order.extend(self.universe.iter());
         self.packing_order.sort_unstable_by_key(|&v| self.cover_sizes[v as usize]);
-        // Pruned-greedy incumbent.
-        let mut best = self.greedy_pruned();
-        let best_len = best.as_ref().map(|b| b.len()).unwrap_or(usize::MAX).min(cutoff);
-        if best.as_ref().is_some_and(|b| b.len() >= cutoff) {
-            best = None;
-        }
-        (best, best_len)
+        // Pruned-greedy incumbent, copied out only when it beats the
+        // cutoff.
+        let len = if self.greedy_pruned() { self.greedy_picks.len() } else { usize::MAX };
+        ((len < cutoff).then(|| self.greedy_picks.clone()), len.min(cutoff))
     }
 
     /// Exact constrained minimum via branch-and-bound over the current
@@ -713,13 +723,15 @@ impl DominationEngine {
         (best, best_len)
     }
 
-    /// Ensures the per-depth scratch pools reach slot `depth`.
+    /// Ensures the per-depth scratch pools reach slot `depth`. A slot
+    /// may hold a set of any earlier size: every use overwrites it
+    /// (`clone_from`, `assign_difference`, `clear`) before reading.
     fn acquire_depth(&mut self, depth: usize) {
         while self.probe_pool.len() <= depth {
-            self.probe_pool.push(BitSet::new(self.n));
+            self.probe_pool.push(BitSet::default());
         }
         while self.live_pool.len() <= depth {
-            self.live_pool.push(BitSet::new(self.n));
+            self.live_pool.push(BitSet::default());
         }
         while self.cand_pool.len() <= depth {
             self.cand_pool.push(Vec::new());
@@ -1155,7 +1167,7 @@ mod tests {
         let first = engine.solve_exact(usize::MAX);
         assert_eq!(first, i1.solve_exact(usize::MAX));
         // Reuse for a different instance of the same size.
-        engine.reset(i2.universe.clone(), &i2.forced);
+        engine.reset(i2.n(), None, &i2.forced);
         feed_pairs(&mut engine, &i2);
         assert_eq!(
             engine.solve_exact(usize::MAX).map(|s| s.len()),
@@ -1164,14 +1176,14 @@ mod tests {
         // And for a different size.
         let g3 = generators::path(7);
         let i3 = graph_instance(&g3, vec![]);
-        engine.reset(i3.universe.clone(), &i3.forced);
+        engine.reset(i3.n(), None, &i3.forced);
         feed_pairs(&mut engine, &i3);
         assert_eq!(engine.solve_exact(usize::MAX).unwrap().len(), 3);
         // And growing again after the shrink (the grow-only reuse
         // path re-targets the recycled word storage).
         let g4 = generators::cycle(21);
         let i4 = graph_instance(&g4, vec![]);
-        engine.reset(i4.universe.clone(), &i4.forced);
+        engine.reset(i4.n(), None, &i4.forced);
         feed_pairs(&mut engine, &i4);
         assert_eq!(
             engine.solve_exact(usize::MAX).map(|s| s.len()),

@@ -143,10 +143,15 @@ impl ParallelPolicy {
 ///
 /// One scratch per thread (or per long-lived computation); thread it
 /// through [`max_br::max_best_response_with`] /
-/// [`sum_br::sum_best_response_with`] and nothing in the per-view hot
-/// path allocates after warm-up. The plain `max_best_response` /
-/// `sum_best_response` entry points create a throwaway scratch per
-/// call.
+/// [`sum_br::sum_best_response_with`]. Every buffer keeps its storage
+/// across views of any size, so after warm-up a call allocates little
+/// beyond the strategies it returns, plus storage for a view larger
+/// than any seen before. Measured means are 0.9–1.6 allocations per
+/// call on radius-2 views of a random 200-node tree, 2.6–4.6 on full
+/// views of a G(70, 0.15) and 1.5–2.5 for the Sum engine on a 30-node
+/// tree; `tests/scratch_allocations.rs` holds them to at most 2, 6
+/// and 3. The plain `max_best_response` / `sum_best_response` entry
+/// points create a throwaway scratch per call.
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
     pub(crate) eval: EvalScratch,

@@ -30,7 +30,7 @@ use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, MoveRulePolicy, PlayerView};
 use ncg_graph::NodeId;
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitRows, BitSet};
 use crate::bound::purchase_cutoff;
 use crate::engine::DominationEngine;
 use crate::{Mode, ParallelPolicy, SolverScratch};
@@ -52,7 +52,8 @@ pub fn max_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
 /// [`max_best_response`] with caller-provided scratch: after warm-up,
 /// repeated calls (per-round dynamics, LKE sweeps) reuse the ring
 /// growth's bitsets and the incremental domination engine across
-/// views.
+/// views of any size, so a warm call allocates little beyond the
+/// strategies it returns.
 pub fn max_best_response_with(
     spec: &GameSpec,
     view: &PlayerView,
@@ -98,9 +99,7 @@ fn guess_loop(
         return best;
     }
     // Universe: every vertex except the center.
-    let mut universe = BitSet::full(n_local);
-    universe.remove(view.center);
-    engine.reset(universe, &view.incoming);
+    engine.reset(n_local, Some(view.center), &view.incoming);
     // One fan-out decision per view, not per guess.
     let workers = parallel.workers(n_local);
     for h in 1..=h_cap {
@@ -159,11 +158,11 @@ fn guess_loop(
 #[derive(Debug, Clone, Default)]
 pub struct RingGrowth {
     /// `adj[v]`: the neighbours of `v`.
-    adj: Vec<BitSet>,
+    adj: BitRows,
     /// `rings[s]`: the vertices at distance exactly `fed − 1` from
     /// `s` (before radius 0 is fed: `{s}`, or nothing for a
     /// non-source).
-    rings: Vec<BitSet>,
+    rings: BitRows,
     next: BitSet,
     /// How many radii (0, 1, …) have been fed to the engine.
     fed: u32,
@@ -174,21 +173,17 @@ impl RingGrowth {
     /// rows `neighbors` yields, with every vertex but `center` a source
     /// and nothing fed yet. The reduction passes the view's
     /// [`PlayerView::neighbors_minus_center`], so the rows are those of
-    /// `H ∖ {u}` and the center is no source. Recycles the bitsets'
-    /// storage across graph sizes.
+    /// `H ∖ {u}` and the center is no source. The rows keep their
+    /// storage across graph sizes (`BitRows`): a reset allocates only
+    /// for a graph larger than any seen before.
     pub fn reset<I: IntoIterator<Item = NodeId>>(
         &mut self,
         n: usize,
         center: Option<NodeId>,
         neighbors: impl Fn(NodeId) -> I,
     ) {
-        for rows in [&mut self.adj, &mut self.rings] {
-            rows.truncate(n);
-            for row in rows.iter_mut() {
-                row.reset(n);
-            }
-            rows.resize_with(n, || BitSet::new(n));
-        }
+        self.adj.reset(n);
+        self.rings.reset(n);
         for v in 0..n as NodeId {
             for w in neighbors(v) {
                 self.adj[v as usize].insert(w);
