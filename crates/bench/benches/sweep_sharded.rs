@@ -7,14 +7,14 @@
 //!   `merge`, quantifying the journal/merge overhead a multi-process
 //!   deployment pays per process (the payoff — wall-clock halving —
 //!   needs two actual machines/processes and is not measurable here).
-//! * `warm_vs_cold` — the per-repetition `CacheArena` warm start
-//!   against cold per-cell runs on the same grid; outcomes are
-//!   bit-identical, only allocation reuse differs.
+//! * `warm_vs_cold` — `run_spec_cells` with the per-repetition arena
+//!   warm start against a fresh arena per cell on the same grid;
+//!   outcomes are bit-identical, only allocation reuse differs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::Objective;
 use ncg_experiments::engine::{self, SweepContext, SweepMode};
-use ncg_experiments::sweep::{run_cells, Shard, SweepSpec};
+use ncg_experiments::sweep::{run_spec_cells, Shard, SweepSpec};
 use ncg_experiments::MetricGrid;
 
 fn spec() -> SweepSpec {
@@ -64,14 +64,10 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_warm_start");
     group.sample_size(10);
     let spec = spec();
-    let states = spec.states();
     let run = |warm: bool| {
         let count = std::sync::atomic::AtomicUsize::new(0);
-        run_cells(
-            &states,
-            &spec.alphas,
-            &spec.ks,
-            spec.objective,
+        run_spec_cells(
+            &spec,
             warm,
             Shard::all(),
             &|_| false,
@@ -79,7 +75,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
                 count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             },
             None,
-            None,
+            &|_| false,
         );
         count.into_inner()
     };

@@ -159,8 +159,8 @@ pub fn run(initial: GameState, config: &DynamicsConfig) -> RunResult {
 /// Warm starts are *allocation* reuse only: the cache is
 /// [`ViewCache::reset`] before every run and the responder's
 /// determinism contract makes its scratch contents unobservable, so
-/// outcomes are bit-identical to cold [`run`] calls (property-tested
-/// in the experiments crate).
+/// outcomes are bit-identical to cold [`run`] calls (unit-tested here;
+/// the experiments crate tests warm against fresh arenas per sweep).
 #[derive(Debug, Clone, Default)]
 pub struct CacheArena {
     cache: ViewCache,

@@ -31,19 +31,23 @@
 //! in canonical order: sweeps in plan order, cells by linear index.
 //!
 //! Failure isolation: a cell whose solve panics (caught in
-//! `run_cells`) is journaled as a `CellFailed` marker and the rest of
-//! the sweep completes; `execute` then panics with a summary instead
-//! of rendering tables from a hole-y grid. Re-running the experiment
-//! retries exactly the failed cells (completed ones resume from the
-//! journal).
+//! [`SweepSpec::solve_record`]) is journaled as a `CellFailed` marker
+//! and the rest of the sweep completes; `execute` then panics with a
+//! summary instead of rendering tables from a hole-y grid. Re-running
+//! the experiment retries exactly the failed cells (completed ones
+//! resume from the journal).
 //!
 //! Fault injection: when the process-level `NCG_FAULT` plan is set
 //! (see [`crate::fault`]), the engine wires it through — the journal
 //! writer arms `torn_write`, the sink counts results for
-//! `kill_after_cells`, and `run_cells` injects `panic_cell`.
+//! `kill_after_cells`, and the cell solve injects `panic_cell`.
+//!
+//! Resume and merge read journals through [`journal::index`], the one
+//! map from journal entries to `(sweep, canonical cell)` keys that the
+//! work-queue coordinator uses too.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -153,27 +157,6 @@ pub fn collect_plan(f: impl FnOnce()) -> Vec<SweepSpec> {
     PLAN_SINK.with(|sink| sink.borrow_mut().take()).unwrap_or_default()
 }
 
-/// Checks a journaled entry's grid fingerprint against the spec it
-/// claims to belong to; a mismatch means the journal was produced by
-/// a different profile — including a different `--seed`, workload, or
-/// `α`/`k` grid, which only the [`SweepSpec::fingerprint`] can see —
-/// and must not be silently mixed in. (A different `--reps` of the
-/// same grid is *not* a different profile: per-rep seeds don't depend
-/// on the rep count, so those journals fingerprint identically and
-/// merge.)
-fn validate_fingerprint(spec: &SweepSpec, entry_grid: u64, cell: usize) {
-    assert!(
-        entry_grid == spec.fingerprint(),
-        "journal entry for sweep '{}' cell {} was written under a different profile \
-         (grid fingerprint {:#018x}, current {:#018x} — seed, workload, or α/k \
-         grid changed); delete the stale journal and re-run",
-        spec.label,
-        cell,
-        entry_grid,
-        spec.fingerprint()
-    );
-}
-
 /// The per-sweep streaming sink: appends finished cells to the
 /// journal immediately (crash safety) and re-serialises the workers'
 /// completion order into canonical order for the fold via a reorder
@@ -242,33 +225,6 @@ pub fn execute(
     }
 }
 
-/// Indexes a journal's completed entries by `(sweep position,
-/// canonical cell index under the current plan)`. The stored `cell`
-/// field encodes the *writing* run's rep count; the index is
-/// re-derived from the record's own coordinates so journals from
-/// other `--reps` splits of the same grid resume correctly. Entries
-/// whose rep lies beyond the current plan are counted into `dropped`
-/// rather than kept (they belong to a larger split). Panics when an
-/// entry's grid fingerprint doesn't match — a different profile.
-fn index_resumable(
-    entries: Vec<JournalEntry>,
-    specs: &[SweepSpec],
-    dropped: &mut usize,
-) -> HashMap<(usize, usize), RunRecord> {
-    let mut resumed = HashMap::new();
-    for entry in entries {
-        let Some(si) = specs.iter().position(|s| s.label == entry.sweep) else { continue };
-        validate_fingerprint(&specs[si], entry.grid, entry.cell);
-        match specs[si].index_of_record(&entry.record) {
-            Some(index) => {
-                resumed.insert((si, index), entry.record);
-            }
-            None => *dropped += 1,
-        }
-    }
-    resumed
-}
-
 fn run_shard(
     ctx: &SweepContext,
     experiment: &str,
@@ -285,16 +241,13 @@ fn run_shard(
             journal::shard_journal_path(dir, experiment, shard.index, shard.count)
         }
     });
-    // Resume: index every journaled record by (sweep, cell) — the
+    // Resume: every journaled record, keyed by (sweep, cell) — the
     // cell index re-derived under the current plan's grid.
-    let mut dropped = 0usize;
-    let mut resumed: HashMap<(usize, usize), RunRecord> = match path.as_ref() {
-        Some(path) => index_resumable(
-            journal::read(path).expect("reading the resume journal"),
-            specs,
-            &mut dropped,
-        ),
-        None => HashMap::new(),
+    let (resumed, dropped) = match path.as_ref() {
+        Some(path) => {
+            journal::index(journal::read(path).expect("reading the resume journal"), specs)
+        }
+        None => Default::default(),
     };
     if dropped > 0 {
         eprintln!(
@@ -307,18 +260,16 @@ fn run_shard(
     let mut writer = path
         .as_ref()
         .map(|p| JournalWriter::append(p).expect("opening journal").with_fault(fault.clone()));
+    // Each spec's resumed records: skipped by the engine and (in fold
+    // mode) preloaded into the reorder buffer so the fold still sees
+    // one contiguous canonical stream.
+    let mut preloads: Vec<BTreeMap<usize, RunRecord>> = vec![BTreeMap::new(); specs.len()];
+    for ((si, index), entry) in resumed {
+        preloads[si].insert(index, entry.record);
+    }
     let (mut cells_run, mut cells_resumed) = (0usize, 0usize);
     let failures: Mutex<Vec<(String, usize, String)>> = Mutex::new(Vec::new());
-    for (si, spec) in specs.iter().enumerate() {
-        // This spec's resumed records: skipped by the engine and (in
-        // fold mode) preloaded into the reorder buffer so the fold
-        // still sees one contiguous canonical stream.
-        let mut preload: BTreeMap<usize, RunRecord> = BTreeMap::new();
-        for index in 0..spec.cell_count() {
-            if let Some(record) = resumed.remove(&(si, index)) {
-                preload.insert(index, record);
-            }
-        }
+    for (si, (spec, preload)) in specs.iter().zip(preloads).enumerate() {
         cells_resumed += preload.len();
         let skip: Vec<bool> = (0..spec.cell_count()).map(|i| preload.contains_key(&i)).collect();
         let grid = spec.fingerprint();
@@ -377,7 +328,7 @@ fn run_shard(
                 }
             },
             None,
-            fault.as_deref(),
+            &|cell| fault.as_ref().is_some_and(|f| f.panics_at_cell(si, cell)),
         );
         let mut s = sink.into_inner();
         if do_fold {
@@ -433,14 +384,11 @@ fn merge(
     assert!(count >= 1, "merge needs at least one shard");
     let dir = ctx.journal_dir.as_ref().expect("merge mode requires a results directory");
     // The union of every shard's cells, keyed by (sweep position,
-    // canonical index under the *merge target's* grid) — re-derived
-    // from each record's own coordinates, so shards run under
-    // different --reps splits of one grid land in one keyspace.
-    // First occurrence wins: later duplicates (a retried cell, an
-    // overlapping split) are dropped, and determinism of the solve
-    // guarantees they'd carry identical bytes anyway.
-    let mut union: BTreeMap<(usize, usize), JournalEntry> = BTreeMap::new();
-    let mut dropped = 0usize;
+    // canonical index under the *merge target's* grid), so shards run
+    // under different --reps splits of one grid land in one keyspace.
+    // The first occurrence in shard order wins; determinism of the
+    // solve guarantees a duplicate would carry identical bytes anyway.
+    let mut shard_entries = Vec::new();
     for index in 0..count {
         let path = journal::shard_journal_path(dir, experiment, index, count);
         assert!(
@@ -448,17 +396,9 @@ fn merge(
             "missing shard journal {}; run `{experiment} --shards {count} --shard {index}` first",
             path.display()
         );
-        for mut entry in journal::read(&path).expect("reading shard journal") {
-            let Some(si) = specs.iter().position(|s| s.label == entry.sweep) else { continue };
-            validate_fingerprint(&specs[si], entry.grid, entry.cell);
-            let Some(cell) = specs[si].index_of_record(&entry.record) else {
-                dropped += 1;
-                continue;
-            };
-            entry.cell = cell;
-            union.entry((si, cell)).or_insert(entry);
-        }
+        shard_entries.extend(journal::read(&path).expect("reading shard journal"));
     }
+    let (mut union, dropped) = journal::index(shard_entries, specs);
     if dropped > 0 {
         eprintln!(
             "[merge] {experiment}: dropped {dropped} journaled cells whose rep lies beyond \
@@ -480,7 +420,7 @@ fn merge(
             entries.push(entry);
         }
     }
-    debug_assert!(union.is_empty(), "index_of_record bounds every key to the grid");
+    debug_assert!(union.is_empty(), "journal::index bounds every key to the grid");
     let merged_path = journal::journal_path(dir, experiment);
     std::fs::create_dir_all(dir).expect("creating the results directory");
     std::fs::write(&merged_path, journal::render(&entries)).expect("writing the merged journal");

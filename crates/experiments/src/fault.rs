@@ -17,7 +17,7 @@
 //! | `torn_write:N` | on the `N`-th journal append (1-based), write only half the line, flush, and abort — a torn line a crash-safe resume must truncate away |
 //! | `dup_complete` | report every completed cell twice (idempotence probe) |
 //! | `stall:N` | after `N` completed cells, lease one more cell and hang forever without heartbeating — the straggler the lease timeout exists for |
-//! | `panic_cell:N` | panic inside the solve of canonical cell `N` of the first sweep — exercises the `catch_unwind` isolation in `run_cells` |
+//! | `panic_cell:N` | panic inside the solve of canonical cell `N` of the plan's first sweep, in every sweep mode — exercises the `catch_unwind` isolation of the cell solve (`SweepSpec::solve_record`) |
 //!
 //! The *decisions* (`should_…` methods) are pure counter logic and
 //! unit-tested in-process; the *actions* that end the process
@@ -91,9 +91,12 @@ impl FaultPlan {
         self.kind
     }
 
-    /// Whether the solve of canonical cell `index` must panic.
-    pub fn panics_at_cell(&self, index: usize) -> bool {
-        self.kind == FaultKind::PanicCell(index)
+    /// Whether the solve of canonical cell `cell` of the sweep at
+    /// position `sweep` of the plan must panic: `panic_cell:N` fails
+    /// cell `N` of the first sweep only, locally, in a shard and in a
+    /// worker alike.
+    pub fn panics_at_cell(&self, sweep: usize, cell: usize) -> bool {
+        sweep == 0 && self.kind == FaultKind::PanicCell(cell)
     }
 
     /// Whether every completion should be sent twice.
@@ -200,8 +203,9 @@ mod tests {
     #[test]
     fn panic_cell_targets_one_canonical_index() {
         let plan = FaultPlan::parse("panic_cell:4").unwrap();
-        assert!(plan.panics_at_cell(4));
-        assert!(!plan.panics_at_cell(3));
+        assert!(plan.panics_at_cell(0, 4));
+        assert!(!plan.panics_at_cell(0, 3));
+        assert!(!plan.panics_at_cell(1, 4), "only the plan's first sweep");
         assert!(!plan.duplicates_completions());
         assert!(FaultPlan::parse("dup_complete").unwrap().duplicates_completions());
     }

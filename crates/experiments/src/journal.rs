@@ -33,7 +33,7 @@
 //! under the current plan — which is what makes journals written
 //! under different `--reps` splits of one grid merge byte-identically.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -60,8 +60,8 @@ pub struct JournalEntry {
     pub record: RunRecord,
 }
 
-/// A journaled cell *failure*: the solve panicked and `run_cells`
-/// caught it. Distinguished from [`JournalEntry`] on parse by its
+/// A journaled cell *failure*: the solve panicked and the cell solve
+/// ([`SweepSpec::solve_record`]) caught it. Distinguished from [`JournalEntry`] on parse by its
 /// required `failed` field (entries require `record` instead).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellFailed {
@@ -245,33 +245,78 @@ pub fn render(entries: &[JournalEntry]) -> String {
     out
 }
 
+/// Keys completed journal entries by `(position of their sweep in
+/// specs, canonical cell index)`: the one map from a journal to the
+/// current plan, shared by resume, merge, compaction and the
+/// work-queue coordinator.
+///
+/// Each entry's cell index is *re-derived* from its record's `(α, k,
+/// rep)` and written back into the entry — the stored value encodes
+/// the writing run's rep count, which may differ — so journals from
+/// other `--reps` splits of one grid land in one keyspace. The first
+/// entry per cell wins (determinism makes a duplicate byte-identical).
+/// Entries of sweeps the plan does not name are ignored; entries no
+/// cell of their sweep accounts for (a rep beyond the plan's: a cell
+/// of a larger split) are dropped and counted, the second value.
+///
+/// # Panics
+/// Panics when an entry's grid fingerprint differs from its sweep's:
+/// the journal was written under a different profile — `--seed`,
+/// workload, or `α`/`k` grid, which only the
+/// [`SweepSpec::fingerprint`] can see — and must not be mixed in. A
+/// different `--reps` of the same grid is the same profile.
+pub fn index(
+    entries: impl IntoIterator<Item = JournalEntry>,
+    specs: &[SweepSpec],
+) -> (BTreeMap<(usize, usize), JournalEntry>, usize) {
+    let fingerprints: Vec<u64> = specs.iter().map(SweepSpec::fingerprint).collect();
+    let mut indexed = BTreeMap::new();
+    let mut dropped = 0;
+    for mut entry in entries {
+        let Some(si) = specs.iter().position(|s| s.label == entry.sweep) else { continue };
+        assert!(
+            entry.grid == fingerprints[si],
+            "journal entry for sweep '{}' cell {} was written under a different profile \
+             (grid fingerprint {:#018x}, current {:#018x} — seed, workload, or α/k \
+             grid changed); delete the stale journal and re-run",
+            entry.sweep,
+            entry.cell,
+            entry.grid,
+            fingerprints[si]
+        );
+        let Some(cell) = specs[si].index_of_record(&entry.record) else {
+            dropped += 1;
+            continue;
+        };
+        entry.cell = cell;
+        indexed.entry((si, cell)).or_insert(entry);
+    }
+    (indexed, dropped)
+}
+
 /// Rewrites the journal at `path` in canonical order against the
-/// current plan: entries sorted by `(position of sweep in specs,
-/// cell index)`, de-duplicated by cell keeping the first occurrence.
-/// Each entry's canonical index is *re-derived* from its record's
-/// `(α, k, rep)` under the matching spec — the stored `cell` value
-/// encodes the writing run's rep count, which may differ — so
-/// journals from heterogeneous `--reps` splits compact into the same
-/// bytes a single run of the merged grid would write. Entries no
-/// current spec accounts for (stale sweep label, mismatched grid
-/// fingerprint, off-grid record, rep beyond the plan's reps) are
-/// dropped. Failed-cell markers survive only for cells that still
-/// lack a completed entry — a successful retry supersedes its
-/// failure. The rewrite goes through a temp file + rename, so a
-/// crash cannot destroy the journal.
+/// current plan: the completed entries as [`index`] keys them, in key
+/// order — one per cell, each index re-derived — so journals from
+/// heterogeneous `--reps` splits compact into the same bytes a single
+/// run of the merged grid would write. Entries no current spec accounts
+/// for (stale sweep label, mismatched grid fingerprint, off-grid
+/// record, rep beyond the plan's reps) are dropped, not refused.
+/// Failed-cell markers survive only for cells that still lack a
+/// completed entry — a successful retry supersedes its failure. The
+/// rewrite goes through a temp file + rename, so a crash cannot
+/// destroy the journal.
 pub fn compact(path: &Path, specs: &[SweepSpec]) -> std::io::Result<()> {
     let spec_of = |sweep: &str, grid: u64| {
         specs.iter().position(|s| s.label == sweep && grid == s.fingerprint())
     };
-    let mut ok: Vec<(usize, JournalEntry)> = Vec::new();
+    let mut ok: Vec<JournalEntry> = Vec::new();
     let mut failed: Vec<(usize, CellFailed)> = Vec::new();
     for line in read_lines(path)? {
         match line {
-            JournalLine::Ok(mut entry) => {
-                let Some(pos) = spec_of(&entry.sweep, entry.grid) else { continue };
-                let Some(cell) = specs[pos].index_of_record(&entry.record) else { continue };
-                entry.cell = cell;
-                ok.push((pos, entry));
+            JournalLine::Ok(entry) => {
+                if spec_of(&entry.sweep, entry.grid).is_some() {
+                    ok.push(entry);
+                }
             }
             JournalLine::Failed(marker) => {
                 let Some(pos) = spec_of(&marker.sweep, marker.grid) else { continue };
@@ -281,15 +326,13 @@ pub fn compact(path: &Path, specs: &[SweepSpec]) -> std::io::Result<()> {
             }
         }
     }
-    // Stable sorts keep the first-written occurrence ahead of its
-    // duplicates, so dedup implements first-result-wins.
-    ok.sort_by_key(|(pos, e)| (*pos, e.cell));
-    ok.dedup_by_key(|(pos, e)| (*pos, e.cell));
-    let done: HashSet<(usize, usize)> = ok.iter().map(|(pos, e)| (*pos, e.cell)).collect();
-    failed.retain(|(pos, f)| !done.contains(&(*pos, f.cell)));
+    let (ok, _) = index(ok, specs);
+    failed.retain(|(pos, f)| !ok.contains_key(&(*pos, f.cell)));
+    // A stable sort keeps the first-written marker ahead of its
+    // duplicates, so dedup keeps the first.
     failed.sort_by_key(|(pos, f)| (*pos, f.cell));
     failed.dedup_by_key(|(pos, f)| (*pos, f.cell));
-    let mut out = render(&ok.into_iter().map(|(_, e)| e).collect::<Vec<_>>());
+    let mut out = render(&ok.into_values().collect::<Vec<_>>());
     for (_, marker) in &failed {
         out.push_str(&serde_json::to_string(marker).expect("failure markers always serialise"));
         out.push('\n');

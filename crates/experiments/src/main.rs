@@ -24,7 +24,8 @@
 //!                  (partitioned by repetition)
 //! --shard I        run only shard I (0-based); tables are rendered
 //!                  by `merge` once every shard has finished
-//! --cold           disable per-repetition warm starts (A/B runs;
+//! --cold           solve every cell on a fresh arena, on both tiers
+//!                  and in every mode, workers included (A/B runs;
 //!                  results are bit-identical either way)
 //!
 //! Dynamics sweeps stream every finished cell to an append-only
@@ -395,7 +396,7 @@ fn serve(
         out_dir,
         &journal_name(target),
         specs,
-        queue::CoordinatorOptions { lease: lease_timeout, max_retries },
+        queue::QueueOptions { lease: lease_timeout, max_retries },
     ) {
         Ok(c) => Arc::new(c),
         Err(e) => {

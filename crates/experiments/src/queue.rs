@@ -24,9 +24,10 @@
 //!   the lease-protocol edge-case tests call it directly.
 //! * [`serve`] / [`work`] — the TCP skins: a non-blocking accept loop
 //!   with one thread per connection, and the worker loop that leases,
-//!   solves (warm-started, panic-isolated via
-//!   [`crate::sweep::solve_cell_guarded`]), heartbeats on a dedicated
-//!   second connection, and reports results idempotently.
+//!   solves (warm-started, panic-isolated, on either tier, through
+//!   the local engine's own cell solve
+//!   [`crate::sweep::SweepSpec::solve_record`]), heartbeats on a
+//!   dedicated second connection, and reports results idempotently.
 //!
 //! Why retries can't break byte-identical output: a cell's record is
 //! a pure function of `(spec, cell)` — per-rep instance seeds derive
@@ -49,21 +50,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncg_core::GameState;
-use ncg_dynamics::scale::{ScaleArena, ScaleState};
-use ncg_dynamics::CacheArena;
 use parking_lot::Mutex;
 
 use crate::fault::{self, FaultPlan};
 use crate::journal::{self, CellFailed, JournalEntry, JournalWriter};
 use crate::protocol::{Reply, Request};
-use crate::sweep::{solve_cell_guarded, solve_scale_cell_guarded, RunRecord, SweepSpec};
+use crate::sweep::{RunRecord, SweepArena, SweepSpec, SweepStates};
 
 /// A cell's key in the queue: `(sweep position in the plan, canonical
 /// cell index)`.
 pub type CellKey = (usize, usize);
 
-/// Tuning knobs of the lease state machine.
+/// Tuning knobs of the lease state machine and its coordinator.
 #[derive(Debug, Clone, Copy)]
 pub struct QueueOptions {
     /// How long a lease lives without a heartbeat.
@@ -341,22 +339,6 @@ impl LeaseLedger {
     }
 }
 
-/// Tuning knobs of a coordinator.
-#[derive(Debug, Clone, Copy)]
-pub struct CoordinatorOptions {
-    /// Lease timeout (missed heartbeats past this re-issue the cell).
-    pub lease: Duration,
-    /// Panic retries per cell before abandonment.
-    pub max_retries: usize,
-}
-
-impl Default for CoordinatorOptions {
-    fn default() -> Self {
-        let q = QueueOptions::default();
-        CoordinatorOptions { lease: q.lease, max_retries: q.max_retries }
-    }
-}
-
 struct CoordState {
     queue: WorkQueue,
     writer: Option<JournalWriter>,
@@ -387,35 +369,16 @@ impl Coordinator {
     ///
     /// # Panics
     /// Panics if the journal holds entries fingerprinted by a
-    /// different profile — the same refusal resume and merge make.
+    /// different profile — the same refusal resume and merge make,
+    /// through the same [`journal::index`].
     pub fn open(
         dir: &Path,
         experiment: &str,
         specs: Vec<SweepSpec>,
-        opts: CoordinatorOptions,
+        opts: QueueOptions,
     ) -> std::io::Result<Self> {
         let journal_path = journal::journal_path(dir, experiment);
-        let mut done: HashSet<CellKey> = HashSet::new();
-        let mut dropped = 0usize;
-        for entry in journal::read(&journal_path)? {
-            let Some(si) = specs.iter().position(|s| s.label == entry.sweep) else { continue };
-            assert!(
-                entry.grid == specs[si].fingerprint(),
-                "journal entry for sweep '{}' cell {} was written under a different profile \
-                 (grid fingerprint {:#018x}, current {:#018x}); delete the stale journal \
-                 and re-run",
-                entry.sweep,
-                entry.cell,
-                entry.grid,
-                specs[si].fingerprint()
-            );
-            match specs[si].index_of_record(&entry.record) {
-                Some(index) => {
-                    done.insert((si, index));
-                }
-                None => dropped += 1,
-            }
-        }
+        let (done, dropped) = journal::index(journal::read(&journal_path)?, &specs);
         if dropped > 0 {
             eprintln!(
                 "[serve] {experiment}: ignoring {dropped} journaled cells beyond the current \
@@ -427,11 +390,7 @@ impl Coordinator {
             .iter()
             .enumerate()
             .flat_map(|(si, spec)| (0..spec.cell_count()).map(move |index| (si, index)));
-        let queue = WorkQueue::new(
-            cells,
-            done,
-            QueueOptions { lease: opts.lease, max_retries: opts.max_retries },
-        );
+        let queue = WorkQueue::new(cells, done.into_keys(), opts);
         let (ledger, orphaned) = LeaseLedger::open(&ledger_path(dir, experiment))?;
         if !orphaned.is_empty() {
             eprintln!(
@@ -737,7 +696,8 @@ pub struct WorkOptions {
     /// This worker's stable identifier (lease bookkeeping + backoff
     /// jitter seed).
     pub worker_id: String,
-    /// Warm-start dynamics per `(sweep, rep)` arena.
+    /// Warm-start dynamics per `(sweep, rep)` arena; `false` solves
+    /// every cell on a fresh arena.
     pub warm_start: bool,
 }
 
@@ -793,19 +753,21 @@ enum SessionEnd {
 /// initial states per sweep, and one warm-start arena per
 /// `(sweep, rep)` — cells of one rep reuse it whenever the queue
 /// happens to hand them to the same worker (bit-identical either
-/// way; the arena is purely a speedup). Scale sweeps keep their own
-/// flat states and [`ScaleArena`]s so a million-node worker never
-/// materialises a `GameState` or an `O(n)`-slot view cache.
+/// way; the arena is purely a speedup). Both are in the sweep's tier
+/// layout, so a million-node worker never materialises a `GameState`
+/// or an `O(n)`-slot view cache.
 struct Solver<'a> {
     specs: &'a [SweepSpec],
     warm_start: bool,
-    states: HashMap<usize, Vec<GameState>>,
-    arenas: HashMap<(usize, usize), CacheArena>,
-    scale_states: HashMap<usize, Vec<ScaleState>>,
-    scale_arenas: HashMap<(usize, usize), ScaleArena>,
+    states: HashMap<usize, SweepStates>,
+    arenas: HashMap<(usize, usize), SweepArena>,
 }
 
-impl Solver<'_> {
+impl<'a> Solver<'a> {
+    fn new(specs: &'a [SweepSpec], warm_start: bool) -> Self {
+        Solver { specs, warm_start, states: HashMap::new(), arenas: HashMap::new() }
+    }
+
     fn solve(
         &mut self,
         si: usize,
@@ -813,48 +775,10 @@ impl Solver<'_> {
         fault: Option<&FaultPlan>,
     ) -> Result<RunRecord, String> {
         let spec = &self.specs[si];
-        let id = spec.cell(cell);
-        // panic_cell targets canonical cell N of the plan's first sweep.
-        let inject = si == 0 && fault.is_some_and(|f| f.panics_at_cell(cell));
-        if spec.is_scale() {
-            let states = self.scale_states.entry(si).or_insert_with(|| spec.scale_states());
-            let arena = self.scale_arenas.entry((si, id.rep)).or_default();
-            let (result, final_state) = solve_scale_cell_guarded(
-                &states[id.rep],
-                spec,
-                spec.alphas[id.ai],
-                spec.ks[id.ki],
-                arena,
-                inject,
-            )?;
-            return Ok(RunRecord::from_scale(
-                spec.class(),
-                spec.alphas[id.ai],
-                spec.ks[id.ki],
-                id.rep,
-                &result,
-                &final_state,
-            ));
-        }
-        let states = self.states.entry(si).or_insert_with(|| spec.states());
-        let arena = self.arenas.entry((si, id.rep)).or_default();
-        let result = solve_cell_guarded(
-            &states[id.rep],
-            spec.scenario(),
-            spec.alphas[id.ai],
-            spec.ks[id.ki],
-            self.warm_start,
-            arena,
-            inject,
-        )?;
-        Ok(RunRecord::new(
-            spec.class(),
-            spec.n,
-            spec.alphas[id.ai],
-            spec.ks[id.ki],
-            id.rep,
-            &result,
-        ))
+        let states = self.states.entry(si).or_insert_with(|| spec.sample());
+        let arena = self.arenas.entry((si, spec.cell(cell).rep)).or_default();
+        let inject = fault.is_some_and(|f| f.panics_at_cell(si, cell));
+        spec.solve_record(states, cell, arena, self.warm_start, inject)
     }
 }
 
@@ -867,14 +791,7 @@ impl Solver<'_> {
 pub fn work(experiment: &str, specs: &[SweepSpec], opts: &WorkOptions) -> std::io::Result<()> {
     let fault = fault::env_plan();
     let fingerprints: Vec<u64> = specs.iter().map(|s| s.fingerprint()).collect();
-    let mut solver = Solver {
-        specs,
-        warm_start: opts.warm_start,
-        states: HashMap::new(),
-        arenas: HashMap::new(),
-        scale_states: HashMap::new(),
-        scale_arenas: HashMap::new(),
-    };
+    let mut solver = Solver::new(specs, opts.warm_start);
     let mut backoff = Backoff::new(&opts.worker_id);
     let mut ever_connected = false;
     loop {
@@ -1187,6 +1104,54 @@ mod tests {
             "grants without terminal events — the torn one dropped"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_solves_match_the_streamed_records_on_both_tiers() {
+        use crate::sweep::{run_spec_cells, Shard};
+        use ncg_core::Objective;
+        let specs = [
+            SweepSpec::tree("tree", 10, 2, 7, vec![0.5, 2.0], vec![2], Objective::Max),
+            SweepSpec::scale_er(
+                "scale",
+                120,
+                4.0,
+                6,
+                2,
+                9,
+                vec![0.8, 4.0],
+                vec![2],
+                Objective::Max,
+            ),
+        ];
+        for (si, spec) in specs.iter().enumerate() {
+            let streamed = Mutex::new(Vec::new());
+            run_spec_cells(
+                spec,
+                true,
+                Shard::all(),
+                &|_| false,
+                &|cell, entry| streamed.lock().push((cell.index, entry.expect("no cell may fail"))),
+                None,
+                &|_| false,
+            );
+            let mut streamed = streamed.into_inner();
+            streamed.sort_by_key(|(cell, _)| *cell);
+            assert_eq!(streamed.len(), spec.cell_count());
+            for warm_start in [true, false] {
+                let mut solver = Solver::new(&specs, warm_start);
+                for (cell, record) in &streamed {
+                    let solved = solver.solve(si, *cell, None).expect("no cell may fail");
+                    assert_eq!(&solved, record, "sweep {si}, cell {cell}, warm {warm_start}");
+                }
+            }
+        }
+        // panic_cell:0 fails cell 0 of the first sweep only, as locally.
+        let fault = FaultPlan::parse("panic_cell:0").unwrap();
+        let mut solver = Solver::new(&specs, true);
+        let failed = solver.solve(0, 0, Some(&fault)).unwrap_err();
+        assert!(failed.contains("injected fault: panic_cell"), "{failed}");
+        assert!(solver.solve(1, 0, Some(&fault)).is_ok(), "later sweeps are not faulted");
     }
 
     #[test]

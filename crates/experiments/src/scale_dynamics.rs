@@ -134,7 +134,6 @@ mod tests {
     fn plan_exposes_one_scale_sweep() {
         let specs = crate::sweep_plan("scale-dynamics", &tiny()).expect("known experiment");
         assert_eq!(specs.len(), 1);
-        assert!(specs[0].is_scale());
         assert_eq!(specs[0].class(), "scale_er");
         assert_eq!(specs[0].n, 300);
     }

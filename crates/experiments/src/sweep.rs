@@ -2,18 +2,22 @@
 //! with warm-started dynamics, process-level sharding, and streaming
 //! per-cell results.
 //!
-//! The seed implementation materialised every [`RunResult`] of a grid
-//! in memory and re-solved every cell from a cold cache. The engine
-//! now walks a [`SweepSpec`]'s cells as a work-list:
+//! This is the one module that knows which dynamics tier a sweep runs
+//! on. Every sweep mode above it — local runs, shards and the lease
+//! worker — solves cells through one tier-blind call,
+//! [`SweepSpec::solve_record`]: the sweep's [`SweepStates`] (exact
+//! `GameState`s or flat [`ScaleState`]s) and a [`SweepArena`] in, one
+//! panic-isolated [`RunRecord`] out. The engine walks a [`SweepSpec`]'s
+//! cells as a work-list:
 //!
 //! * cells are identified by a [`CellId`] with a canonical linear
 //!   index (`α`-major, then `k`, then `rep`) — the order every
 //!   journal, fold, and table is defined over;
-//! * workers parallelise over *repetitions* so that one
-//!   [`CacheArena`] (view cache + solver scratch) per rep is reused
-//!   across all `(α, k)` cells sharing that initial state — the
-//!   warm-start path of DESIGN.md §7; outcomes are bit-identical to
-//!   cold runs;
+//! * one rep-major loop parallelises over *repetitions*, so one
+//!   [`SweepArena`] per rep is reused across all `(α, k)` cells
+//!   sharing that initial state — the warm-start path of DESIGN.md §7;
+//!   outcomes are bit-identical to cold runs, which take a fresh arena
+//!   per cell;
 //! * `--shards M --shard i` process-level sharding partitions cells
 //!   by `rep % M` (see [`Shard`]), keeping warm-start groups intact
 //!   and the partition deterministic;
@@ -22,15 +26,16 @@
 //!   aggregates) instead of being collected, and the progress counter
 //!   is a lock-free `AtomicUsize`.
 //!
-//! [`sweep`] and [`by_cell`] remain as the collect-style conveniences
-//! for tests, examples, and small library use — now implemented on
-//! the same engine, so they warm-start too.
+//! [`run_spec_cells`] is the streaming entry point; [`sweep`] and
+//! [`by_cell`] remain as the collect-style conveniences for tests,
+//! examples, and small library use. Both drive the same loop, so both
+//! warm-start.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ncg_core::{EdgeCostModel, GameState, MoveRulePolicy, Objective, Scenario};
 use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig, ScaleRunResult, ScaleState};
-use ncg_dynamics::{run, run_with_cache, CacheArena, DynamicsConfig, RunResult};
+use ncg_dynamics::{run_with_cache, CacheArena, DynamicsConfig, RunResult};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -259,8 +264,8 @@ impl SweepSpec {
     /// # Panics
     /// Panics for scale sweeps, whose inputs must never round-trip
     /// through a `GameState` (`O(n)` allocations); use
-    /// [`SweepSpec::scale_states`] there — or [`run_spec_cells`],
-    /// which dispatches for you.
+    /// [`SweepSpec::scale_states`] there — or [`SweepSpec::sample`],
+    /// which picks the tier's layout for you.
     pub fn states(&self) -> Vec<GameState> {
         match self.workload {
             Workload::Tree => workloads::tree_states(self.n, self.reps, self.seed),
@@ -281,6 +286,62 @@ impl SweepSpec {
                 workloads::scale_er_states(self.n, avg_deg, self.reps, self.seed)
             }
             _ => panic!("exact-tier sweeps sample GameStates; call states() instead"),
+        }
+    }
+
+    /// Samples the sweep's initial states in its tier's layout.
+    pub fn sample(&self) -> SweepStates {
+        if self.is_scale() {
+            SweepStates::Scale(self.scale_states())
+        } else {
+            SweepStates::Exact(self.states())
+        }
+    }
+
+    /// Solves canonical cell `index` into its record, on either tier,
+    /// with panic isolation: `states` is what [`SweepSpec::sample`]
+    /// returned, `arena` the cell's repetition's warm-start buffers
+    /// (`warm_start = false` replaces them with fresh ones first), and
+    /// `inject_panic` makes the solve panic (the `panic_cell` fault).
+    /// A panicking solve comes back as `Err(message)` with the arena
+    /// rebuilt, as in [`solve_cell_guarded`].
+    pub fn solve_record(
+        &self,
+        states: &SweepStates,
+        index: usize,
+        arena: &mut SweepArena,
+        warm_start: bool,
+        inject_panic: bool,
+    ) -> Result<RunRecord, String> {
+        let CellId { ai, ki, rep, .. } = self.cell(index);
+        let (alpha, k) = (self.alphas[ai], self.ks[ki]);
+        match states {
+            SweepStates::Exact(states) => {
+                let result = solve_cell_guarded(
+                    &states[rep],
+                    self.scenario(),
+                    alpha,
+                    k,
+                    warm_start,
+                    &mut arena.exact,
+                    inject_panic,
+                )?;
+                Ok(RunRecord::new(self.class(), self.n, alpha, k, rep, &result))
+            }
+            SweepStates::Scale(states) => {
+                if !warm_start {
+                    arena.scale = ScaleArena::new();
+                }
+                let (result, state) = solve_scale_cell_guarded(
+                    &states[rep],
+                    self,
+                    alpha,
+                    k,
+                    &mut arena.scale,
+                    inject_panic,
+                )?;
+                Ok(RunRecord::from_scale(self.class(), alpha, k, rep, &result, &state))
+            }
         }
     }
 
@@ -341,7 +402,7 @@ impl SweepSpec {
 
 /// The canonical linear cell index — `α`-major, then `k`, then `rep`.
 /// The single definition every journal, fold, resume-skip, and merge
-/// shares (via [`SweepSpec::index_of`] and [`run_cells`]).
+/// shares (via [`SweepSpec::index_of`] and the sweep loop).
 #[inline]
 pub fn cell_index(ai: usize, ki: usize, rep: usize, ks_len: usize, reps: usize) -> usize {
     (ai * ks_len + ki) * reps + rep
@@ -372,26 +433,38 @@ impl Shard {
     }
 }
 
-/// How one cell of a sweep ended: the normal result, or the panic
-/// payload of a solve that blew up (caught by [`solve_cell_guarded`],
-/// journaled as a structured `CellFailed` entry downstream).
+/// A sweep's initial states, one per repetition, in its tier's
+/// layout ([`SweepSpec::sample`]): `GameState`s on the exact tier,
+/// flat [`ScaleState`]s on the scale tier, whose inputs never
+/// round-trip through a `GameState`.
 #[derive(Debug)]
-pub enum CellOutcome {
-    /// The dynamics ran to an outcome (boxed: a `RunResult` is large
-    /// next to the failure string, and clippy rightly objects).
-    Done(Box<RunResult>),
-    /// The solve panicked; the payload rendered as a string.
-    Failed(String),
+pub enum SweepStates {
+    /// Exact-tier initial states.
+    Exact(Vec<GameState>),
+    /// Scale-tier initial states.
+    Scale(Vec<ScaleState>),
 }
 
-/// Solves one cell with panic isolation: a panic anywhere inside the
-/// dynamics (or injected via `inject_panic`, the `panic_cell` fault)
-/// is caught, the cell's [`CacheArena`] is rebuilt — its dirty
-/// tracking and solver scratch may have been left mid-update, so the
-/// warm-start soundness argument no longer covers them — and the
-/// panic payload comes back as `Err(message)`. The *next* cell on the
-/// same arena is then observationally a cold run, which the dynamics
-/// crate property-tests to be bit-identical to a warm one.
+/// One repetition's warm-start buffers, for either tier: the exact
+/// tier's [`CacheArena`] (view cache and solver scratch) and the scale
+/// tier's [`ScaleArena`]. Both start empty; a sweep only grows the one
+/// its tier uses.
+#[derive(Debug, Default)]
+pub struct SweepArena {
+    exact: CacheArena,
+    scale: ScaleArena,
+}
+
+/// Solves one exact-tier cell with panic isolation: a panic anywhere
+/// inside the dynamics (or injected via `inject_panic`, the
+/// `panic_cell` fault) is caught, the cell's [`CacheArena`] is rebuilt
+/// — its dirty tracking and solver scratch may have been left
+/// mid-update, so the warm-start soundness argument no longer covers
+/// them — and the panic payload comes back as `Err(message)`. The
+/// *next* cell on the same arena is then observationally a cold run,
+/// which the dynamics crate tests to be bit-identical to a warm one.
+/// A cold solve (`warm_start = false`) is that same rebuild, before
+/// the run.
 pub fn solve_cell_guarded(
     state: &GameState,
     scenario: Scenario,
@@ -402,15 +475,14 @@ pub fn solve_cell_guarded(
     inject_panic: bool,
 ) -> Result<RunResult, String> {
     let config = DynamicsConfig::new(scenario.spec(alpha, k));
+    if !warm_start {
+        arena.rebuild();
+    }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if inject_panic {
             panic!("injected fault: panic_cell");
         }
-        if warm_start {
-            run_with_cache(state.clone(), &config, arena)
-        } else {
-            run(state.clone(), &config)
-        }
+        run_with_cache(state.clone(), &config, arena)
     }));
     outcome.map_err(|payload| {
         arena.rebuild();
@@ -428,82 +500,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Runs this shard's cells of one grid, warm-starting per repetition,
-/// streaming each finished cell to `sink`. Cells for which
-/// `skip(index)` returns `true` (already journaled, on resume) are
-/// not run and not reported. `sink` may be called from worker
-/// threads in any completion order; the canonical order is
-/// re-established downstream (see `crate::engine`). `progress`, if
-/// given, is called after each finished cell with `(done, total)`
-/// where `total` counts this shard's non-skipped cells.
-///
-/// Each solve runs under [`solve_cell_guarded`]: a panicking cell
-/// reaches the sink as [`CellOutcome::Failed`] and the sweep carries
-/// on with a rebuilt arena. `fault`, if given, can additionally force
-/// a specific canonical cell to panic (`panic_cell:N`).
-#[allow(clippy::too_many_arguments)] // the engine's one low-level entry point
-pub fn run_cells(
-    states: &[GameState],
-    alphas: &[f64],
-    ks: &[u32],
-    scenario: impl Into<Scenario>,
-    warm_start: bool,
-    shard: Shard,
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    sink: &(dyn Fn(CellId, CellOutcome) + Sync),
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    fault: Option<&crate::fault::FaultPlan>,
-) {
-    let scenario = scenario.into();
-    assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let reps = states.len();
-    let index_of = |ai: usize, ki: usize, rep: usize| cell_index(ai, ki, rep, ks.len(), reps);
-    let my_reps: Vec<usize> = (0..reps).filter(|&r| shard.owns_rep(r)).collect();
-    let total: usize = my_reps
-        .iter()
-        .map(|&rep| {
-            (0..alphas.len())
-                .flat_map(|ai| (0..ks.len()).map(move |ki| (ai, ki)))
-                .filter(|&(ai, ki)| !skip(index_of(ai, ki, rep)))
-                .count()
-        })
-        .sum();
-    let done = AtomicUsize::new(0);
-    // One worker item per repetition: the rep's CacheArena persists
-    // across its whole (α, k) column, which is the warm-start win.
-    let _: Vec<()> = my_reps
-        .into_par_iter()
-        .map(|rep| {
-            let mut arena = CacheArena::new();
-            for (ai, &alpha) in alphas.iter().enumerate() {
-                for (ki, &k) in ks.iter().enumerate() {
-                    let index = index_of(ai, ki, rep);
-                    if skip(index) {
-                        continue;
-                    }
-                    let inject = fault.is_some_and(|f| f.panics_at_cell(index));
-                    let outcome = match solve_cell_guarded(
-                        &states[rep],
-                        scenario,
-                        alpha,
-                        k,
-                        warm_start,
-                        &mut arena,
-                        inject,
-                    ) {
-                        Ok(result) => CellOutcome::Done(Box::new(result)),
-                        Err(message) => CellOutcome::Failed(message),
-                    };
-                    sink(CellId { index, ai, ki, rep }, outcome);
-                    if let Some(cb) = progress {
-                        cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
-                }
-            }
-        })
-        .collect();
 }
 
 /// Solves one *scale-tier* cell with panic isolation, mirroring
@@ -541,16 +537,19 @@ pub fn solve_scale_cell_guarded(
     })
 }
 
-/// Runs this shard's cells of one grid, dispatching on the spec's
-/// tier: exact workloads go through [`run_cells`] (warm-started
-/// [`CacheArena`] per repetition), scale workloads through the
-/// approximate simultaneous dynamics (one [`ScaleArena`] per
-/// repetition — no `PlayerView` slots, no `O(n)` view cache). The
-/// sink receives finished [`RunRecord`]s (or the panic payload of a
-/// failed solve) instead of raw results, so callers never touch the
-/// tier-specific result types. This is the engine's single entry
-/// point; `sink` ordering caveats are as in [`run_cells`].
-#[allow(clippy::too_many_arguments)] // mirrors run_cells
+/// Runs this shard's cells of one grid, on either tier, streaming each
+/// finished cell's [`RunRecord`] — or the panic payload of a failed
+/// solve — to `sink`; the sweep carries on past a failed cell. This is
+/// the engine's single entry point.
+///
+/// Cells for which `skip(index)` returns `true` (already journaled, on
+/// resume) are not run and not reported; `inject_panic(index)` makes a
+/// cell's solve panic (the `panic_cell` fault). `warm_start = false`
+/// gives every cell a fresh arena. `sink` may be called from worker
+/// threads in any completion order; the canonical order is
+/// re-established downstream (see `crate::engine`). `progress`, if
+/// given, is called after each finished cell with `(done, total)`
+/// where `total` counts this shard's non-skipped cells.
 pub fn run_spec_cells(
     spec: &SweepSpec,
     warm_start: bool,
@@ -558,101 +557,54 @@ pub fn run_spec_cells(
     skip: &(dyn Fn(usize) -> bool + Sync),
     sink: &(dyn Fn(CellId, Result<RunRecord, String>) + Sync),
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    fault: Option<&crate::fault::FaultPlan>,
+    inject_panic: &(dyn Fn(usize) -> bool + Sync),
 ) {
-    if spec.is_scale() {
-        run_scale_cells(spec, warm_start, shard, skip, sink, progress, fault);
-        return;
-    }
-    let states = spec.states();
-    run_cells(
-        &states,
-        &spec.alphas,
-        &spec.ks,
-        spec.scenario(),
-        warm_start,
-        shard,
-        skip,
-        &|cell, outcome| {
-            let entry = match outcome {
-                CellOutcome::Done(result) => Ok(RunRecord::new(
-                    spec.class(),
-                    spec.n,
-                    spec.alphas[cell.ai],
-                    spec.ks[cell.ki],
-                    cell.rep,
-                    &result,
-                )),
-                CellOutcome::Failed(message) => Err(message),
-            };
-            sink(cell, entry);
-        },
-        progress,
-        fault,
-    );
+    let states = spec.sample();
+    for_each_cell(&spec.alphas, &spec.ks, spec.reps, shard, skip, progress, &|cell, arena| {
+        let inject = inject_panic(cell.index);
+        sink(cell, spec.solve_record(&states, cell.index, arena, warm_start, inject));
+    });
 }
 
-/// The scale-tier twin of [`run_cells`]: same canonical cell order,
-/// same rep-major parallel structure (one warm [`ScaleArena`] per
-/// repetition spanning its `(α, k)` column), same shard/skip/fault
-/// contract. `warm_start = false` rebuilds the arena per cell — an
-/// A/B knob like the exact tier's `--cold`; outcomes are
-/// bit-identical either way (the arena holds only scratch buffers).
-#[allow(clippy::too_many_arguments)] // mirrors run_cells
-fn run_scale_cells(
-    spec: &SweepSpec,
-    warm_start: bool,
+/// The one rep-major loop under every sweep: runs `shard`'s cells of
+/// an `α × k × reps` grid, one parallel item per repetition, calling
+/// `solve` on every cell `skip` does not claim, in canonical order
+/// within the repetition. The repetition's [`SweepArena`] persists
+/// across its whole `(α, k)` column, which is the warm-start win.
+/// `progress` is as in [`run_spec_cells`].
+fn for_each_cell(
+    alphas: &[f64],
+    ks: &[u32],
+    reps: usize,
     shard: Shard,
     skip: &(dyn Fn(usize) -> bool + Sync),
-    sink: &(dyn Fn(CellId, Result<RunRecord, String>) + Sync),
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    fault: Option<&crate::fault::FaultPlan>,
+    solve: &(dyn Fn(CellId, &mut SweepArena) + Sync),
 ) {
     assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let states = spec.scale_states();
-    let reps = states.len();
-    let index_of = |ai: usize, ki: usize, rep: usize| cell_index(ai, ki, rep, spec.ks.len(), reps);
+    let cells_of = |rep: usize| {
+        (0..alphas.len())
+            .flat_map(move |ai| {
+                (0..ks.len()).map(move |ki| CellId {
+                    index: cell_index(ai, ki, rep, ks.len(), reps),
+                    ai,
+                    ki,
+                    rep,
+                })
+            })
+            .filter(move |cell| !skip(cell.index))
+    };
     let my_reps: Vec<usize> = (0..reps).filter(|&r| shard.owns_rep(r)).collect();
-    let total: usize = my_reps
-        .iter()
-        .map(|&rep| {
-            (0..spec.alphas.len())
-                .flat_map(|ai| (0..spec.ks.len()).map(move |ki| (ai, ki)))
-                .filter(|&(ai, ki)| !skip(index_of(ai, ki, rep)))
-                .count()
-        })
-        .sum();
+    let total: usize = my_reps.iter().map(|&rep| cells_of(rep).count()).sum();
     let done = AtomicUsize::new(0);
     let _: Vec<()> = my_reps
         .into_par_iter()
         .map(|rep| {
-            let mut arena = ScaleArena::new();
-            for (ai, &alpha) in spec.alphas.iter().enumerate() {
-                for (ki, &k) in spec.ks.iter().enumerate() {
-                    let index = index_of(ai, ki, rep);
-                    if skip(index) {
-                        continue;
-                    }
-                    if !warm_start {
-                        arena = ScaleArena::new();
-                    }
-                    let inject = fault.is_some_and(|f| f.panics_at_cell(index));
-                    let entry =
-                        solve_scale_cell_guarded(&states[rep], spec, alpha, k, &mut arena, inject)
-                            .map(|(result, final_state)| {
-                                RunRecord::from_scale(
-                                    spec.class(),
-                                    alpha,
-                                    k,
-                                    rep,
-                                    &result,
-                                    &final_state,
-                                )
-                            });
-                    sink(CellId { index, ai, ki, rep }, entry);
-                    if let Some(cb) = progress {
-                        cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
+            let mut arena = SweepArena::default();
+            for cell in cells_of(rep) {
+                solve(cell, &mut arena);
+                if let Some(cb) = progress {
+                    cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
                 }
             }
         })
@@ -794,10 +746,10 @@ impl RunRecord {
 
 /// Runs dynamics for every `(α, k)` in the grid and every starting
 /// state, in parallel, returning results sorted by
-/// `(α-index, k-index, rep)` — the collect-style convenience over the
-/// streaming engine (tests, examples, small grids). Warm-starts per
-/// repetition like the streaming path; the progress counter is a
-/// lock-free atomic, so the callback no longer serialises workers.
+/// `(α-index, k-index, rep)` — the collect-style convenience on the
+/// streaming engine's loop (tests, examples, small grids). Warm-starts
+/// per repetition like the streaming path; the progress counter is a
+/// lock-free atomic, so the callback does not serialise workers.
 /// The scenario handle is a bare [`Objective`] for the canonical
 /// games or a full [`Scenario`] for model-zoo variants.
 pub fn sweep(
@@ -807,29 +759,23 @@ pub fn sweep(
     scenario: impl Into<Scenario>,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> Vec<CellResult> {
+    let scenario = scenario.into();
     let collected: Mutex<Vec<(usize, CellResult)>> =
         Mutex::new(Vec::with_capacity(alphas.len() * ks.len() * states.len()));
-    run_cells(
-        states,
-        alphas,
-        ks,
-        scenario,
-        true,
-        Shard::all(),
-        &|_| false,
-        &|cell, outcome| {
-            let result = match outcome {
-                CellOutcome::Done(result) => *result,
-                CellOutcome::Failed(message) => {
-                    panic!("cell {} failed: {message}", cell.index)
-                }
-            };
-            let item = CellResult { alpha: alphas[cell.ai], k: ks[cell.ki], rep: cell.rep, result };
-            collected.lock().push((cell.index, item));
-        },
-        progress,
-        None,
-    );
+    for_each_cell(alphas, ks, states.len(), Shard::all(), &|_| false, progress, &|cell, arena| {
+        let (alpha, k) = (alphas[cell.ai], ks[cell.ki]);
+        let result = solve_cell_guarded(
+            &states[cell.rep],
+            scenario,
+            alpha,
+            k,
+            true,
+            &mut arena.exact,
+            false,
+        )
+        .unwrap_or_else(|message| panic!("cell {} failed: {message}", cell.index));
+        collected.lock().push((cell.index, CellResult { alpha, k, rep: cell.rep, result }));
+    });
     let mut results = collected.into_inner();
     results.sort_by_key(|(index, _)| *index);
     results.into_iter().map(|(_, c)| c).collect()
@@ -943,47 +889,53 @@ mod tests {
         }
     }
 
+    /// Every entry `run_spec_cells` streams for `shard`, in canonical
+    /// order.
+    fn stream(
+        spec: &SweepSpec,
+        warm_start: bool,
+        shard: Shard,
+        inject_panic: &(dyn Fn(usize) -> bool + Sync),
+    ) -> Vec<(usize, Result<RunRecord, String>)> {
+        let got = Mutex::new(Vec::new());
+        run_spec_cells(
+            spec,
+            warm_start,
+            shard,
+            &|_| false,
+            &|cell, entry| got.lock().push((cell.index, entry)),
+            None,
+            inject_panic,
+        );
+        let mut got = got.into_inner();
+        got.sort_by_key(|(i, _)| *i);
+        got
+    }
+
     #[test]
     fn sharded_run_cells_cover_exactly_the_grid() {
-        let states = workloads::tree_states(10, 3, 5);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32];
-        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        for index in 0..2 {
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                true,
-                Shard { count: 2, index },
-                &|_| false,
-                &|cell, _| seen.lock().push(cell.index),
-                None,
-                None,
-            );
-        }
-        let mut seen = seen.into_inner();
+        let spec = SweepSpec::tree("t", 10, 3, 5, vec![0.5, 2.0], vec![2], Objective::Max);
+        let mut seen: Vec<usize> = (0..2)
+            .flat_map(|index| stream(&spec, true, Shard { count: 2, index }, &|_| false))
+            .map(|(index, _)| index)
+            .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..6).collect::<Vec<_>>(), "shards must partition the grid exactly");
     }
 
     #[test]
     fn skip_suppresses_cells_and_progress_total() {
-        let states = workloads::tree_states(10, 2, 9);
+        let spec = SweepSpec::tree("t", 10, 2, 9, vec![1.0], vec![2, 3], Objective::Max);
         let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let totals: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        run_cells(
-            &states,
-            &[1.0],
-            &[2, 3],
-            Objective::Max,
+        run_spec_cells(
+            &spec,
             true,
             Shard::all(),
             &|index| index % 2 == 0,
             &|cell, _| ran.lock().push(cell.index),
             Some(&|_, total| totals.lock().push(total)),
-            None,
+            &|_| false,
         );
         let mut ran = ran.into_inner();
         ran.sort_unstable();
@@ -1019,7 +971,7 @@ mod tests {
         let spec = ncg_core::GameSpec::max(1.0, 2);
         let mut config = DynamicsConfig::new(spec);
         config.max_rounds = 0;
-        let result = run(state, &config);
+        let result = ncg_dynamics::run(state, &config);
         let cell = CellResult { alpha: spec.alpha, k: spec.k, rep: 0, result };
         let rec = RunRecord::from_cell("tree", 3, &cell);
         assert!(rec.capped);
@@ -1128,20 +1080,10 @@ mod tests {
     #[test]
     fn run_spec_cells_covers_scale_grids_and_records_round_trip() {
         let spec = tiny_scale_spec();
-        let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-        run_spec_cells(
-            &spec,
-            true,
-            Shard::all(),
-            &|_| false,
-            &|cell, entry| got.lock().push((cell.index, entry.expect("no cell may fail"))),
-            None,
-            None,
-        );
-        let mut got = got.into_inner();
-        got.sort_by_key(|(i, _)| *i);
+        let got = stream(&spec, true, Shard::all(), &|_| false);
         assert_eq!(got.len(), spec.cell_count());
-        for (index, rec) in &got {
+        for (index, entry) in &got {
+            let rec = entry.as_ref().expect("no cell may fail");
             assert_eq!(rec.class, "scale_er");
             assert_eq!(rec.n, 120);
             assert!(rec.rounds <= 6);
@@ -1156,51 +1098,29 @@ mod tests {
         }
         // The dynamics do something on a random flat network: at the
         // cheap price at least, some player buys or drops an edge.
-        assert!(got.iter().any(|(_, r)| r.moves > 0), "no cell moved at all");
+        assert!(got.iter().any(|(_, r)| r.as_ref().unwrap().moves > 0), "no cell moved at all");
     }
 
     #[test]
     fn scale_cells_are_identical_warm_cold_and_across_shards() {
         let spec = tiny_scale_spec();
         let collect = |warm: bool, shards: usize| {
-            let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-            for index in 0..shards {
-                run_spec_cells(
-                    &spec,
-                    warm,
-                    Shard { count: shards, index },
-                    &|_| false,
-                    &|cell, entry| got.lock().push((cell.index, entry.expect("no failures"))),
-                    None,
-                    None,
-                );
-            }
-            let mut got = got.into_inner();
+            let mut got: Vec<_> = (0..shards)
+                .flat_map(|index| stream(&spec, warm, Shard { count: shards, index }, &|_| false))
+                .collect();
             got.sort_by_key(|(i, _)| *i);
             got
         };
         let reference = collect(true, 1);
+        assert!(reference.iter().all(|(_, entry)| entry.is_ok()), "no failures");
         assert_eq!(reference, collect(false, 1), "warm arenas must not change outcomes");
         assert_eq!(reference, collect(true, 2), "shard partition must not change outcomes");
     }
 
     #[test]
     fn panicking_scale_cell_fails_alone() {
-        use crate::fault::FaultPlan;
         let spec = tiny_scale_spec();
-        let fault = FaultPlan::parse("panic_cell:1").unwrap();
-        let got: Mutex<Vec<(usize, Result<RunRecord, String>)>> = Mutex::new(Vec::new());
-        run_spec_cells(
-            &spec,
-            true,
-            Shard::all(),
-            &|_| false,
-            &|cell, entry| got.lock().push((cell.index, entry)),
-            None,
-            Some(&fault),
-        );
-        let mut got = got.into_inner();
-        got.sort_by_key(|(i, _)| *i);
+        let got = stream(&spec, true, Shard::all(), &|index| index == 1);
         assert_eq!(got.len(), spec.cell_count());
         for (index, entry) in got {
             if index == 1 {
@@ -1213,45 +1133,11 @@ mod tests {
 
     #[test]
     fn panicking_cell_fails_alone_and_the_rest_match_a_clean_run() {
-        use crate::fault::FaultPlan;
-        let states = workloads::tree_states(14, 2, 11);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32, 1000];
-        let collect = |fault: Option<&FaultPlan>| {
-            let got: Mutex<Vec<(usize, Result<RunRecord, String>)>> = Mutex::new(Vec::new());
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                true,
-                Shard::all(),
-                &|_| false,
-                &|cell, outcome| {
-                    let entry = match outcome {
-                        CellOutcome::Done(result) => Ok(RunRecord::new(
-                            "tree",
-                            14,
-                            alphas[cell.ai],
-                            ks[cell.ki],
-                            cell.rep,
-                            &result,
-                        )),
-                        CellOutcome::Failed(message) => Err(message),
-                    };
-                    got.lock().push((cell.index, entry));
-                },
-                None,
-                fault,
-            );
-            let mut got = got.into_inner();
-            got.sort_by_key(|(i, _)| *i);
-            got
-        };
-        let clean = collect(None);
+        let spec = SweepSpec::tree("t", 14, 2, 11, vec![0.5, 2.0], vec![2, 1000], Objective::Max);
+        let clean = stream(&spec, true, Shard::all(), &|_| false);
         // Cell 2 is mid-rep-0's warm-start column: rep 0 runs cells
         // 0, 2, 4, 6, so the arena is warm before and rebuilt after.
-        let faulty = collect(Some(&FaultPlan::parse("panic_cell:2").unwrap()));
+        let faulty = stream(&spec, true, Shard::all(), &|index| index == 2);
         assert_eq!(faulty.len(), clean.len(), "every cell still reports");
         for ((ci, c), (fi, f)) in clean.iter().zip(&faulty) {
             assert_eq!(ci, fi);
@@ -1271,34 +1157,9 @@ mod tests {
     fn warm_and_cold_sweeps_agree_bitwise() {
         // The warm-start acceptance criterion at the engine level:
         // per-cell outcomes identical with arenas on and off.
-        let states = workloads::tree_states(16, 3, 11);
-        let alphas = [0.4, 3.0];
-        let ks = [2u32, 1000];
-        let collect = |warm: bool| {
-            let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                warm,
-                Shard::all(),
-                &|_| false,
-                &|cell, outcome| {
-                    let CellOutcome::Done(result) = outcome else {
-                        panic!("unexpected cell failure")
-                    };
-                    let rec =
-                        RunRecord::new("tree", 16, alphas[cell.ai], ks[cell.ki], cell.rep, &result);
-                    got.lock().push((cell.index, rec));
-                },
-                None,
-                None,
-            );
-            let mut got = got.into_inner();
-            got.sort_by_key(|(i, _)| *i);
-            got
-        };
-        assert_eq!(collect(true), collect(false));
+        let spec = SweepSpec::tree("t", 16, 3, 11, vec![0.4, 3.0], vec![2, 1000], Objective::Max);
+        let warm = stream(&spec, true, Shard::all(), &|_| false);
+        assert!(warm.iter().all(|(_, entry)| entry.is_ok()), "unexpected cell failure");
+        assert_eq!(warm, stream(&spec, false, Shard::all(), &|_| false));
     }
 }

@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use ncg_experiments::journal::{self, JournalLine};
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ncg_chaos_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -158,4 +160,31 @@ fn killed_worker_mid_sweep_still_yields_byte_identical_artifacts() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dist_dir);
+}
+
+/// `panic_cell:N` fails cell `N` of the plan's first sweep only, in a
+/// local run as in a worker: figure10 plans three sweeps, and a local
+/// run under the fault journals one `CellFailed` line, for the first,
+/// then exits non-zero.
+#[test]
+fn panic_cell_fails_one_cell_of_the_first_sweep_only() {
+    let dir = temp_dir("panic_cell");
+    let output = binary()
+        .args(["figure10", "--smoke", "--seed", "7", "--out"])
+        .arg(&dir)
+        .env("NCG_FAULT", "panic_cell:0")
+        .output()
+        .expect("spawning the faulted run");
+    assert!(!output.status.success(), "a failed cell must fail the run");
+    let failed: Vec<(String, usize)> =
+        journal::read_lines(&journal::journal_path(&dir, "figure10"))
+            .expect("reading the journal")
+            .into_iter()
+            .filter_map(|line| match line {
+                JournalLine::Failed(marker) => Some((marker.sweep, marker.cell)),
+                JournalLine::Ok(_) => None,
+            })
+            .collect();
+    assert_eq!(failed, vec![("vs_alpha".to_string(), 0)]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

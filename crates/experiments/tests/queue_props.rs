@@ -12,12 +12,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ncg_core::Objective;
-use ncg_dynamics::CacheArena;
 use ncg_experiments::engine::{self, SweepContext, SweepMode};
 use ncg_experiments::journal::{self, JournalLine};
 use ncg_experiments::protocol::{Reply, Request};
-use ncg_experiments::queue::{Coordinator, CoordinatorOptions};
-use ncg_experiments::sweep::{solve_cell_guarded, RunRecord, SweepSpec};
+use ncg_experiments::queue::{Coordinator, QueueOptions};
+use ncg_experiments::sweep::{RunRecord, SweepArena, SweepSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ncg_queue_props_{tag}_{}", std::process::id()));
@@ -43,25 +42,13 @@ fn reference_bytes(specs: &[SweepSpec], experiment: &str) -> Vec<u8> {
     bytes
 }
 
-/// Solves one cell the way a worker would (cold arena — warm starts
-/// are bit-identical anyway) and renders its record JSON.
+/// Solves one cell through the per-cell solve a worker runs (cold —
+/// warm starts are bit-identical anyway) and renders its record JSON.
 fn solve_json(specs: &[SweepSpec], si: usize, cell: usize) -> String {
     let spec = &specs[si];
-    let id = spec.cell(cell);
-    let states = spec.states();
-    let mut arena = CacheArena::new();
-    let result = solve_cell_guarded(
-        &states[id.rep],
-        spec.scenario(),
-        spec.alphas[id.ai],
-        spec.ks[id.ki],
-        false,
-        &mut arena,
-        false,
-    )
-    .expect("clean solve");
-    let record =
-        RunRecord::new(spec.class(), spec.n, spec.alphas[id.ai], spec.ks[id.ki], id.rep, &result);
+    let record = spec
+        .solve_record(&spec.sample(), cell, &mut SweepArena::default(), false, false)
+        .expect("clean solve");
     serde_json::to_string(&record).unwrap()
 }
 
@@ -73,8 +60,8 @@ fn hello(specs: &[SweepSpec], worker: &str, experiment: &str) -> Request {
     }
 }
 
-fn opts(lease: Duration) -> CoordinatorOptions {
-    CoordinatorOptions { lease, max_retries: 3 }
+fn opts(lease: Duration) -> QueueOptions {
+    QueueOptions { lease, max_retries: 3 }
 }
 
 /// Leases one cell for `worker` (asserting a grant) and returns it.
@@ -301,7 +288,7 @@ fn repeated_panics_abandon_the_cell_and_finish_reports_it() {
         &dir,
         "q_fail",
         plan(),
-        CoordinatorOptions { lease: Duration::from_secs(60), max_retries: 1 },
+        QueueOptions { lease: Duration::from_secs(60), max_retries: 1 },
     )
     .unwrap();
     let t0 = Instant::now();
