@@ -17,9 +17,23 @@
 //! ball and a sweep costs `O(Σ balls)`, not `O(n²)`. On the n = 4056
 //! torus and a 10^4-node random tree, gated against `view::ball`
 //! before timing.
+//!
+//! *Row sweeps* (`view_rows/{class}`): the `H ∖ {u}` distance rows
+//! `PlayerView::extend_rows_minus_center` grows ring by ring over
+//! adjacency words, for a set of views with one warm scratch; the
+//! parameter is the number of views, so a per-call time is the median
+//! divided by it. The classes are the consumers' views: full views of
+//! `G(30, 0.3)` and of a random 30-node tree with every local vertex a
+//! source (the Sum engine's matrix), radius-2 balls of `G(4000, 3/n)`
+//! of about 14 nodes with every source (`lke_gadgets`' Sum views), and
+//! radius-2 balls of `G(20000, 10/n)` of about 110 nodes with the
+//! scale responder's climb sources (purchases and the four farthest
+//! ball nodes). Every row is gated against `bfs_minus_center` before
+//! timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncg_constructions::TorusGrid;
+use ncg_core::{GameState, PlayerView, RowScratch};
 use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{generators, view, CsrGraph, Graph, NodeId, INFINITY};
 use rand::SeedableRng;
@@ -119,5 +133,86 @@ fn bench_ball_sweeps(c: &mut Criterion) {
     bench_ball_sweep_on(c, "tree", &generators::random_tree(10_000, &mut rng));
 }
 
-criterion_group!(benches, bench_gnp, bench_tree, bench_torus, bench_ball_sweeps);
+/// The views of `players` at radius `k`, each with its row sources:
+/// every local vertex, or (`climb_sources`) the purchases and the four
+/// farthest ball nodes, ties towards smaller id, as the scale
+/// responder narrows a view of more than 64 candidates.
+fn row_jobs(
+    state: &GameState,
+    players: impl Iterator<Item = NodeId>,
+    k: u32,
+    climb_sources: bool,
+) -> Vec<(PlayerView, Vec<NodeId>)> {
+    players
+        .map(|u| {
+            let view = PlayerView::build(state, u, k);
+            let sources = if climb_sources {
+                let mut far: Vec<NodeId> = view.candidates();
+                far.sort_by_key(|&v| (std::cmp::Reverse(view.dist[v as usize]), v));
+                let mut sources: Vec<NodeId> =
+                    far.into_iter().take(4).chain(view.purchases.iter().copied()).collect();
+                sources.sort_unstable();
+                sources.dedup();
+                sources
+            } else {
+                (0..view.len() as NodeId).collect()
+            };
+            (view, sources)
+        })
+        .collect()
+}
+
+fn bench_view_rows_on(c: &mut Criterion, class: &str, jobs: &[(PlayerView, Vec<NodeId>)]) {
+    let mut scratch = RowScratch::new();
+    let mut rows = Vec::new();
+    // Gate before timing: every row is the source's BFS row.
+    let mut buf = DistanceBuffer::new();
+    for (view, sources) in jobs {
+        rows.clear();
+        view.extend_rows_minus_center(sources.iter().copied(), &mut scratch, &mut rows);
+        for (&s, row) in sources.iter().zip(rows.chunks(view.len())) {
+            view.bfs_minus_center(&[s], &mut buf);
+            if s == view.center {
+                assert!(row.iter().all(|&d| d == INFINITY), "{class}: center row");
+            } else {
+                assert_eq!(row, buf.distances(), "{class}: row of {s}");
+            }
+        }
+    }
+    let mut group = c.benchmark_group("view_rows");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new(class, jobs.len()), jobs, |b, jobs| {
+        b.iter(|| {
+            let mut total = 0;
+            for (view, sources) in jobs {
+                rows.clear();
+                view.extend_rows_minus_center(sources.iter().copied(), &mut scratch, &mut rows);
+                total += rows.len();
+            }
+            black_box(total)
+        })
+    });
+    group.finish();
+}
+
+fn bench_view_rows(c: &mut Criterion) {
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let g = generators::gnp_connected(30, 0.3, 1000, &mut rng).unwrap();
+    let state = GameState::from_graph_random_ownership(&g, &mut rng);
+    bench_view_rows_on(c, "gnp30_p0.3_full", &row_jobs(&state, 0..30, 1000, false));
+
+    let tree = generators::random_tree(30, &mut rng);
+    let state = GameState::from_graph_random_ownership(&tree, &mut rng);
+    bench_view_rows_on(c, "tree30_full", &row_jobs(&state, 0..30, 1000, false));
+
+    let g = generators::gnp(4000, 3.0 / 4000.0, &mut rng).unwrap();
+    let state = GameState::from_graph_random_ownership(&g, &mut rng);
+    bench_view_rows_on(c, "gnp4000_deg3_k2", &row_jobs(&state, 0..200, 2, false));
+
+    let g = generators::gnp(20_000, 10.0 / 20_000.0, &mut rng).unwrap();
+    let state = GameState::from_graph_random_ownership(&g, &mut rng);
+    bench_view_rows_on(c, "gnp20000_deg10_k2_climb", &row_jobs(&state, 0..100, 2, true));
+}
+
+criterion_group!(benches, bench_gnp, bench_tree, bench_torus, bench_ball_sweeps, bench_view_rows);
 criterion_main!(benches);

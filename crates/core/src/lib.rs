@@ -58,7 +58,7 @@ pub mod view;
 pub use scenario::{EdgeCostModel, MoveRulePolicy, Scenario};
 pub use spec::{GameSpec, Objective, EPS};
 pub use state::{EdgeDiff, GameState};
-pub use view::{PlayerView, ViewScratch, ViewSource};
+pub use view::{PlayerView, RowScratch, ViewScratch, ViewSource};
 
 /// Re-exported graph substrate, so downstream crates can name graph
 /// types without an explicit `ncg-graph` dependency.

@@ -7,9 +7,10 @@
 //!
 //! Every deviation is priced on `H ∖ {center}`. That graph is never
 //! materialised: it is the same CSR read with the center skipped, and
-//! [`PlayerView::bfs_minus_center`] and
-//! [`PlayerView::neighbors_minus_center`] are the only two places that
-//! know it.
+//! [`PlayerView::bfs_minus_center`], the row sweep
+//! [`PlayerView::extend_rows_minus_center`] and
+//! [`PlayerView::neighbors_minus_center`] are the only places that know
+//! it.
 //!
 //! Both dynamics tiers build their views here. [`PlayerView::rebuild`]
 //! reads any [`ViewSource`]: the exact tier's [`GameState`] and the
@@ -72,6 +73,39 @@ impl ViewScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Reusable words of [`PlayerView::extend_rows_minus_center`]: one
+/// adjacency bitset per local vertex, and the ball, ring and next-ring
+/// bitsets of the source being swept.
+///
+/// Grow-only: a call allocates only for a view wider than any this
+/// scratch has swept before.
+#[derive(Debug, Clone, Default)]
+pub struct RowScratch {
+    adj: Vec<u64>,
+    ball: Vec<u64>,
+    ring: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl RowScratch {
+    /// Fresh scratch; it sizes itself on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The positions of the set bits of `word`, ascending.
+#[inline(always)]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// Everything player `u` knows at radius `k`, in local coordinates.
@@ -246,20 +280,95 @@ impl PlayerView {
         bfs_skipping(&self.sub.graph, sources, self.center, buf)
     }
 
-    /// Appends one [`PlayerView::bfs_minus_center`] row per source to
-    /// `rows`, in source order, `len()` distances each. The center's
-    /// row comes out all `INFINITY`: the sweep ignores a skipped
-    /// source. The Sum engine's row matrix and the scale responder's
-    /// per-source rows are both built here.
+    /// Appends one `H ∖ {center}` distance row per source to `rows`, in
+    /// source order, `len()` distances each: row `s` is what
+    /// [`PlayerView::bfs_minus_center`] from `[s]` leaves, and the
+    /// center's row is all `INFINITY`. The Sum engine's row matrix and
+    /// the greedy climb's per-source rows are both built here.
+    ///
+    /// No BFS runs: each row grows ring by ring over 64-bit adjacency
+    /// words, built once per call from the view's CSR. A source starts
+    /// with the ball `{s, center}` and the ring `{s}`; the next ring is
+    /// the union of the adjacency words of the ring's vertices minus
+    /// the ball. Marking the center visited up front keeps her at
+    /// `INFINITY` and keeps every path off her. The body is compiled
+    /// for views of one, two and three words, whose word loops unroll,
+    /// and for any wider view; `len()` picks the width.
     pub fn extend_rows_minus_center(
         &self,
         sources: impl IntoIterator<Item = NodeId>,
-        buf: &mut DistanceBuffer,
+        scratch: &mut RowScratch,
         rows: &mut Vec<u32>,
     ) {
+        match self.len().div_ceil(64) {
+            0 | 1 => self.sweep_rows::<1>(1, sources, scratch, rows),
+            2 => self.sweep_rows::<2>(2, sources, scratch, rows),
+            3 => self.sweep_rows::<3>(3, sources, scratch, rows),
+            words => self.sweep_rows::<0>(words, sources, scratch, rows),
+        }
+    }
+
+    /// The ring sweep of [`PlayerView::extend_rows_minus_center`] at
+    /// `words` 64-bit words per vertex set: the constant `W` when it is
+    /// not 0, so that narrow views' word loops unroll.
+    fn sweep_rows<const W: usize>(
+        &self,
+        words: usize,
+        sources: impl IntoIterator<Item = NodeId>,
+        scratch: &mut RowScratch,
+        rows: &mut Vec<u32>,
+    ) {
+        let (n, w) = (self.len(), if W == 0 { words } else { W });
+        let center = self.center as usize;
+        let RowScratch { adj, ball, ring, next } = scratch;
+        adj.clear();
+        adj.resize(n * w, 0);
+        for (v, adj_row) in adj.chunks_exact_mut(w).enumerate() {
+            for &x in self.sub.graph.neighbors(v as NodeId) {
+                adj_row[x as usize / 64] |= 1 << (x % 64);
+            }
+        }
+        for set in [&mut *ball, &mut *ring, &mut *next] {
+            set.clear();
+            set.resize(w, 0);
+        }
+        let (ball, ring, next) = (&mut ball[..w], &mut ring[..w], &mut next[..w]);
         for s in sources {
-            self.bfs_minus_center(&[s], buf);
-            rows.extend_from_slice(buf.distances());
+            let start = rows.len();
+            rows.resize(start + n, INFINITY);
+            let s = s as usize;
+            if s == center {
+                continue;
+            }
+            let row = &mut rows[start..];
+            row[s] = 0;
+            ball.fill(0);
+            ring.fill(0);
+            ball[center / 64] |= 1 << (center % 64);
+            ball[s / 64] |= 1 << (s % 64);
+            ring[s / 64] |= 1 << (s % 64);
+            for d in 1.. {
+                next.fill(0);
+                for (i, &word) in ring.iter().enumerate() {
+                    for v in set_bits(word).map(|b| i * 64 + b) {
+                        for (x, &a) in next.iter_mut().zip(&adj[v * w..(v + 1) * w]) {
+                            *x |= a;
+                        }
+                    }
+                }
+                let mut grew = false;
+                for i in 0..w {
+                    ring[i] = next[i] & !ball[i];
+                    ball[i] |= ring[i];
+                    grew |= ring[i] != 0;
+                    for b in set_bits(ring[i]) {
+                        row[i * 64 + b] = d;
+                    }
+                }
+                if !grew {
+                    break;
+                }
+            }
         }
     }
 
@@ -416,6 +525,34 @@ mod tests {
         assert_eq!(buf.dist(v.center), INFINITY);
         assert_eq!(buf.dist(v.sub.to_local(4).unwrap()), 1);
         assert_eq!(buf.dist(v.sub.to_local(1).unwrap()), INFINITY);
+    }
+
+    #[test]
+    fn row_sweep_matches_the_bfs_at_every_width() {
+        // Whole components of sparse G(n, 3/n), one to five words wide,
+        // from one warm scratch whose width jumps up and down.
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(28);
+        let (mut scratch, mut rows, mut buf) =
+            (RowScratch::new(), Vec::new(), DistanceBuffer::new());
+        for n in [300usize, 20, 200, 64, 129, 65, 257] {
+            let g = ncg_graph::generators::gnp(n, 3.0 / n as f64, &mut rng).unwrap();
+            let s = GameState::from_graph_random_ownership(&g, &mut rng);
+            for u in [0, n as NodeId / 2, n as NodeId - 1] {
+                let v = PlayerView::build(&s, u, 1000);
+                rows.clear();
+                v.extend_rows_minus_center(0..v.len() as NodeId, &mut scratch, &mut rows);
+                assert_eq!(rows.len(), v.len() * v.len());
+                for (src, row) in rows.chunks(v.len()).enumerate() {
+                    if src == v.center as usize {
+                        assert!(row.iter().all(|&d| d == INFINITY), "n = {n}, u = {u}: center row");
+                    } else {
+                        v.bfs_minus_center(&[src as NodeId], &mut buf);
+                        assert_eq!(row, buf.distances(), "n = {n}, u = {u}: row {src}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

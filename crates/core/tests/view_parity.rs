@@ -6,12 +6,13 @@
 //! way, inside the test: the ball from a full BFS, a `Graph` over the
 //! ball with ids mapped by binary search, distances from a BFS on that
 //! graph, and `H ∖ {u}` as a copy with the center detached. Every
-//! field, every `H ∖ {u}` read and every deviation price must agree —
-//! on one view slot rebuilt in place across states of different sizes,
-//! the warm path the dynamics view cache takes.
+//! field, every `H ∖ {u}` read, every per-source `H ∖ {u}` distance row
+//! and every deviation price must agree — on one view slot and one row
+//! scratch reused across states of different sizes, the warm path the
+//! dynamics view cache and the solvers take.
 
 use ncg_core::deviation::{evaluate_max, evaluate_sum, DeviationEval, EvalScratch};
-use ncg_core::{GameState, PlayerView, ViewScratch};
+use ncg_core::{GameState, PlayerView, RowScratch, ViewScratch};
 use ncg_graph::bfs::{bfs, bfs_multi, DistanceBuffer};
 use ncg_graph::{generators, Graph, NodeId, INFINITY};
 use rand::{Rng, SeedableRng};
@@ -93,12 +94,14 @@ fn random_ownership(g: &Graph, rng: &mut ChaCha8Rng) -> GameState {
     GameState::from_strategies(g.node_count(), strategies)
 }
 
-/// Random trees and `G(n, p)` of every size class up to 40 nodes, in
-/// an order that grows and shrinks the warm slot.
+/// Random trees and `G(n, p)` of every size class up to 40 nodes, and
+/// on either side of one and two 64-bit words (full views of 64, 65,
+/// 128 and 130 nodes), in an order that grows and shrinks the warm
+/// slot and the row scratch.
 fn states() -> Vec<GameState> {
     let mut rng = ChaCha8Rng::seed_from_u64(1907);
     let mut out = Vec::new();
-    for n in [40usize, 1, 17, 2, 33, 9, 26, 40, 5] {
+    for n in [40usize, 1, 17, 130, 2, 33, 65, 9, 128, 26, 64, 40, 5] {
         let tree = generators::random_tree(n, &mut rng);
         out.push(random_ownership(&tree, &mut rng));
         let p = rng.random_range(0.05..0.3);
@@ -130,6 +133,7 @@ fn csr_view_matches_the_detached_graph_reference() {
     let mut from_ball: Option<PlayerView> = None;
     let mut eval = EvalScratch::new();
     let (mut a, mut b) = (DistanceBuffer::new(), DistanceBuffer::new());
+    let (mut row_scratch, mut rows) = (RowScratch::new(), Vec::new());
     for (i, state) in states().iter().enumerate() {
         for k in [1u32, 2, 3, 1000] {
             for u in 0..state.n() as NodeId {
@@ -142,6 +146,20 @@ fn csr_view_matches_the_detached_graph_reference() {
                 let other = from_ball.get_or_insert_with(|| PlayerView::build(state, u, k));
                 other.rebuild_from_ball(state, u, k, &r.ball, &mut scratch);
                 assert_eq!(other, view, "{tag}: rebuild_from_ball");
+
+                // Every source's row, from one warm scratch.
+                let n = view.len();
+                rows.clear();
+                view.extend_rows_minus_center(0..n as NodeId, &mut row_scratch, &mut rows);
+                assert_eq!(rows.len(), n * n, "{tag}: row matrix size");
+                for (s, row) in rows.chunks(n).enumerate() {
+                    if s == r.center as usize {
+                        assert!(row.iter().all(|&d| d == INFINITY), "{tag}: center row");
+                    } else {
+                        bfs_multi(&r.minus_center, &[s as NodeId], &mut b);
+                        assert_eq!(row, b.distances(), "{tag}: row {s}");
+                    }
+                }
 
                 // Strategies: current, empty, and random candidate sets.
                 let mut strategies = vec![r.purchases.clone(), Vec::new()];

@@ -7,7 +7,7 @@
 //! across worker-pool sizes and pinned runs.
 
 use ncg_core::deviation::{current_total, evaluate_total, EvalScratch};
-use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
+use ncg_core::{GameSpec, GameState, PlayerView, RowScratch, ViewScratch};
 use ncg_dynamics::scale::{
     respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleScratch, ScaleState,
 };
@@ -128,7 +128,8 @@ proptest! {
         let ss = ScaleState::from_game_state(&gs);
         let exact = ss.to_game_state();
         let (mut slot, mut views) = (PlayerView::default(), ViewScratch::new());
-        let (mut buf, mut rows) = (DistanceBuffer::new(), Vec::new());
+        let (mut buf, mut row_scratch, mut rows) =
+            (DistanceBuffer::new(), RowScratch::new(), Vec::new());
         for k in [1u32, 2, 3, 1000] {
             for u in 0..n as NodeId {
                 slot.rebuild(&ss, u, k, &mut views);
@@ -136,7 +137,7 @@ proptest! {
 
                 let b = slot.len();
                 rows.clear();
-                slot.extend_rows_minus_center(0..b as NodeId, &mut buf, &mut rows);
+                slot.extend_rows_minus_center(0..b as NodeId, &mut row_scratch, &mut rows);
                 prop_assert_eq!(rows.len(), b * b);
                 for (s, row) in rows.chunks(b).enumerate() {
                     if s == slot.center as usize {

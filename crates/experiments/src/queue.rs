@@ -632,6 +632,7 @@ pub fn serve(coordinator: &Arc<Coordinator>, opts: &ServeOptions) -> std::io::Re
     while !coordinator.is_finished() {
         match listener.accept() {
             Ok((stream, _)) => {
+                let _ = stream.set_nodelay(true);
                 let coordinator = Arc::clone(coordinator);
                 std::thread::spawn(move || connection_loop(&coordinator, stream));
             }
@@ -796,7 +797,10 @@ pub fn work(experiment: &str, specs: &[SweepSpec], opts: &WorkOptions) -> std::i
     let mut ever_connected = false;
     loop {
         let stream = match TcpStream::connect(&opts.connect) {
-            Ok(stream) => stream,
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                stream
+            }
             Err(e) => {
                 if ever_connected {
                     eprintln!(
@@ -888,6 +892,7 @@ fn session(
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let Ok(stream) = TcpStream::connect(&connect) else { return };
+            let _ = stream.set_nodelay(true);
             let Ok(mut write_half) = stream.try_clone() else { return };
             let mut reader = BufReader::new(stream);
             let hello = Request::Hello { worker: worker_id, experiment, fingerprints };
@@ -902,12 +907,15 @@ fn session(
                     }
                     let _ = write_half.flush();
                 }
-                std::thread::sleep(pause);
+                // Parked, not slept, so the end of the session wakes
+                // the beat at once; a spurious wake-up only beats early.
+                std::thread::park_timeout(pause);
             }
         })
     };
     let end = session_loop(solver, &mut write_half, &mut reader, &current, fault);
     stop.store(true, Ordering::Relaxed);
+    beat_handle.thread().unpark();
     if matches!(end, Ok(SessionEnd::Done)) {
         let _ = writeln!(write_half, "{}", Request::Bye.render());
         let _ = beat_handle.join();

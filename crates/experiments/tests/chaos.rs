@@ -188,3 +188,61 @@ fn panic_cell_fails_one_cell_of_the_first_sweep_only() {
     assert_eq!(failed, vec![("vs_alpha".to_string(), 0)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A worker exits with its coordinator, not one heartbeat pause after
+/// it: under a 120 s lease the heartbeat pauses 40 s between beats,
+/// and the end of the session must cut that pause short. Enough
+/// repetitions that the sweep outlasts the heartbeat's own handshake,
+/// so the heartbeat is asleep when the session ends.
+#[test]
+fn worker_exits_with_the_coordinator_under_a_long_lease() {
+    const LONG_SWEEP_ARGS: &[&str] = &["--smoke", "--seed", "7", "--reps", "64"];
+    let dir = temp_dir("long_lease");
+    let port_file = dir.join("port");
+    let serve = binary()
+        .args(["serve", "figure5"])
+        .args(LONG_SWEEP_ARGS)
+        .args(["--listen", "127.0.0.1:0", "--lease-timeout", "120", "--port-file"])
+        .arg(&port_file)
+        .arg("--out")
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning the coordinator");
+    let worker = binary()
+        .args(["work", "figure5"])
+        .args(LONG_SWEEP_ARGS)
+        .args(["--worker-id", "long-lease", "--port-file"])
+        .arg(&port_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning the worker");
+
+    // Poll both children, noting when each exits.
+    let deadline = Duration::from_secs(300);
+    let start = Instant::now();
+    let mut children = [("coordinator", serve, None), ("worker", worker, None)];
+    while children.iter().any(|(_, _, exit)| exit.is_none()) {
+        for (name, child, exit) in &mut children {
+            if exit.is_none() {
+                if let Some(status) = child.try_wait().unwrap() {
+                    assert!(status.success(), "{name} failed: {status}");
+                    *exit = Some(Instant::now());
+                }
+            }
+        }
+        if start.elapsed() > deadline {
+            for (_, child, _) in &mut children {
+                let _ = child.kill();
+            }
+            panic!("the serve/work pair did not finish within {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let [(_, _, Some(serve_exit)), (_, _, Some(worker_exit))] = children else { unreachable!() };
+    let lag = worker_exit.saturating_duration_since(serve_exit);
+    assert!(lag < Duration::from_secs(3), "the worker exited {lag:?} after the coordinator");
+    let _ = std::fs::remove_dir_all(&dir);
+}

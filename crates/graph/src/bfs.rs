@@ -10,10 +10,12 @@
 //! on [`Graph`] or on [`crate::CsrGraph`] — are thin wrappers around
 //! **one** frontier sweep (the private `bfs_kernel`), parameterised
 //! over the [`Adjacency`] representation. View extraction
-//! (`crate::view::ball`), LKE certification, the scale tier's balls
-//! and distance rows, and the deviation evaluator's multi-source
-//! sweeps therefore share a single, monomorphised inner loop, and a
-//! bounded run costs what it visits (see `DESIGN.md` §5 and §12).
+//! (`crate::view::ball`), LKE certification, the scale tier's balls,
+//! and the deviation evaluator's multi-source sweeps therefore share a
+//! single, monomorphised inner loop, and a bounded run costs what it
+//! visits (see `DESIGN.md` §5 and §12). Per-source distance rows of a
+//! player's view are grown over adjacency words instead, by
+//! `ncg_core::PlayerView::extend_rows_minus_center`.
 
 use crate::{Graph, NodeId, INFINITY};
 

@@ -30,7 +30,7 @@
 
 use ncg_core::deviation::sum_source_limit;
 use ncg_core::equilibrium::Deviation;
-use ncg_core::{GameSpec, MoveRulePolicy, Objective, PlayerView, EPS};
+use ncg_core::{GameSpec, MoveRulePolicy, Objective, PlayerView, RowScratch, EPS};
 use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{NodeId, INFINITY};
 
@@ -39,13 +39,15 @@ use crate::bound::purchase_cutoff;
 /// Sentinel "no unique nearest purchase" in the per-step tables.
 const NO_ARG: u32 = u32::MAX;
 
-/// Reusable buffers of [`climb`]: the BFS buffer for the view's
-/// ball-local CSR, the distance rows and the ball-sized work arrays.
-/// Hold one per thread; allocation-free once warm except for the
-/// returned strategy.
+/// Reusable buffers of [`climb`]: the BFS buffer of the incoming-edge
+/// row, the word scratch of the per-source rows
+/// ([`PlayerView::extend_rows_minus_center`]), the distance rows and
+/// the ball-sized work arrays. Hold one per thread; allocation-free
+/// once warm except for the returned strategy.
 #[derive(Debug, Clone, Default)]
 pub struct ClimbScratch {
     buf: DistanceBuffer,
+    row_scratch: RowScratch,
     base: Vec<u32>,
     drop_row: Vec<u32>,
     fields: Vec<u32>,
@@ -71,7 +73,7 @@ impl ClimbScratch {
 /// `base` and one distance row per source (`src_ids` = purchases ∪
 /// candidates, rows in `fields`).
 fn build_rows(view: &PlayerView, candidates: &[NodeId], scratch: &mut ClimbScratch) {
-    let ClimbScratch { buf, base, fields, src_ids, .. } = scratch;
+    let ClimbScratch { buf, row_scratch, base, fields, src_ids, .. } = scratch;
     // One shared multi-source row for the incoming sources.
     view.bfs_minus_center(&view.incoming, buf);
     base.clear();
@@ -83,7 +85,7 @@ fn build_rows(view: &PlayerView, candidates: &[NodeId], scratch: &mut ClimbScrat
     src_ids.sort_unstable();
     src_ids.dedup();
     fields.clear();
-    view.extend_rows_minus_center(src_ids.iter().copied(), buf, fields);
+    view.extend_rows_minus_center(src_ids.iter().copied(), row_scratch, fields);
 }
 
 /// Per-step tables of a strategy whose purchases have field rows at

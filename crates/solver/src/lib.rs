@@ -148,10 +148,13 @@ impl ParallelPolicy {
 /// beyond the strategies it returns, plus storage for a view larger
 /// than any seen before. Measured means are 0.9–1.6 allocations per
 /// call on radius-2 views of a random 200-node tree, 2.6–4.6 on full
-/// views of a G(70, 0.15) and 1.5–2.5 for the Sum engine on a 30-node
-/// tree; `tests/scratch_allocations.rs` holds them to at most 2, 6
-/// and 3. The plain `max_best_response` / `sum_best_response` entry
-/// points create a throwaway scratch per call.
+/// views of a G(70, 0.15), 1.5–2.5 for the Sum engine on a 30-node
+/// tree and 7.2 for the greedy Sum climb on the one- to three-word
+/// radius-2 views of a sparse G(2000, 10/n), most of them its
+/// candidate list; `tests/scratch_allocations.rs` holds them to at
+/// most 2, 6, 3 and 8. The plain `max_best_response` /
+/// `sum_best_response` entry points create a throwaway scratch per
+/// call.
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
     pub(crate) eval: EvalScratch,

@@ -44,7 +44,7 @@ pub fn sum_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
     sum_best_response_with(spec, view, mode, &mut SolverScratch::new())
 }
 
-/// [`sum_best_response`] with caller-provided scratch: the BFS rows,
+/// [`sum_best_response`] with caller-provided scratch: the distance rows,
 /// per-depth pools and node buffers of the branch-and-bound (and the
 /// distance tables of the greedy climb) are reused across calls, so
 /// dynamics rounds warm-restart the solver exactly like `max_br`.

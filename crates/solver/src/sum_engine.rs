@@ -23,7 +23,9 @@
 //! list `U`, and the per-vertex residual `best[v] = min_{s ∈ I ∪
 //! In(u)} d_{H∖u}(s, v)` maintained incrementally as `I` grows. Two
 //! admissible lower bounds prune, both computed from the same
-//! single-BFS-per-candidate distance rows:
+//! per-candidate distance rows, the `n × n` matrix
+//! [`PlayerView::extend_rows_minus_center`] grows ring by ring over
+//! adjacency words once per solve:
 //!
 //! * **Reachability bound** `LB₀ = α·|I| + Σ_v (1 + min(best[v],
 //!   undmin[v]))`: no completion can bring `v` closer than the best
@@ -123,8 +125,7 @@
 //! schedule. The one caveat — costs that differ by a nonzero amount
 //! `≤ EPS` — is measure-zero in α and documented in DESIGN.md §9.
 
-use ncg_core::{GameSpec, PlayerView};
-use ncg_graph::bfs::DistanceBuffer;
+use ncg_core::{GameSpec, PlayerView, RowScratch};
 use ncg_graph::{NodeId, INFINITY};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,7 +212,8 @@ pub struct SumEngine {
     /// Ceiling on any feasible finite distance (`n − 1`), used by the
     /// gain bound.
     cap: u32,
-    /// Flat `n × n` BFS distance rows on `H ∖ {u}`; row `c` holds
+    /// Flat `n × n` distance rows on `H ∖ {u}`, from
+    /// [`PlayerView::extend_rows_minus_center`]; row `c` holds
     /// `d_{H∖u}(c, ·)` (the center row is all-∞).
     rows: Vec<u32>,
     /// `min` over incoming rows: the residual with the empty strategy.
@@ -220,7 +222,8 @@ pub struct SumEngine {
     /// ([`ncg_core::deviation::sum_source_limit`]; ∞ for the center).
     limit: Vec<u32>,
     seed: SumIncumbent,
-    buf: DistanceBuffer,
+    /// The adjacency and ring words the row sweep reuses.
+    row_scratch: RowScratch,
     /// Per-depth node state pools (the engine-rearchitecture idiom:
     /// taken with `mem::take` around recursion, restored after).
     best_pool: Vec<Vec<u32>>,
@@ -286,7 +289,7 @@ impl Default for SumEngine {
             base: Vec::new(),
             limit: Vec::new(),
             seed: SumIncumbent { strategy: Vec::new(), cost: 0.0 },
-            buf: DistanceBuffer::new(),
+            row_scratch: RowScratch::new(),
             best_pool: Vec::new(),
             und_pool: Vec::new(),
             dual_pool: Vec::new(),
@@ -338,7 +341,7 @@ impl SumEngine {
         self.spec = *spec;
         self.cap = (n - 1) as u32;
         self.rows.clear();
-        view.extend_rows_minus_center(0..n as NodeId, &mut self.buf, &mut self.rows);
+        view.extend_rows_minus_center(0..n as NodeId, &mut self.row_scratch, &mut self.rows);
         self.base.clear();
         self.base.resize(n, INFINITY);
         for &inc in &view.incoming {

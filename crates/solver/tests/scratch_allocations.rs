@@ -2,9 +2,10 @@
 //! best response allocate little beyond the strategy it returns.
 //!
 //! `SolverScratch` keeps the Max reduction's ring growth and domination
-//! engine, and the Sum engine, across views of any size. This binary
-//! counts heap allocations per thread through its own global allocator,
-//! warms one scratch over every player's view, and then averages the
+//! engine, the Sum engine and the greedy climb, with their distance-row
+//! scratch, across views of any size. This binary counts heap
+//! allocations per thread through its own global allocator, warms one
+//! scratch over a set of players' views, and then averages the
 //! allocations of a second pass over the same views. The views are
 //! built before the count starts, so only the solver is counted. Run
 //! with `--nocapture` to see the measured averages.
@@ -78,15 +79,25 @@ type Respond = fn(&GameSpec, &PlayerView, Mode, &mut SolverScratch) -> Deviation
 /// radius-`spec.k` view of `state`, on a scratch warmed over the same
 /// views first.
 fn allocations_per_call(state: &GameState, spec: &GameSpec, respond: Respond) -> f64 {
-    let views: Vec<PlayerView> =
-        (0..state.n() as NodeId).map(|u| PlayerView::build(state, u, spec.k)).collect();
+    allocations_per_call_of(state, 0..state.n() as NodeId, spec, Mode::Exact, respond)
+}
+
+/// [`allocations_per_call`] over the views of `players` only, in `mode`.
+fn allocations_per_call_of(
+    state: &GameState,
+    players: std::ops::Range<NodeId>,
+    spec: &GameSpec,
+    mode: Mode,
+    respond: Respond,
+) -> f64 {
+    let views: Vec<PlayerView> = players.map(|u| PlayerView::build(state, u, spec.k)).collect();
     let mut scratch = SolverScratch::new();
     for view in &views {
-        respond(spec, view, Mode::Exact, &mut scratch);
+        respond(spec, view, mode, &mut scratch);
     }
     let before = allocations();
     for view in &views {
-        respond(spec, view, Mode::Exact, &mut scratch);
+        respond(spec, view, mode, &mut scratch);
     }
     (allocations() - before) as f64 / views.len() as f64
 }
@@ -153,4 +164,32 @@ fn sum_on_tree30_views_allocates_at_most_three_per_call() {
         })
         .collect();
     assert_at_most("Sum, tree30 α = 1", 3.0, &measured);
+}
+
+/// Radius-2 views of a sparse G(2000, 10/n), about 110 nodes each and
+/// one to three words wide, through the greedy climb, which builds one
+/// distance row per candidate: the row scratch must keep its words
+/// across views of different widths. The climb's own per-call
+/// allocations (the candidate list and the returned strategy) come to
+/// about 7.2 a call.
+#[test]
+fn sum_greedy_on_gnp2000_k2_views_allocates_at_most_eight_per_call() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0067_6e70_3230);
+    let g = ncg_graph::generators::gnp(2000, 10.0 / 2000.0, &mut rng).unwrap();
+    let state = GameState::from_graph_random_ownership(&g, &mut rng);
+    let measured: Vec<(String, f64)> = [1.5, 3.0]
+        .into_iter()
+        .map(|alpha| {
+            let spec = GameSpec::sum(alpha, 2);
+            let per_call = allocations_per_call_of(
+                &state,
+                0..100,
+                &spec,
+                Mode::Greedy,
+                sum_best_response_with,
+            );
+            (format!("α = {alpha}"), per_call)
+        })
+        .collect();
+    assert_at_most("Sum greedy, G(2000, 10/n) k = 2", 8.0, &measured);
 }
