@@ -1,6 +1,13 @@
 //! Lower-bound certification benchmarks: how fast the exact solver
 //! certifies each gadget family as an LKE (`n` best responses per
 //! certification).
+//!
+//! `lowerbound_torus_cert/thm42_sum_k3` and
+//! `lowerbound_girth_cert/n1200_q3_sum` time the two SumNCG gadgets
+//! of the paper's size class at a thousand-odd players: every view of
+//! the Theorem 4.2 torus at k = 3 and of the Theorem 4.3 high-girth
+//! graph splits at the player into two to four components of `H ∖ {u}`,
+//! which the Sum best response solves one by one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncg_constructions::{cycle, high_girth, TorusGrid};
@@ -27,6 +34,10 @@ fn bench_girth_cert(c: &mut Criterion) {
     let gadget = high_girth::build(60, 3, 2, &mut rng).unwrap();
     let spec = GameSpec::max(5.0, 2);
     group.bench_function("n60_q3", |b| b.iter(|| assert!(gadget.certify(&spec))));
+    // Theorem 4.3: SumNCG at α = kn, k = 2.
+    let big = high_girth::build(1200, 3, 2, &mut rng).unwrap();
+    let sum_spec = GameSpec::sum(2400.0, 2);
+    group.bench_function("n1200_q3_sum", |b| b.iter(|| assert!(big.certify(&sum_spec))));
     group.finish();
 }
 
@@ -39,6 +50,11 @@ fn bench_torus_certs(c: &mut Criterion) {
     let sum_torus = TorusGrid::for_theorem_42(2, 4).unwrap();
     let sum_spec = GameSpec::sum(40.0, 2);
     group.bench_function("thm42_sum_n48", |b| b.iter(|| assert!(sum_torus.certify(&sum_spec))));
+    let sum_torus_k3 = TorusGrid::for_theorem_42(3, 60).unwrap();
+    assert_eq!(sum_torus_k3.n(), 1080);
+    let sum_spec_k3 = GameSpec::sum(110.0, 3);
+    group
+        .bench_function("thm42_sum_k3", |b| b.iter(|| assert!(sum_torus_k3.certify(&sum_spec_k3))));
     group.finish();
 }
 

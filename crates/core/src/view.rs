@@ -271,6 +271,41 @@ impl PlayerView {
         self.k = k;
     }
 
+    /// Overwrites this view with `parent` restricted to the local
+    /// vertices `keep` (strictly ascending, the center among them),
+    /// reusing every allocation the old contents held.
+    ///
+    /// The CSR is the subgraph of the parent's induced by `keep`, local
+    /// ids follow `keep`'s order (local `i` is the parent's `keep[i]`),
+    /// `local_to_global` maps through the parent's map, and
+    /// `purchases`, `incoming` and `dist` keep their kept entries; the
+    /// radius and the center's global id carry over. When the kept
+    /// non-center vertices are a union of components of `H ∖ {center}`
+    /// (the Sum best response solves each component on its own), every
+    /// kept shortest path from the center stays inside the kept set, so
+    /// `dist` is still the restriction's own center distance and the
+    /// frontier and [`sum_source_limit`](crate::deviation::sum_source_limit)
+    /// read the same values as in the parent.
+    ///
+    /// # Panics
+    /// Panics if `keep` misses the center or names a vertex outside the
+    /// parent.
+    pub fn rebuild_restricted(&mut self, parent: &PlayerView, keep: &[NodeId], ids: &mut StampMap) {
+        self.sub.graph.rebuild_induced(&parent.sub.graph, keep, ids);
+        self.sub.local_to_global.clear();
+        self.sub.local_to_global.extend(keep.iter().map(|&v| parent.sub.to_global(v)));
+        self.center = ids.get(parent.center).expect("the restriction keeps the center");
+        self.center_global = parent.center_global;
+        self.k = parent.k;
+        // `keep` is ascending, so kept sorted lists stay sorted.
+        self.purchases.clear();
+        self.purchases.extend(parent.purchases.iter().filter_map(|&v| ids.get(v)));
+        self.incoming.clear();
+        self.incoming.extend(parent.incoming.iter().filter_map(|&v| ids.get(v)));
+        self.dist.clear();
+        self.dist.extend(keep.iter().map(|&v| parent.dist[v as usize]));
+    }
+
     /// Multi-source BFS in `H ∖ {center}` from `sources` (local ids):
     /// the center keeps `INFINITY` and no path passes through her. This
     /// is the sweep every deviation is priced with (`d_{H'}(u, v) = 1 +`
@@ -550,6 +585,54 @@ mod tests {
                         v.bfs_minus_center(&[src as NodeId], &mut buf);
                         assert_eq!(row, buf.distances(), "n = {n}, u = {u}: row {src}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restriction_to_a_component_keeps_its_distances_and_edges() {
+        // Radius-3 views of a random tree split into one component per
+        // neighbour of the center; each restriction to center plus one
+        // component, from one warm slot, must read the parent's values.
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        let tree = ncg_graph::generators::random_tree(40, &mut rng);
+        let s = GameState::from_graph_random_ownership(&tree, &mut rng);
+        let (mut sub, mut ids) = (PlayerView::default(), StampMap::new());
+        let (mut buf, mut sub_buf) = (DistanceBuffer::new(), DistanceBuffer::new());
+        for u in 0..40 {
+            let v = PlayerView::build(&s, u, 3);
+            for &first in v.sub.graph.neighbors(v.center) {
+                v.bfs_minus_center(&[first], &mut buf);
+                let mut keep: Vec<NodeId> = (0..v.len() as NodeId)
+                    .filter(|&x| x == v.center || buf.dist(x) != INFINITY)
+                    .collect();
+                keep.sort_unstable();
+                sub.rebuild_restricted(&v, &keep, &mut ids);
+                assert_eq!(sub.len(), keep.len());
+                assert_eq!((sub.center_global, sub.k), (u, 3));
+                assert_eq!(keep[sub.center as usize], v.center);
+                let back = |xs: &[NodeId]| -> Vec<NodeId> {
+                    xs.iter().map(|&x| keep[x as usize]).collect()
+                };
+                let kept = |xs: &[NodeId]| -> Vec<NodeId> {
+                    xs.iter().copied().filter(|x| keep.contains(x)).collect()
+                };
+                assert_eq!(back(&sub.purchases), kept(&v.purchases), "u = {u}");
+                assert_eq!(back(&sub.incoming), kept(&v.incoming), "u = {u}");
+                for (i, &x) in keep.iter().enumerate() {
+                    assert_eq!(sub.sub.to_global(i as NodeId), v.sub.to_global(x));
+                    assert_eq!(sub.dist[i], v.dist[x as usize]);
+                    assert_eq!(
+                        back(sub.sub.graph.neighbors(i as NodeId)),
+                        kept(v.sub.graph.neighbors(x))
+                    );
+                }
+                let local_first = keep.binary_search(&first).unwrap() as NodeId;
+                sub.bfs_minus_center(&[local_first], &mut sub_buf);
+                for (i, &x) in keep.iter().enumerate() {
+                    assert_eq!(sub_buf.dist(i as NodeId), buf.dist(x), "u = {u}, vertex {x}");
                 }
             }
         }

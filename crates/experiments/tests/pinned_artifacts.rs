@@ -2,7 +2,10 @@
 //! lower-bound certifications, run through the real `ncg-experiments`
 //! binary at `--smoke --seed 7`, each into a fresh temp directory, and
 //! every file they write must hash to the FNV-1a digest committed
-//! below.
+//! below. The certifications are pinned at paper size (`--full`) too:
+//! that run adds the Theorem 4.2 torus at k = 3 and the 120-node
+//! Theorem 4.3 high-girth gadget, whose Sum views split at the player
+//! into several components.
 //!
 //! Same seed ⇒ same bytes is the workspace's signature invariant, so a
 //! performance change must leave every digest alone. A deliberate
@@ -21,12 +24,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Runs `experiment --smoke --seed 7` and compares the artifact set,
 /// file names and digests alike, with `pins`.
 fn assert_pinned(experiment: &str, pins: &[(&str, u64)]) {
+    assert_pinned_at(experiment, "--smoke", pins);
+}
+
+/// [`assert_pinned`] under the given profile flag.
+fn assert_pinned_at(experiment: &str, profile: &str, pins: &[(&str, u64)]) {
     let out = std::env::temp_dir()
-        .join(format!("ncg_pinned_{experiment}_{}", std::process::id()))
+        .join(format!("ncg_pinned_{experiment}{profile}_{}", std::process::id()))
         .with_extension("d");
     let _ = std::fs::remove_dir_all(&out);
     let run = Command::new(env!("CARGO_BIN_EXE_ncg-experiments"))
-        .args([experiment, "--smoke", "--seed", "7", "--out"])
+        .args([experiment, profile, "--seed", "7", "--out"])
         .arg(&out)
         .output()
         .expect("spawning the ncg-experiments binary");
@@ -52,7 +60,7 @@ fn assert_pinned(experiment: &str, pins: &[(&str, u64)]) {
         actual.iter().map(|(f, d)| format!("    (\"{f}\", 0x{d:016x}),\n")).collect();
     assert_eq!(
         actual, expected,
-        "{experiment} --smoke --seed 7 no longer reproduces its pinned artifacts; \
+        "{experiment} {profile} --seed 7 no longer reproduces its pinned artifacts; \
          if the change is intended, re-pin with:\n{listing}"
     );
 }
@@ -90,6 +98,18 @@ fn lower_bounds_smoke_artifacts_are_pinned() {
         &[
             ("lower_bounds_certifications.csv", 0xc15e_430d_608c_a5d2),
             ("lower_bounds_notes.txt", 0xfc8e_8e7f_9b89_04eb),
+        ],
+    );
+}
+
+#[test]
+fn lower_bounds_full_artifacts_are_pinned() {
+    assert_pinned_at(
+        "lower-bounds",
+        "--full",
+        &[
+            ("lower_bounds_certifications.csv", 0xa5a6_a08e_2583_a9cd),
+            ("lower_bounds_notes.txt", 0xf0a5_3368_e34e_7fb2),
         ],
     );
 }

@@ -42,10 +42,15 @@ const NO_ARG: u32 = u32::MAX;
 /// Reusable buffers of [`climb`]: the BFS buffer of the incoming-edge
 /// row, the word scratch of the per-source rows
 /// ([`PlayerView::extend_rows_minus_center`]), the distance rows and
-/// the ball-sized work arrays. Hold one per thread; allocation-free
-/// once warm except for the returned strategy.
+/// the ball-sized work arrays, plus the candidate list that
+/// [`hill_climb`](crate::front::hill_climb) fills. Hold one per thread;
+/// allocation-free once warm except for the returned strategy.
 #[derive(Debug, Clone, Default)]
 pub struct ClimbScratch {
+    /// Every candidate of the view, filled by
+    /// [`hill_climb`](crate::front::hill_climb); [`climb`] itself reads
+    /// its caller's list.
+    pub(crate) candidates: Vec<NodeId>,
     buf: DistanceBuffer,
     row_scratch: RowScratch,
     base: Vec<u32>,

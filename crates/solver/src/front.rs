@@ -76,10 +76,16 @@ fn non_uniform_best_response(
 /// `4·max(len, 4)` steps — the front's greedy fallback (SumNCG's
 /// [`Mode::Greedy`] ablation arm and the beyond-cap non-uniform path).
 /// Objective- and pricing-agnostic, with the standard cost →
-/// fewer-edges → lexicographic tie-break; see [`crate::climb`].
+/// fewer-edges → lexicographic tie-break; see [`crate::climb`]. The
+/// candidate list is filled in the scratch's own buffer, so a warm call
+/// allocates only the strategy it returns.
 pub fn hill_climb(spec: &GameSpec, view: &PlayerView, scratch: &mut ClimbScratch) -> Deviation {
-    let candidates = view.candidates();
-    climb(spec, view, &candidates, 4 * view.len().max(4), scratch).1
+    let mut candidates = std::mem::take(&mut scratch.candidates);
+    candidates.clear();
+    candidates.extend(view.candidates_iter());
+    let best = climb(spec, view, &candidates, 4 * view.len().max(4), scratch).1;
+    scratch.candidates = candidates;
+    best
 }
 
 #[cfg(test)]

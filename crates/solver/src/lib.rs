@@ -138,8 +138,9 @@ impl ParallelPolicy {
 /// deviation-evaluation scratch, the greedy climb's
 /// [`ClimbScratch`](climb::ClimbScratch), the reduction's ring growth
 /// ([`max_br::RingGrowth`]: adjacency and ring bitsets of `H ∖ {u}`),
-/// the incremental [`DominationEngine`](engine::DominationEngine) and
-/// the [`SumEngine`](sum_engine::SumEngine).
+/// the incremental [`DominationEngine`](engine::DominationEngine), the
+/// [`SumEngine`](sum_engine::SumEngine) and the Sum response's split
+/// of a view into the components of `H ∖ {u}` (one sub-view slot).
 ///
 /// One scratch per thread (or per long-lived computation); thread it
 /// through [`max_br::max_best_response_with`] /
@@ -148,11 +149,12 @@ impl ParallelPolicy {
 /// beyond the strategies it returns, plus storage for a view larger
 /// than any seen before. Measured means are 0.9–1.6 allocations per
 /// call on radius-2 views of a random 200-node tree, 2.6–4.6 on full
-/// views of a G(70, 0.15), 1.5–2.5 for the Sum engine on a 30-node
-/// tree and 7.2 for the greedy Sum climb on the one- to three-word
-/// radius-2 views of a sparse G(2000, 10/n), most of them its
-/// candidate list; `tests/scratch_allocations.rs` holds them to at
-/// most 2, 6, 3 and 8. The plain `max_best_response` /
+/// views of a G(70, 0.15), 0.8–1.0 for the Sum engine on a 30-node
+/// tree, 0.9 for it on the radius-2 views of a 1,200-node high-girth
+/// gadget, each solved component by component, and 1.0 for the greedy
+/// Sum climb on the one- to three-word radius-2 views of a sparse
+/// G(2000, 10/n); `tests/scratch_allocations.rs` holds them to at most
+/// 2, 6, 3, 2 and 1. The plain `max_best_response` /
 /// `sum_best_response` entry points create a throwaway scratch per
 /// call.
 #[derive(Debug, Clone, Default)]
@@ -162,6 +164,7 @@ pub struct SolverScratch {
     pub(crate) rings: max_br::RingGrowth,
     pub(crate) engine: engine::DominationEngine,
     pub(crate) sum: sum_engine::SumEngine,
+    pub(crate) split: sum_br::Split,
     /// When the exact solves behind this scratch fan out over the
     /// work-stealing pool. Defaults keep small views sequential;
     /// results are bit-identical under any policy.

@@ -37,11 +37,16 @@ use crate::{Mode, ParallelPolicy, SolverScratch};
 
 /// Computes the MaxNCG best response for `view` under `spec`.
 ///
-/// With [`Mode::Exact`] the result is an optimal strategy (ties broken
-/// toward fewer edges, then lexicographically); with [`Mode::Greedy`]
-/// the dominating sets are greedy approximations, so the result is a
-/// valid but possibly suboptimal improving move — never worse than the
-/// current strategy.
+/// With [`Mode::Exact`] the result is an optimal strategy, but cost
+/// ties are not broken the way exhaustive search breaks them (fewer
+/// edges, then lexicographically): every eccentricity guess searches
+/// only strategies strictly cheaper than the best so far, the current
+/// strategy to begin with, so the current strategy wins any tie, and
+/// otherwise the smallest guess that reaches the optimal cost supplies
+/// the witness (DESIGN.md §4.1). With [`Mode::Greedy`] the dominating
+/// sets are greedy approximations, so the result is a valid but
+/// possibly suboptimal improving move — never worse than the current
+/// strategy.
 ///
 /// Creates a throwaway [`SolverScratch`] per call; hot loops should
 /// hold one and call [`max_best_response_with`] instead.
@@ -557,6 +562,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_later_guess_wins_only_when_strictly_cheaper() {
+        // The guess loop hands every guess a cutoff that admits only
+        // strategies strictly cheaper than the best so far, so the
+        // smallest eccentricity guess reaching the optimal cost keeps
+        // the witness, whatever its edge count. Here guess 1 reaches
+        // 2.5 with three edges; exhaustive search breaks the same cost
+        // tie toward one edge at eccentricity 2. The costs agree bit
+        // for bit: the Max engine is held to cost parity, not to the
+        // exhaustive tie-break, and changing that would change the Max
+        // artifacts.
+        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        let mut state = GameState::new(1);
+        for _ in 0..27 {
+            let g = ncg_graph::generators::gnp_connected(13, 0.25, 100, &mut rng).unwrap();
+            state = GameState::from_graph_random_ownership(&g, &mut rng);
+        }
+        let spec = GameSpec::max(0.5, 3);
+        let view = PlayerView::build(&state, 2, spec.k);
+        assert_eq!(view.len(), 5);
+        let engine = max_best_response(&spec, &view, Mode::Exact);
+        let exhaustive = best_response_exhaustive(&spec, &view).unwrap();
+        assert_eq!(engine.strategy_local, vec![1, 2, 4]);
+        assert_eq!(exhaustive.strategy_local, vec![4]);
+        assert_ne!(engine.strategy_local, view.purchases, "the player moves");
+        assert_eq!(engine.total_cost, 2.5);
+        assert_eq!(engine.total_cost.to_bits(), exhaustive.total_cost.to_bits());
     }
 
     #[test]

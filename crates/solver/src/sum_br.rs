@@ -7,12 +7,16 @@
 //! We go further than the paper here:
 //!
 //! * [`Mode::Exact`] runs the include/exclude branch-and-bound of
-//!   [`SumEngine`](crate::sum_engine::SumEngine) on every view — no
-//!   candidate cap, exact on the ~100-node full-knowledge views of the
-//!   paper's dynamics (the seed-era 14-candidate enumeration limit is
-//!   gone). Large views fan out over the work-stealing pool per the
-//!   scratch's [`ParallelPolicy`](crate::ParallelPolicy), with
-//!   bit-identical results for any worker count.
+//!   [`SumEngine`] on every view — no candidate cap, exact on the
+//!   ~100-node full-knowledge views of the paper's dynamics (the
+//!   seed-era 14-candidate enumeration limit is gone). The view splits
+//!   at the player first: each connected component of `H ∖ {u}` is
+//!   solved on its own, with the center, and the strategies are merged
+//!   — the same comparator minimum, from searches whose sizes add up
+//!   where the whole view's multiply (DESIGN.md §9). Large views
+//!   and sub-views fan out over the work-stealing pool per the
+//!   scratch's [`ParallelPolicy`], with bit-identical results for any
+//!   worker count.
 //! * [`Mode::Greedy`] is [`hill_climb`], the workspace's one greedy
 //!   climb (best improving add / drop / swap, repeated to a fixed
 //!   point or its step cap, priced from distance tables —
@@ -22,17 +26,20 @@
 //! Both respect Proposition 2.2's frontier rule: the engine and the
 //! climb apply the same per-vertex
 //! [`sum_source_limit`](ncg_core::deviation::sum_source_limit)
-//! [`ncg_core::deviation::evaluate_sum`] enforces. The engine's winner
-//! is re-scored through [`evaluate_total`], and the climb's costs are
-//! the evaluator's bit for bit (`tests/climb_parity.rs`), so the
-//! evaluator stays authoritative.
+//! [`ncg_core::deviation::evaluate_sum`] enforces. The engine's merged
+//! winner is re-scored through [`evaluate_total`] on the whole view,
+//! and the climb's costs are the evaluator's bit for bit
+//! (`tests/climb_parity.rs`), so the evaluator stays authoritative.
 
-use ncg_core::deviation::evaluate_total;
+use ncg_core::deviation::{evaluate_total, EvalScratch};
 use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, MoveRulePolicy, PlayerView};
+use ncg_graph::view::StampMap;
+use ncg_graph::NodeId;
 
 use crate::front::hill_climb;
-use crate::{Mode, SolverScratch};
+use crate::sum_engine::{SumEngine, SumIncumbent};
+use crate::{Mode, ParallelPolicy, SolverScratch};
 
 /// Computes a SumNCG best response: the exact branch-and-bound in
 /// [`Mode::Exact`], hill climbing in [`Mode::Greedy`]. Never returns
@@ -49,10 +56,11 @@ pub fn sum_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
 /// distance tables of the greedy climb) are reused across calls, so
 /// dynamics rounds warm-restart the solver exactly like `max_br`.
 ///
-/// The scratch's [`ParallelPolicy`](crate::ParallelPolicy) governs
-/// when an exact solve fans out over the work-stealing pool; results
-/// are bit-identical under any policy and worker count (the canonical
-/// frontier fold of [`SumEngine::solve_parallel`](crate::sum_engine::SumEngine::solve_parallel)).
+/// The scratch's [`ParallelPolicy`] governs when an exact solve of a
+/// view, or of one component's sub-view, fans out over the
+/// work-stealing pool; results are bit-identical under any policy and
+/// worker count (the canonical frontier fold of
+/// [`SumEngine::solve_parallel`]).
 pub fn sum_best_response_with(
     spec: &GameSpec,
     view: &PlayerView,
@@ -74,27 +82,129 @@ pub fn sum_best_response_with(
     hill_climb(spec, view, &mut scratch.climb)
 }
 
-/// The exact path: prepare the scratch's [`SumEngine`](crate::sum_engine::SumEngine)
-/// on this view (warm restart), solve — parallel when the policy says
-/// the view is big enough — and re-score the winner through
-/// [`evaluate_total`] so the returned cost is, bit for bit, what the
-/// evaluator assigns the strategy ([`BestResponder`](ncg_core::equilibrium::BestResponder)'s
-/// contract).
+/// The exact path. The view splits at the player: a vertex of `H ∖
+/// {center}` reaches her only through sources in its own connected
+/// component, so both the cost and Proposition 2.2's legality rule are
+/// sums over the components, and the comparator minimum of the view is
+/// the union of the components' minima (DESIGN.md §9). A view with one
+/// component is solved as it is; otherwise each component, with the
+/// center, is loaded into the split's sub-view slot and solved on its
+/// own by the same [`SumEngine`], in parallel when the policy says that
+/// sub-view is big enough. The merged strategy is re-scored through
+/// [`evaluate_total`] on the whole view, so the returned cost is, bit
+/// for bit, what the evaluator assigns the strategy
+/// ([`BestResponder`](ncg_core::equilibrium::BestResponder)'s contract).
 fn branch_and_bound(spec: &GameSpec, view: &PlayerView, scratch: &mut SolverScratch) -> Deviation {
-    scratch.sum.prepare(spec, view);
-    let workers = scratch.parallel.workers(view.len());
-    let inc = if workers > 1 {
-        scratch.sum.solve_parallel(workers, scratch.parallel.per_worker)
+    let SolverScratch { eval, sum, split, parallel, .. } = scratch;
+    split.merged.clear();
+    let components = split.group(view);
+    if components == 1 {
+        solve_view(spec, view, sum, *parallel, &mut split.inc, eval);
+        split.merged.extend_from_slice(&split.inc.strategy);
     } else {
-        scratch.sum.solve()
-    };
-    let total_cost = evaluate_total(spec, view, &inc.strategy, &mut scratch.eval);
+        for c in 0..components {
+            split.load(view, c);
+            solve_view(spec, &split.sub, sum, *parallel, &mut split.inc, eval);
+            split.merged.extend(split.inc.strategy.iter().map(|&s| split.keep[s as usize]));
+        }
+        split.merged.sort_unstable();
+    }
+    let total_cost = evaluate_total(spec, view, &split.merged, eval);
+    Deviation { strategy_local: split.merged.clone(), total_cost }
+}
+
+/// Prepares `sum` on `view` (warm restart) and solves it into `inc`,
+/// over the pool when `parallel` says the view is big enough.
+fn solve_view(
+    spec: &GameSpec,
+    view: &PlayerView,
+    sum: &mut SumEngine,
+    parallel: ParallelPolicy,
+    inc: &mut SumIncumbent,
+    eval: &mut EvalScratch,
+) {
+    sum.prepare(spec, view);
+    sum.solve_into(parallel.workers(view.len()), parallel.per_worker, inc);
     debug_assert_eq!(
-        total_cost.to_bits(),
+        evaluate_total(spec, view, &inc.strategy, eval).to_bits(),
         inc.cost.to_bits(),
         "engine cost must agree with evaluate_sum on the winning strategy"
     );
-    Deviation { strategy_local: inc.strategy, total_cost }
+}
+
+/// The connected components of `H ∖ {center}` of the view being solved,
+/// and the buffers that solve them one at a time. Grow-only, kept in
+/// [`SolverScratch`], so a warm solve allocates only the strategy it
+/// returns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Split {
+    /// The vertices a component has claimed; the center from the start.
+    seen: Vec<bool>,
+    /// The non-center vertices grouped by component, components in the
+    /// order of their smallest vertex; each group is its component's
+    /// BFS queue while it is being found.
+    order: Vec<NodeId>,
+    /// Component `c` is `order[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// The center and the component being solved, ascending: the
+    /// sub-view's local `i` is the view's `keep[i]`.
+    keep: Vec<NodeId>,
+    /// The view-to-sub-view id map of the sub-view build.
+    ids: StampMap,
+    /// The sub-view slot.
+    sub: PlayerView,
+    /// The incumbent every solve folds into.
+    inc: SumIncumbent,
+    /// The union of the components' strategies, in the view's ids.
+    merged: Vec<NodeId>,
+}
+
+impl Split {
+    /// Groups the non-center vertices of `view` by connected component
+    /// of `H ∖ {center}`, one BFS per component over the view's CSR, and
+    /// returns the number of components.
+    fn group(&mut self, view: &PlayerView) -> usize {
+        let n = view.len();
+        self.seen.clear();
+        self.seen.resize(n, false);
+        self.seen[view.center as usize] = true;
+        self.order.clear();
+        self.starts.clear();
+        for root in 0..n as NodeId {
+            if self.seen[root as usize] {
+                continue;
+            }
+            let mut head = self.order.len();
+            self.starts.push(head);
+            self.seen[root as usize] = true;
+            self.order.push(root);
+            while head < self.order.len() {
+                let v = self.order[head];
+                head += 1;
+                for w in view.neighbors_minus_center(v) {
+                    if !self.seen[w as usize] {
+                        self.seen[w as usize] = true;
+                        self.order.push(w);
+                    }
+                }
+            }
+        }
+        self.starts.push(self.order.len());
+        self.starts.len() - 1
+    }
+
+    /// Loads component `c` of the last [`Split::group`]ed view, with its
+    /// center, into the sub-view slot.
+    fn load(&mut self, view: &PlayerView, c: usize) {
+        let members = &mut self.order[self.starts[c]..self.starts[c + 1]];
+        members.sort_unstable();
+        let below = members.partition_point(|&v| v < view.center);
+        self.keep.clear();
+        self.keep.extend_from_slice(&members[..below]);
+        self.keep.push(view.center);
+        self.keep.extend_from_slice(&members[below..]);
+        self.sub.rebuild_restricted(view, &self.keep, &mut self.ids);
+    }
 }
 
 #[cfg(test)]
@@ -209,5 +319,26 @@ mod tests {
         let d = sum_best_response(&GameSpec::sum(1.0, 3), &view, Mode::Exact);
         assert!(d.strategy_local.is_empty());
         assert_eq!(d.total_cost, 0.0);
+    }
+
+    #[test]
+    fn split_groups_the_components_of_h_minus_center() {
+        // On the 8-cycle at radius 2 player 3 sees the path 1-2-3-4-5,
+        // which falls apart at her into {1, 2} and {4, 5}; the star's
+        // center sees one component per leaf, a leaf one component.
+        let mut split = Split::default();
+        let cycle = PlayerView::build(&GameState::cycle_successor(8), 3, 2);
+        assert_eq!(split.group(&cycle), 2);
+        let mut parts = Vec::new();
+        for c in 0..2 {
+            split.load(&cycle, c);
+            assert_eq!(split.sub.sub.to_global(split.sub.center), 3);
+            assert_eq!(split.sub.dist.len(), 3);
+            parts.push(split.sub.sub.local_to_global.clone());
+        }
+        assert_eq!(parts, [vec![1, 2, 3], vec![3, 4, 5]]);
+        let star = GameState::star_center_owned(6);
+        assert_eq!(split.group(&PlayerView::build(&star, 0, 1)), 5);
+        assert_eq!(split.group(&PlayerView::build(&star, 4, 2)), 1);
     }
 }

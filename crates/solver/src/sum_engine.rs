@@ -109,6 +109,18 @@
 //! with exactly one supporting undecided candidate forces that
 //! candidate into `I`.
 //!
+//! ## One engine per view or per component
+//!
+//! The engine solves whatever view it is [`prepare`](SumEngine::prepare)d
+//! on. The Sum best response ([`crate::sum_br`]) splits a view at the
+//! player first: when `H ∖ {u}` has several connected components, each
+//! component with the center is loaded as a sub-view and solved on its
+//! own, and the union of the components' comparator minima is the
+//! view's (DESIGN.md §9). The seed copy of `prepare` and the incumbent
+//! of [`solve_into`](SumEngine::solve_into) reuse their buffers, so
+//! solving a view component by component allocates no more than one
+//! solve.
+//!
 //! ## Determinism
 //!
 //! Pruning only discards nodes whose bound exceeds `incumbent + EPS`
@@ -159,7 +171,7 @@ fn lift(lb: f64, at: f64) -> f64 {
 /// total cost under the prepared spec. Starts as the view's current
 /// strategy, so a solve can never return something worse than staying
 /// put.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SumIncumbent {
     /// Locally-indexed strategy, sorted ascending (the exhaustive
     /// enumerator's canonical form, so tie-breaks agree bit for bit).
@@ -288,7 +300,7 @@ impl Default for SumEngine {
             rows: Vec::new(),
             base: Vec::new(),
             limit: Vec::new(),
-            seed: SumIncumbent { strategy: Vec::new(), cost: 0.0 },
+            seed: SumIncumbent::default(),
             row_scratch: RowScratch::new(),
             best_pool: Vec::new(),
             und_pool: Vec::new(),
@@ -360,9 +372,10 @@ impl SumEngine {
                 ncg_core::deviation::sum_source_limit(view, v)
             }
         }));
-        let mut strategy = view.purchases.clone();
-        strategy.sort_unstable();
-        self.seed = SumIncumbent { strategy, cost: ncg_core::deviation::current_total(spec, view) };
+        self.seed.strategy.clear();
+        self.seed.strategy.extend_from_slice(&view.purchases);
+        self.seed.strategy.sort_unstable();
+        self.seed.cost = ncg_core::deviation::current_total(spec, view);
         self.chosen.clear();
         self.shared_bound = None;
     }
@@ -372,10 +385,31 @@ impl SumEngine {
     /// then lexicographic — exhaustive enumeration's tie-break).
     pub fn solve(&mut self) -> SumIncumbent {
         let mut inc = self.seed.clone();
+        self.search(&mut inc);
+        inc
+    }
+
+    /// [`Self::solve_parallel`] into a caller-held incumbent: a
+    /// sequential solve (`workers ≤ 1`) restarts `inc` from the seed in
+    /// place and searches into it, so a warm `inc` allocates nothing.
+    /// The Sum best response keeps one `inc` across all the components
+    /// of a view it solves one by one.
+    pub fn solve_into(&mut self, workers: usize, per_worker: usize, inc: &mut SumIncumbent) {
+        if workers > 1 {
+            *inc = self.solve_parallel(workers, per_worker);
+            return;
+        }
+        inc.strategy.clear();
+        inc.strategy.extend_from_slice(&self.seed.strategy);
+        inc.cost = self.seed.cost;
+        self.search(inc);
+    }
+
+    /// The sequential search from the root, folding into `inc`.
+    fn search(&mut self, inc: &mut SumIncumbent) {
         self.shared_bound = None;
         self.load_root_at_depth_zero();
-        self.recurse(0, &mut inc);
-        inc
+        self.recurse(0, inc);
     }
 
     /// Parallel exact solve: canonical breadth-first frontier split,

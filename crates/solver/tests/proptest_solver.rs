@@ -2,16 +2,36 @@
 //! dominating-set branch-and-bound, the incremental engine, and the
 //! best-response reduction.
 
+use ncg_core::deviation::{evaluate_total, EvalScratch};
 use ncg_core::equilibrium::best_response_exhaustive;
 use ncg_core::{GameSpec, GameState, PlayerView};
+use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::NodeId;
 use ncg_solver::bitset::BitSet;
 use ncg_solver::dominating::DominationInstance;
 use ncg_solver::engine::DominationEngine;
+use ncg_solver::sum_engine::SumEngine;
 use ncg_solver::{max_br, sum_br, Mode, ParallelPolicy, SolverScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// The number of connected components of `H ∖ {center}`: one BFS from
+/// every vertex no earlier BFS reached.
+fn components_minus_center(view: &PlayerView) -> usize {
+    let (mut buf, mut reached) = (DistanceBuffer::new(), vec![false; view.len()]);
+    let mut count = 0;
+    for v in view.candidates_iter() {
+        if !reached[v as usize] {
+            count += 1;
+            view.bfs_minus_center(&[v], &mut buf);
+            for &w in buf.visited() {
+                reached[w as usize] = true;
+            }
+        }
+    }
+    count
+}
 
 fn arb_elems(cap: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0..cap as u32, 0..cap)
@@ -314,6 +334,44 @@ proptest! {
         }
     }
 
+    /// The Sum response splits the view at the player: each component of
+    /// `H ∖ {u}` is solved on its own and the strategies are merged. On
+    /// random trees and sparse G(n, p) of at most 14 nodes, at radii 1,
+    /// 2, 3 and full knowledge and with α drawn from both of the ranges
+    /// above, the merged response must be exhaustive enumeration's, in
+    /// strategy and cost bits. Every tree case has views that split, so
+    /// the split path runs in every other case.
+    #[test]
+    fn sum_split_matches_exhaustive(
+        seed in 0u64..10_000,
+        n in 4usize..15,
+        tree in any::<bool>(),
+        p in 0.12f64..0.3,
+        k in (0usize..4).prop_map(|i| [1u32, 2, 3, 1000][i]),
+        alpha in (any::<bool>(), 0.05f64..6.0, 20.0f64..200.0)
+            .prop_map(|(high, low, gadget)| if high { gadget } else { low }),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = if tree {
+            ncg_graph::generators::random_tree(n, &mut rng)
+        } else {
+            ncg_graph::generators::gnp_connected(n, p, 500, &mut rng).unwrap()
+        };
+        let state = GameState::from_graph_random_ownership(&g, &mut rng);
+        let spec = GameSpec::sum(alpha, k);
+        let mut scratch = SolverScratch::new();
+        let mut split_views = 0;
+        for u in 0..state.n() as NodeId {
+            let view = PlayerView::build(&state, u, k);
+            split_views += usize::from(components_minus_center(&view) >= 2);
+            let split = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut scratch);
+            let brute = best_response_exhaustive(&spec, &view).unwrap();
+            prop_assert_eq!(&split.strategy_local, &brute.strategy_local, "u = {}", u);
+            prop_assert_eq!(split.total_cost.to_bits(), brute.total_cost.to_bits(), "u = {}", u);
+        }
+        prop_assert!(!tree || split_views > 0, "no view of the tree split");
+    }
+
     /// Beyond the old enumeration cap the exact engine must never lose
     /// to the hill-climb heuristic, nor to standing pat — on
     /// full-knowledge views of ~30 nodes where the seed solver could
@@ -405,6 +463,43 @@ proptest! {
                 prop_assert!(!view.incoming.contains(&s),
                     "best responses never re-buy incoming edges");
             }
+        }
+    }
+}
+
+proptest! {
+    // At mid α one 60-node full-knowledge tree view takes the engine up
+    // to about 2 s in a debug build, solved once split and once whole:
+    // four cases, and two or three players a case in debug builds
+    // (every eleventh player in release), keep the tier-1 run short;
+    // the weekly deep run raises the count.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Past the enumeration cap the split response must equal the engine
+    /// run on the whole view, re-scored through the evaluator, in
+    /// strategy and cost bits: full-knowledge views of 30- to 64-node
+    /// random trees, where every inner player's view splits.
+    #[test]
+    fn sum_split_matches_the_whole_view_engine(
+        seed in 0u64..10_000,
+        n in 30usize..65,
+        alpha in (any::<bool>(), 0.05f64..6.0, 20.0f64..200.0)
+            .prop_map(|(high, low, gadget)| if high { gadget } else { low }),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = ncg_graph::generators::random_tree(n, &mut rng);
+        let state = GameState::from_graph_random_ownership(&g, &mut rng);
+        let spec = GameSpec::sum(alpha, 1000);
+        let mut scratch = SolverScratch::new();
+        let (mut whole, mut eval) = (SumEngine::default(), EvalScratch::new());
+        for u in (0..state.n() as NodeId).step_by(if cfg!(debug_assertions) { 29 } else { 11 }) {
+            let view = PlayerView::build(&state, u, spec.k);
+            let split = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut scratch);
+            whole.prepare(&spec, &view);
+            let inc = whole.solve();
+            let cost = evaluate_total(&spec, &view, &inc.strategy, &mut eval);
+            prop_assert_eq!(&split.strategy_local, &inc.strategy, "u = {}", u);
+            prop_assert_eq!(split.total_cost.to_bits(), cost.to_bits(), "u = {}", u);
         }
     }
 }

@@ -166,14 +166,30 @@ fn sum_on_tree30_views_allocates_at_most_three_per_call() {
     assert_at_most("Sum, tree30 α = 1", 3.0, &measured);
 }
 
+/// Radius-2 views of a 1,200-node high-girth gadget (girth at least 6,
+/// degree about 3) under SumNCG at α = 2n, Theorem 4.3's certification:
+/// about ten nodes each, whose `H ∖ {u}` falls apart into one component
+/// per neighbour, so the exact response solves every component on its
+/// own in the scratch's sub-view slot.
+#[test]
+fn sum_on_high_girth_k2_views_allocates_at_most_two_per_call() {
+    use ncg_graph::generators::{high_girth, HighGirthParams};
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0067_6972_7468);
+    let g = high_girth(HighGirthParams::new(1200, 3, 6), &mut rng).unwrap();
+    let state = GameState::from_graph_random_ownership(&g, &mut rng);
+    let spec = GameSpec::sum(2400.0, 2);
+    let measured =
+        vec![("α = 2n".to_string(), allocations_per_call(&state, &spec, sum_best_response_with))];
+    assert_at_most("Sum, high girth n = 1200 k = 2", 2.0, &measured);
+}
+
 /// Radius-2 views of a sparse G(2000, 10/n), about 110 nodes each and
 /// one to three words wide, through the greedy climb, which builds one
 /// distance row per candidate: the row scratch must keep its words
-/// across views of different widths. The climb's own per-call
-/// allocations (the candidate list and the returned strategy) come to
-/// about 7.2 a call.
+/// across views of different widths. The candidate list lives in the
+/// climb's scratch, so the returned strategy is the one allocation.
 #[test]
-fn sum_greedy_on_gnp2000_k2_views_allocates_at_most_eight_per_call() {
+fn sum_greedy_on_gnp2000_k2_views_allocates_at_most_one_per_call() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0067_6e70_3230);
     let g = ncg_graph::generators::gnp(2000, 10.0 / 2000.0, &mut rng).unwrap();
     let state = GameState::from_graph_random_ownership(&g, &mut rng);
@@ -191,5 +207,5 @@ fn sum_greedy_on_gnp2000_k2_views_allocates_at_most_eight_per_call() {
             (format!("α = {alpha}"), per_call)
         })
         .collect();
-    assert_at_most("Sum greedy, G(2000, 10/n) k = 2", 8.0, &measured);
+    assert_at_most("Sum greedy, G(2000, 10/n) k = 2", 1.0, &measured);
 }
