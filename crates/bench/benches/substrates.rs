@@ -169,46 +169,12 @@ fn bench_dominating_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel-vs-sequential pair of the deterministic parallel
-/// branch-and-bound (DESIGN.md §8) on the default multi-worker
-/// instance: one `G(110, 0.07)` domination solve in the hundreds of
-/// milliseconds — big enough that the root-frontier split and the
-/// per-worker engine snapshots amortise, small enough for a default
-/// `cargo bench` run. `exact_bnb_parallel` fans out over
-/// `rayon::current_num_threads()` workers (pin it with an installed
-/// pool or `NCG_THREADS` through the experiments binary); on a
-/// multi-core machine the pair shows the §8 speed-up, and the results
-/// are asserted bit-identical in-bench before timing starts — the
-/// same invariance the CI `determinism` job gates end-to-end.
-fn bench_dominating_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dominating_set");
-    group.sample_size(10);
-    let mut rng = ChaCha8Rng::seed_from_u64(8);
-    let inst = graph_domination_instance(110, 0.07, &mut rng);
-    let workers = rayon::current_num_threads().max(2);
-    let mut seq_engine = DominationEngine::from_instance(&inst);
-    let mut par_engine = DominationEngine::from_instance(&inst);
-    assert_eq!(
-        seq_engine.solve_exact(usize::MAX),
-        par_engine.solve_exact_parallel(usize::MAX, workers, 8),
-        "parallel solver must be bit-identical to sequential"
-    );
-    group.bench_with_input(BenchmarkId::new("exact_bnb_sequential", 110), &(), |b, ()| {
-        b.iter(|| black_box(seq_engine.solve_exact(usize::MAX)))
-    });
-    group.bench_with_input(BenchmarkId::new("exact_bnb_parallel", 110), &(), |b, ()| {
-        b.iter(|| black_box(par_engine.solve_exact_parallel(usize::MAX, workers, 8)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_bfs,
     bench_metrics,
     bench_generators,
     bench_dominating,
-    bench_dominating_incremental,
-    bench_dominating_parallel
+    bench_dominating_incremental
 );
 criterion_main!(benches);

@@ -8,8 +8,7 @@
 //! moves) the front must be an identity transformation: every accepted
 //! move, every trace event, every final strategy and every cost must
 //! come out bit-for-bit the same as a responder that inlines the old
-//! dispatch — under rayon pools of 1, 2 and 4 threads (the parallel branch-and-bound fan-out is policy-
-//! driven, so the pool size must be unobservable in the results).
+//! dispatch.
 
 use ncg_core::equilibrium::Deviation;
 use ncg_core::{GameSpec, GameState, PlayerView};
@@ -82,38 +81,6 @@ proptest! {
         let state = GameState::from_graph_random_ownership(&g, &mut rng);
         let spec = if max_obj { GameSpec::max(alpha, k) } else { GameSpec::sum(alpha, k) };
         assert_runs_identical(&state, spec);
-    }
-}
-
-/// Thread-count invariance of the trait-dispatched path: the same run
-/// executed inside rayon pools of 1, 2 and 4 threads must produce
-/// identical outcomes, final strategies and traces (the
-/// `ParallelPolicy` fans large solves out differently per pool size,
-/// but the canonical-rule engines make the results bit-identical).
-#[test]
-fn front_dynamics_invariant_under_pool_size() {
-    let mut rng = ChaCha8Rng::seed_from_u64(909);
-    let g = ncg_graph::generators::gnp_connected(26, 0.12, 100, &mut rng).unwrap();
-    let state = GameState::from_graph_random_ownership(&g, &mut rng);
-    for spec in [GameSpec::max(0.8, 3), GameSpec::sum(1.5, 2)] {
-        let config = DynamicsConfig::new(spec).with_trace();
-        let runs: Vec<_> = [1usize, 2, 4]
-            .into_iter()
-            .map(|threads| {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                pool.install(|| run_with(state.clone(), &config, &mut Responder::exact()))
-            })
-            .collect();
-        let reference = &runs[0];
-        for (i, r) in runs.iter().enumerate().skip(1) {
-            assert_eq!(r.outcome, reference.outcome, "pool {i}");
-            assert_eq!(r.total_moves, reference.total_moves, "pool {i}");
-            for u in 0..state.n() as u32 {
-                assert_eq!(r.state.strategy(u), reference.state.strategy(u));
-            }
-            let (a, b) = (r.trace.as_ref().unwrap(), reference.trace.as_ref().unwrap());
-            assert_eq!(a, b, "traces must be bit-identical across pool sizes");
-        }
     }
 }
 

@@ -10,9 +10,8 @@
 //! (one view rebuilt in place per player, from a radius-`k` BFS that
 //! costs the ball, not the gadget) with one `Responder` (hence one
 //! warm `SolverScratch`) per worker, and a found violation
-//! short-circuits the remaining players. (Inside pool workers the
-//! individual solves stay sequential — the player fan-out is the
-//! parallelism; the §8 frontier split serves top-level callers.) The
+//! short-circuits the remaining players. Each solve runs on one
+//! thread; the player groups are the parallelism (DESIGN.md §8). The
 //! table bytes are independent of `NCG_THREADS` — the CI determinism
 //! job diffs them across thread counts.
 

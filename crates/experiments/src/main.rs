@@ -52,12 +52,11 @@
 //! injects one deterministic fault into this process (testing only).
 //!
 //! NCG_THREADS=N caps the worker pool for everything the harness
-//! parallelises — sweep repetitions, the fanned-out LKE
-//! certifications, and the exact solver's frontier split. Every
-//! artifact is byte-identical for every N (the parallel
-//! branch-and-bound is deterministic by construction, DESIGN.md §8);
-//! the CI `determinism` job runs this binary at N = 1 and N = 4 and
-//! diffs the outputs.
+//! parallelises — sweep repetitions, the LKE certifications' player
+//! groups and the scale tier's windows; every solve runs on one
+//! thread (DESIGN.md §8). Every artifact is byte-identical for every
+//! N; the CI `determinism` job runs this binary at N = 1 and N = 4
+//! and diffs the outputs.
 //! ```
 
 use std::path::PathBuf;
@@ -127,9 +126,9 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     // NCG_THREADS caps the worker pool for the whole process; unset
     // (or unparsable) means one worker per core. The scoped install
-    // covers sweep repetitions, parallel LKE certification, and the
-    // solver's frontier fan-out alike — and output bytes are
-    // independent of the value (the CI determinism job enforces it).
+    // covers sweep repetitions, parallel LKE certification and the
+    // scale tier's windows alike — and output bytes are independent
+    // of the value (the CI determinism job enforces it).
     match std::env::var("NCG_THREADS").ok().map(|v| v.parse::<usize>()) {
         Some(Ok(threads)) if threads >= 1 => {
             let pool = rayon::ThreadPoolBuilder::new()

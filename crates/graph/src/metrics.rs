@@ -185,24 +185,6 @@ pub fn girth(g: &Graph) -> Option<u32> {
     }
 }
 
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    let n = g.node_count();
-    let mut seen = vec![false; n];
-    let mut buf = DistanceBuffer::with_capacity(n);
-    let mut count = 0;
-    for s in 0..n as NodeId {
-        if !seen[s as usize] {
-            count += 1;
-            bfs(g, s, &mut buf);
-            for &v in buf.visited() {
-                seen[v as usize] = true;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +241,6 @@ mod tests {
         assert_eq!(eccentricity(&g, 0), None);
         assert_eq!(status(&g, 0), None);
         assert!(!is_connected(&g));
-        assert_eq!(component_count(&g), 2);
     }
 
     #[test]
@@ -323,6 +304,5 @@ mod tests {
         assert_eq!(diameter(&s), Some(0));
         assert_eq!(radius(&s), Some(0));
         assert!(is_connected(&s));
-        assert_eq!(component_count(&s), 1);
     }
 }

@@ -5,7 +5,7 @@
 //! machinery; the game layer (`ncg-core`) adds ownership on top.
 
 use crate::bfs::{bfs_bounded, Adjacency, DistanceBuffer};
-use crate::{CsrGraph, Graph, NodeId, INFINITY};
+use crate::{CsrGraph, Graph, NodeId};
 
 /// The radius-`k` ball around `center`: all nodes at distance `≤ k`,
 /// sorted by node id.
@@ -140,11 +140,6 @@ pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Subgraph {
     out
 }
 
-/// The view of `center` at radius `k`: induced subgraph of the ball.
-pub fn view_subgraph(g: &Graph, center: NodeId, k: u32) -> Subgraph {
-    induced_subgraph(g, &ball(g, center, k))
-}
-
 /// The `h`-th power of `g`: same nodes, an edge wherever the distance
 /// in `g` is between 1 and `h`.
 ///
@@ -167,20 +162,6 @@ pub fn power(g: &Graph, h: u32) -> Graph {
         }
     }
     p
-}
-
-/// Distances from `center` restricted to its radius-`k` ball, as a map
-/// from the ball (sorted) to distances.
-///
-/// Convenience used by the game layer to reason about frontier nodes
-/// (`d = k` exactly) without retaining the whole buffer.
-pub fn ball_distances(g: &Graph, center: NodeId, k: u32) -> Vec<(NodeId, u32)> {
-    let mut buf = DistanceBuffer::with_capacity(g.node_count());
-    bfs_bounded(g, center, k, &mut buf);
-    let mut out: Vec<(NodeId, u32)> = buf.visited().iter().map(|&v| (v, buf.dist(v))).collect();
-    out.sort_unstable_by_key(|&(v, _)| v);
-    debug_assert!(out.iter().all(|&(_, d)| d != INFINITY));
-    out
 }
 
 #[cfg(test)]
@@ -225,21 +206,12 @@ mod tests {
     #[test]
     fn local_global_round_trip() {
         let g = generators::grid(3, 3);
-        let sub = view_subgraph(&g, 4, 1);
+        let sub = induced_subgraph(&g, &ball(&g, 4, 1));
         for l in 0..sub.len() as NodeId {
             let gid = sub.to_global(l);
             assert_eq!(sub.to_local(gid), Some(l));
         }
         assert_eq!(sub.to_local(999), None);
-    }
-
-    #[test]
-    fn view_subgraph_of_center_of_path() {
-        let g = generators::path(9);
-        let sub = view_subgraph(&g, 4, 2);
-        assert_eq!(sub.local_to_global, vec![2, 3, 4, 5, 6]);
-        let mut buf = DistanceBuffer::new();
-        assert_eq!(sub.graph.eccentricity(0, &mut buf), Some(4));
     }
 
     #[test]
@@ -328,12 +300,5 @@ mod tests {
         ids.restart(6);
         assert_eq!(ids.epoch, 1);
         assert!((0..6).all(|v| ids.get(v).is_none()), "the wrap zeroes stale stamps");
-    }
-
-    #[test]
-    fn ball_distances_reports_frontier() {
-        let g = generators::path(10);
-        let bd = ball_distances(&g, 5, 2);
-        assert_eq!(bd, vec![(3, 2), (4, 1), (5, 0), (6, 1), (7, 2)]);
     }
 }

@@ -49,21 +49,6 @@
 //!   instances;
 //! * **sibling cutoff** — once the incumbent matches `chosen + 1`
 //!   elements, no remaining sibling branch can improve it.
-//!
-//! Large ground sets can additionally fan the search out over the
-//! work-stealing pool via
-//! [`DominationEngine::solve_exact_parallel`]: the root of the tree is
-//! expanded breadth-first into a canonical frontier of subproblems,
-//! workers race them to the optimal *cost* under a shared atomic
-//! incumbent bound, and a second pass with the now-tight bound selects
-//! the same solution the sequential search would have returned —
-//! bit-identical output for any thread count or steal schedule
-//! (`DESIGN.md` §8).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use crate::bitset::{BitRows, BitSet};
 use crate::dominating::{DominationInstance, Solution};
@@ -131,10 +116,6 @@ pub struct DominationEngine {
     greedy_covered: BitSet,
     /// The pruned greedy incumbent, sorted.
     greedy_picks: Vec<u32>,
-    /// Racing incumbent bound shared across the per-worker engines of
-    /// a parallel pass 1; `None` on every sequential solve (and after
-    /// [`DominationEngine::reset`]).
-    shared_bound: Option<Arc<AtomicUsize>>,
 }
 
 impl Default for DominationEngine {
@@ -169,7 +150,6 @@ impl DominationEngine {
             used_scratch: BitSet::new(0),
             greedy_covered: BitSet::new(0),
             greedy_picks: Vec::new(),
-            shared_bound: None,
         };
         e.reset(n, None, forced);
         // Nothing is fed yet, so no count depends on the universe.
@@ -227,7 +207,6 @@ impl DominationEngine {
         self.used_scratch.reset(n);
         self.greedy_covered.reset(n);
         self.max_cover = 0;
-        self.shared_bound = None;
         self.forced.clear();
         self.forced.extend_from_slice(forced);
         for &f in forced {
@@ -412,23 +391,6 @@ impl DominationEngine {
         }
     }
 
-    /// Root setup shared by the sequential and parallel solvers:
-    /// rebuilds the packing order and computes the pruned-greedy
-    /// incumbent clamped to `cutoff`. Returns the incumbent solution
-    /// (already `None` when it does not beat the cutoff) and the
-    /// initial incumbent bound. Deterministic.
-    fn prepare_root(&mut self, cutoff: usize) -> (Option<Solution>, usize) {
-        // Packing order: few-dominator vertices first makes the greedy
-        // packing larger, hence the bound stronger.
-        self.packing_order.clear();
-        self.packing_order.extend(self.universe.iter());
-        self.packing_order.sort_unstable_by_key(|&v| self.cover_sizes[v as usize]);
-        // Pruned-greedy incumbent, copied out only when it beats the
-        // cutoff.
-        let len = if self.greedy_pruned() { self.greedy_picks.len() } else { usize::MAX };
-        ((len < cutoff).then(|| self.greedy_picks.clone()), len.min(cutoff))
-    }
-
     /// Exact constrained minimum via branch-and-bound over the current
     /// coverage state. Same contract as
     /// [`DominationInstance::solve_exact`]: only solutions with
@@ -441,7 +403,16 @@ impl DominationEngine {
         if let Some(decided) = self.root_gate(cutoff) {
             return decided;
         }
-        let (mut best, mut best_len) = self.prepare_root(cutoff);
+        // Packing order: few-dominator vertices first makes the greedy
+        // packing larger, hence the bound stronger.
+        self.packing_order.clear();
+        self.packing_order.extend(self.universe.iter());
+        self.packing_order.sort_unstable_by_key(|&v| self.cover_sizes[v as usize]);
+        // Pruned-greedy incumbent, copied out only when it beats the
+        // cutoff.
+        let len = if self.greedy_pruned() { self.greedy_picks.len() } else { usize::MAX };
+        let mut best = (len < cutoff).then(|| self.greedy_picks.clone());
+        let mut best_len = len.min(cutoff);
         let mut chosen: Vec<u32> = Vec::new();
         self.acquire_depth(0);
         let mut root_covered = std::mem::replace(&mut self.probe_pool[0], BitSet::new(0));
@@ -459,268 +430,6 @@ impl DominationEngine {
             b.sort_unstable();
             b
         })
-    }
-
-    /// [`solve_exact`](DominationEngine::solve_exact), fanned out over
-    /// the work-stealing pool — **bit-identical output** for any
-    /// `workers`, thread count, and steal schedule (`DESIGN.md` §8).
-    ///
-    /// The root of the branch-and-bound tree is expanded breadth-first
-    /// into a canonical frontier of at least `workers · per_worker`
-    /// subproblems (§8: an expanded node is replaced *in place* by its
-    /// children in branch order, so the frontier enumerates the
-    /// sequential DFS's subtrees left to right). Each worker snapshots
-    /// the engine once and reuses it across all its subproblems. Two
-    /// passes make the race deterministic:
-    ///
-    /// 1. workers solve the subproblems in any order, sharing one
-    ///    atomic incumbent bound — this finds the optimal *cost* `c*`
-    ///    as fast as the hardware allows, but which subproblem's
-    ///    witness survives depends on the schedule;
-    /// 2. the subproblems preceding the first pass-1 witness in
-    ///    canonical order are re-solved with the now-tight bound
-    ///    `c* + 1`, and the first subtree (in canonical order) that
-    ///    contains a cost-`c*` solution supplies its DFS-first witness
-    ///    — exactly the solution the sequential search returns.
-    ///
-    /// `workers ≤ 1` simply delegates to the sequential solver.
-    pub fn solve_exact_parallel(
-        &mut self,
-        cutoff: usize,
-        workers: usize,
-        per_worker: usize,
-    ) -> Option<Solution> {
-        if workers <= 1 {
-            return self.solve_exact(cutoff);
-        }
-        if !self.is_feasible() {
-            return None;
-        }
-        if let Some(decided) = self.root_gate(cutoff) {
-            return decided;
-        }
-        let (initial_best, initial_len) = self.prepare_root(cutoff);
-        // Root state, then the canonical frontier split.
-        self.acquire_depth(0);
-        let mut root_covered = std::mem::replace(&mut self.probe_pool[0], BitSet::new(0));
-        root_covered.clone_from(&self.initial_covered);
-        let mut root_alive = std::mem::take(&mut self.root_alive);
-        root_alive.clear();
-        root_alive.extend((0..self.n as u32).filter(|&s| self.cover_sizes[s as usize] > 0));
-        let root = FrontierNode {
-            chosen: Vec::new(),
-            covered: root_covered.clone(),
-            alive: root_alive.clone(),
-        };
-        let items = self.expand_frontier(root, initial_len, workers * per_worker.max(1));
-        self.root_alive = root_alive;
-        self.probe_pool[0] = root_covered;
-        // Pass 1: race every subproblem to the optimal cost under a
-        // shared bound seeded with the incumbent and any complete
-        // solutions the expansion already surfaced.
-        let leaf_min = items
-            .iter()
-            .filter_map(|it| match it {
-                FrontierItem::Leaf(sol) => Some(sol.len()),
-                FrontierItem::Sub(_) => None,
-            })
-            .min()
-            .unwrap_or(usize::MAX);
-        let shared = Arc::new(AtomicUsize::new(initial_len.min(leaf_min)));
-        let sub_indices: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| matches!(it, FrontierItem::Sub(_)))
-            .map(|(i, _)| i)
-            .collect();
-        let this: &DominationEngine = self;
-        let items_ref = &items;
-        let pass1: Vec<(Option<Solution>, usize)> = sub_indices
-            .clone()
-            .into_par_iter()
-            .map_init(
-                || {
-                    let mut engine = this.clone();
-                    engine.shared_bound = Some(shared.clone());
-                    engine
-                },
-                |engine, i| {
-                    let FrontierItem::Sub(node) = &items_ref[i] else {
-                        unreachable!("sub_indices only holds Sub items")
-                    };
-                    engine.solve_node(node, shared.load(Ordering::Relaxed))
-                },
-            )
-            .collect();
-        let cstar = shared.load(Ordering::Relaxed);
-        if cstar >= initial_len {
-            // Nothing in the tree beats the root incumbent; the
-            // sequential solver would return it unchanged (greedy
-            // solutions are already sorted).
-            return initial_best;
-        }
-        let mut known: Vec<Option<Solution>> = vec![None; items.len()];
-        // A pass-1 subproblem is *conclusive* unless its racing bound
-        // dropped to `c*` mid-run: while the bound exceeds `c*`, the
-        // admissible bounds cannot prune a cost-`c*` solution out of
-        // being recorded first (the §8 invariance argument, applied to
-        // the subtree), so the pass-1 answer is already what a
-        // schedule-free solve would return. Only genuinely raced
-        // subproblems go to pass 2.
-        let mut conclusive = vec![true; items.len()];
-        for (&i, (sol, end_bound)) in sub_indices.iter().zip(pass1) {
-            conclusive[i] = end_bound > cstar || sol.as_ref().is_some_and(|s| s.len() == cstar);
-            known[i] = sol;
-        }
-        // Canonical selection. A pass-1 result of cost `c*` is
-        // necessarily its subtree's DFS-first witness (a worker can
-        // only record cost `c*` while the racing bound still exceeds
-        // it, so no earlier node of that subtree was bound-pruned out
-        // of recording first). Every *inconclusive* item before the
-        // first such item may contain an earlier witness that pass 1
-        // pruned after the bound tightened, and is re-solved with the
-        // tight bound.
-        let first_hit = items.iter().enumerate().position(|(i, it)| match it {
-            FrontierItem::Leaf(sol) => sol.len() == cstar,
-            FrontierItem::Sub(_) => known[i].as_ref().is_some_and(|s| s.len() == cstar),
-        });
-        let limit = first_hit.unwrap_or(items.len());
-        let todo: Vec<usize> = (0..limit)
-            .filter(|&i| matches!(items[i], FrontierItem::Sub(_)) && !conclusive[i])
-            .collect();
-        let pass2: Vec<(usize, Option<Solution>)> = todo
-            .into_par_iter()
-            .map_init(
-                || this.clone(),
-                |engine, i| {
-                    let FrontierItem::Sub(node) = &items_ref[i] else {
-                        unreachable!("todo only holds Sub items")
-                    };
-                    (i, engine.solve_node(node, cstar + 1).0)
-                },
-            )
-            .collect();
-        for (i, sol) in pass2 {
-            known[i] = sol;
-        }
-        let mut selected = None;
-        for (i, it) in items.iter().enumerate() {
-            let witness = match it {
-                FrontierItem::Leaf(sol) => (sol.len() == cstar).then(|| sol.clone()),
-                FrontierItem::Sub(_) => known[i].take().filter(|s| s.len() == cstar),
-            };
-            if let Some(mut sol) = witness {
-                sol.sort_unstable();
-                selected = Some(sol);
-                break;
-            }
-        }
-        Some(selected.expect("an improved shared bound always has a canonical witness"))
-    }
-
-    /// Breadth-first expansion of the root into at least `target`
-    /// subproblems (or the fully expanded tree, whichever is smaller),
-    /// preserving canonical order: every level replaces each
-    /// subproblem *in place* by its children in branch order, so the
-    /// concatenated DFS orders of the frontier subtrees equal the
-    /// sequential solver's DFS order. Pruning uses only the
-    /// deterministic root incumbent `initial_len` — never a racing
-    /// bound — so the frontier itself is reproducible.
-    fn expand_frontier(
-        &mut self,
-        root: FrontierNode,
-        initial_len: usize,
-        target: usize,
-    ) -> Vec<FrontierItem> {
-        let mut items = vec![FrontierItem::Sub(root)];
-        loop {
-            let subs = items.iter().filter(|it| matches!(it, FrontierItem::Sub(_))).count();
-            if subs == 0 || subs >= target {
-                return items;
-            }
-            let mut next = Vec::with_capacity(items.len() * 2);
-            for item in items {
-                match item {
-                    FrontierItem::Leaf(sol) => next.push(FrontierItem::Leaf(sol)),
-                    FrontierItem::Sub(node) => self.expand_node(node, initial_len, &mut next),
-                }
-            }
-            // Every level deepens all prefixes by one element, and
-            // prefixes are capped by `initial_len`, so this terminates.
-            items = next;
-        }
-    }
-
-    /// Expands one frontier node: appends its children (or its leaf
-    /// solution, or nothing when pruned) to `out` in canonical order.
-    /// Mirrors [`recurse`](Self::recurse)'s entry checks and
-    /// [`prepare_node`](Self::prepare_node) with the static incumbent
-    /// bound `initial_len`.
-    fn expand_node(&mut self, node: FrontierNode, initial_len: usize, out: &mut Vec<FrontierItem>) {
-        self.acquire_depth(1);
-        let mut live = std::mem::replace(&mut self.live_pool[1], BitSet::new(0));
-        live.assign_difference(&self.universe, &node.covered);
-        let uncovered = live.len();
-        if uncovered == 0 {
-            if node.chosen.len() < initial_len {
-                out.push(FrontierItem::Leaf(node.chosen));
-            }
-            self.live_pool[1] = live;
-            return;
-        }
-        if node.chosen.len() + 1 >= initial_len {
-            self.live_pool[1] = live;
-            return;
-        }
-        let need = initial_len - node.chosen.len();
-        match self.prepare_node(1, &live, uncovered, &node.alive, need) {
-            NodeStep::Pruned => {}
-            NodeStep::Terminal(found) => {
-                if let Some(s) = found {
-                    let mut sol = node.chosen.clone();
-                    sol.push(s);
-                    out.push(FrontierItem::Leaf(sol));
-                }
-            }
-            NodeStep::Branch => {
-                let cands = std::mem::take(&mut self.cand_pool[1]);
-                let alive_next = std::mem::take(&mut self.alive_pool[1]);
-                for &(_, s) in &cands {
-                    let mut covered = node.covered.clone();
-                    covered.union_with(&self.covers[s as usize]);
-                    let mut chosen = node.chosen.clone();
-                    chosen.push(s);
-                    out.push(FrontierItem::Sub(FrontierNode {
-                        chosen,
-                        covered,
-                        alive: alive_next.clone(),
-                    }));
-                }
-                self.cand_pool[1] = cands;
-                self.alive_pool[1] = alive_next;
-            }
-        }
-        self.live_pool[1] = live;
-    }
-
-    /// Solves one frontier subproblem to completion under the
-    /// (exclusive) incumbent bound `bound`: returns the subtree's
-    /// last-improving — with a tight bound `c* + 1`, therefore
-    /// DFS-first optimal — solution (`None` if nothing in the subtree
-    /// beats the bound), plus the *final* local bound. The bound is
-    /// monotone non-increasing, so every node of this search saw a
-    /// bound at least as large as the returned one — which is what
-    /// lets pass 2 skip any subproblem whose final bound still
-    /// exceeds `c*` (its pass-1 answer is already schedule-free).
-    /// Runs on a per-worker engine snapshot; a [`Self::shared_bound`],
-    /// when installed (pass 1), both tightens this search and
-    /// broadcasts its improvements.
-    fn solve_node(&mut self, node: &FrontierNode, bound: usize) -> (Option<Solution>, usize) {
-        let mut chosen = node.chosen.clone();
-        let mut best = None;
-        let mut best_len = bound;
-        self.recurse(1, &node.covered, &node.alive, &mut chosen, &mut best, &mut best_len);
-        (best, best_len)
     }
 
     /// Ensures the per-depth scratch pools reach slot `depth`. A slot
@@ -820,15 +529,6 @@ impl DominationEngine {
         k
     }
 
-    /// Publishes a freshly improved incumbent length to the shared
-    /// racing bound of a parallel pass 1, if one is installed.
-    #[inline]
-    fn publish_bound(&self, best_len: usize) {
-        if let Some(shared) = &self.shared_bound {
-            shared.fetch_min(best_len, Ordering::Relaxed);
-        }
-    }
-
     fn recurse(
         &mut self,
         depth: usize,
@@ -838,15 +538,6 @@ impl DominationEngine {
         best: &mut Option<Solution>,
         best_len: &mut usize,
     ) {
-        // Cross-worker pruning (parallel pass 1 only): adopt the
-        // racing incumbent bound. The bound is monotone decreasing and
-        // only ever *tightens* pruning, so relaxed ordering suffices.
-        if let Some(shared) = &self.shared_bound {
-            let racing = shared.load(Ordering::Relaxed);
-            if racing < *best_len {
-                *best_len = racing;
-            }
-        }
         self.acquire_depth(depth);
         // The still-uncovered mask, computed once per node; every
         // bound and the branch selection below read it.
@@ -857,7 +548,6 @@ impl DominationEngine {
             if chosen.len() < *best_len {
                 *best_len = chosen.len();
                 *best = Some(chosen.clone());
-                self.publish_bound(*best_len);
             }
             self.live_pool[depth] = live;
             return;
@@ -895,7 +585,6 @@ impl DominationEngine {
                     chosen.push(s);
                     *best_len = chosen.len();
                     *best = Some(chosen.clone());
-                    self.publish_bound(*best_len);
                     chosen.pop();
                 }
             }
@@ -926,10 +615,7 @@ impl DominationEngine {
     /// the incumbent handling left to the caller: lower bounds, the
     /// `need == 2` terminal scan, branch-vertex selection and the
     /// canonical (gain-sorted, subset-dominance-pruned) candidate
-    /// order. Shared verbatim between the sequential recursion and the
-    /// parallel solver's frontier expansion, so both walk the *same*
-    /// tree in the same order — the heart of the §8 determinism
-    /// argument.
+    /// order.
     fn prepare_node(
         &mut self,
         depth: usize,
@@ -1050,26 +736,6 @@ impl DominationEngine {
         self.alive_pool[depth] = alive_next;
         NodeStep::Branch
     }
-}
-
-/// One unexpanded subproblem of the parallel solver's root frontier:
-/// a canonical branch prefix with its covered set and alive list. The
-/// position of a node in the frontier `Vec` *is* its canonical rank —
-/// frontier order enumerates the sequential DFS's subtrees left to
-/// right.
-#[derive(Debug, Clone)]
-struct FrontierNode {
-    chosen: Vec<u32>,
-    covered: BitSet,
-    alive: Vec<u32>,
-}
-
-/// A root-frontier entry: either a subproblem to hand to a worker or
-/// a complete solution already discovered during expansion.
-#[derive(Debug, Clone)]
-enum FrontierItem {
-    Sub(FrontierNode),
-    Leaf(Vec<u32>),
 }
 
 /// What [`DominationEngine::prepare_node`] decided for a search node.
@@ -1226,55 +892,10 @@ mod tests {
         assert_eq!(engine.solve_exact(3), None, "optimum 3 is not < 3");
         assert_eq!(engine.solve_exact(4).unwrap().len(), 3);
         assert_eq!(engine.solve_exact(0), None);
-    }
-
-    #[test]
-    fn parallel_solver_is_bit_identical_to_sequential() {
-        // Random instances with and without forced elements, solved
-        // sequentially and with every worker/frontier configuration:
-        // the *full solution* (not just its size) must match.
-        let mut rng = ChaCha8Rng::seed_from_u64(94);
-        for trial in 0..12 {
-            let g = generators::gnp(22, 0.12 + 0.02 * (trial % 5) as f64, &mut rng).unwrap();
-            let forced = if trial % 3 == 0 { vec![1] } else { vec![] };
-            let inst = graph_instance(&g, forced);
-            let expected = DominationEngine::from_instance(&inst).solve_exact(usize::MAX);
-            for (workers, per_worker) in [(2usize, 1usize), (2, 4), (4, 2), (7, 3)] {
-                let got = DominationEngine::from_instance(&inst).solve_exact_parallel(
-                    usize::MAX,
-                    workers,
-                    per_worker,
-                );
-                assert_eq!(got, expected, "trial {trial}, workers {workers}·{per_worker}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_solver_respects_cutoff_and_infeasibility() {
-        // Path: optimum 3. Cutoffs at, above, and far below it.
-        let inst = graph_instance(&generators::path(9), vec![]);
-        let mut engine = DominationEngine::from_instance(&inst);
-        assert_eq!(engine.solve_exact_parallel(3, 4, 2), None);
-        assert_eq!(engine.solve_exact_parallel(4, 4, 2), engine.solve_exact(4));
-        assert_eq!(engine.solve_exact_parallel(0, 4, 2), None);
-        // Infeasible: universe vertex nobody covers.
-        let mut empty = DominationEngine::new(BitSet::full(3), &[]);
-        empty.add_pair(0, 0);
-        assert_eq!(empty.solve_exact_parallel(usize::MAX, 4, 2), None);
-        // Trivial: empty universe needs nothing.
+        // An empty universe needs nothing, under any positive cutoff.
         let mut trivial = DominationEngine::new(BitSet::new(2), &[]);
-        assert_eq!(trivial.solve_exact_parallel(usize::MAX, 4, 2), Some(vec![]));
-    }
-
-    #[test]
-    fn parallel_solver_single_worker_delegates() {
-        let mut rng = ChaCha8Rng::seed_from_u64(95);
-        let g = generators::gnp(16, 0.2, &mut rng).unwrap();
-        let inst = graph_instance(&g, vec![]);
-        let mut a = DominationEngine::from_instance(&inst);
-        let mut b = DominationEngine::from_instance(&inst);
-        assert_eq!(a.solve_exact_parallel(usize::MAX, 1, 8), b.solve_exact(usize::MAX));
+        assert_eq!(trivial.solve_exact(usize::MAX), Some(vec![]));
+        assert_eq!(trivial.solve_exact(0), None);
     }
 
     #[test]

@@ -41,6 +41,12 @@
 //!   so a responder held across a dynamics run reuses all solver
 //!   state from round to round.
 //!
+//! Every solve runs on the calling thread. The crate's one use of the
+//! work-stealing pool is [`is_lke`], which certifies groups of 64
+//! players in parallel; the callers above it split independent work
+//! (sweep repetitions, the scale tier's windows), never one solve
+//! (DESIGN.md §8).
+//!
 //! ## Example
 //!
 //! ```
@@ -84,56 +90,6 @@ pub enum Mode {
     Greedy,
 }
 
-/// When (and how wide) the exact branch-and-bound fans out over the
-/// work-stealing pool (DESIGN.md §8).
-///
-/// Output is bit-identical either way
-/// ([`DominationEngine::solve_exact_parallel`](engine::DominationEngine::solve_exact_parallel)'s
-/// two-pass canonical rule), so the policy is purely a performance
-/// trade: frontier expansion plus one engine snapshot per worker only
-/// pay off once a single solve is expensive. The dynamics hot path —
-/// thousands of sub-millisecond solves on tiny views per round — must
-/// stay sequential, hence the ground-set threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelPolicy {
-    /// Ground sets (view sizes) strictly smaller than this always
-    /// solve sequentially. The default keeps the ≈100-node
-    /// full-knowledge views of the paper's dynamics — ~0.7 ms solves —
-    /// on the sequential fast path while the certification-scale
-    /// instances beyond it fan out.
-    pub min_ground: usize,
-    /// Root-frontier subproblems per worker (the `C` in the `W·C`
-    /// frontier target): enough slack for the steal-half scheduler to
-    /// rebalance uneven subtrees.
-    pub per_worker: usize,
-}
-
-impl Default for ParallelPolicy {
-    fn default() -> Self {
-        ParallelPolicy { min_ground: 112, per_worker: 8 }
-    }
-}
-
-impl ParallelPolicy {
-    /// A policy that never parallelises (single-core ablations, bench
-    /// baselines).
-    pub fn sequential() -> Self {
-        ParallelPolicy { min_ground: usize::MAX, ..Self::default() }
-    }
-
-    /// Worker count for a solve over `ground` elements: 1 below the
-    /// threshold, otherwise the pool's current thread count. Inside a
-    /// pool worker (a sweep repetition, an [`is_lke`] player group) this
-    /// is 1 by construction, so nested solves never over-subscribe.
-    pub fn workers(&self, ground: usize) -> usize {
-        if ground < self.min_ground {
-            1
-        } else {
-            rayon::current_num_threads()
-        }
-    }
-}
-
 /// Reusable allocation bundle for the best-response engines: the
 /// deviation-evaluation scratch, the greedy climb's
 /// [`ClimbScratch`](climb::ClimbScratch), the reduction's ring growth
@@ -165,10 +121,6 @@ pub struct SolverScratch {
     pub(crate) engine: engine::DominationEngine,
     pub(crate) sum: sum_engine::SumEngine,
     pub(crate) split: sum_br::Split,
-    /// When the exact solves behind this scratch fan out over the
-    /// work-stealing pool. Defaults keep small views sequential;
-    /// results are bit-identical under any policy.
-    pub parallel: ParallelPolicy,
 }
 
 impl SolverScratch {
@@ -234,9 +186,8 @@ const LKE_GROUP: usize = 64;
 /// steals. The per-player verdicts are independent, so the answer does
 /// not depend on the schedule; the first violation found stops the
 /// remaining players' solves. Inside a pool worker (a sweep
-/// repetition) the groups run inline and the per-player solves use the
-/// sequential engine, so nested calls never over-subscribe the
-/// machine.
+/// repetition) the groups run inline, so nested calls never
+/// over-subscribe the machine.
 pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
     use std::sync::atomic::{AtomicBool, Ordering};
     let violated = AtomicBool::new(false);

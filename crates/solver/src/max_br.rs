@@ -33,7 +33,7 @@ use ncg_graph::NodeId;
 use crate::bitset::{BitRows, BitSet};
 use crate::bound::purchase_cutoff;
 use crate::engine::DominationEngine;
-use crate::{Mode, ParallelPolicy, SolverScratch};
+use crate::{Mode, SolverScratch};
 
 /// Computes the MaxNCG best response for `view` under `spec`.
 ///
@@ -65,9 +65,9 @@ pub fn max_best_response_with(
     mode: Mode,
     scratch: &mut SolverScratch,
 ) -> Deviation {
-    let SolverScratch { eval, rings, engine, parallel, .. } = scratch;
+    let SolverScratch { eval, rings, engine, .. } = scratch;
     rings.reset(view.len(), Some(view.center), |v| view.neighbors_minus_center(v));
-    guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| rings.grow_to(engine, r))
+    guess_loop(spec, view, mode, engine, eval, |engine, r| rings.grow_to(engine, r))
 }
 
 /// The eccentricity-guess loop over `engine`, whose coverage
@@ -80,7 +80,6 @@ fn guess_loop(
     mode: Mode,
     engine: &mut DominationEngine,
     eval: &mut EvalScratch,
-    parallel: ParallelPolicy,
     mut grow_to: impl FnMut(&mut DominationEngine, u32),
 ) -> Deviation {
     debug_assert!(
@@ -105,8 +104,6 @@ fn guess_loop(
     }
     // Universe: every vertex except the center.
     engine.reset(n_local, Some(view.center), &view.incoming);
-    // One fan-out decision per view, not per guess.
-    let workers = parallel.workers(n_local);
     for h in 1..=h_cap {
         if h as f64 >= best.total_cost - ncg_core::EPS {
             break;
@@ -121,13 +118,6 @@ fn guess_loop(
         // `h − 1`, fed ring by ring.
         grow_to(engine, h - 1);
         let solution = match mode {
-            // Large views fan the branch-and-bound out over the
-            // work-stealing pool per the scratch's policy; the
-            // two-pass canonical rule keeps the result bit-identical
-            // to the sequential solve (DESIGN.md §8).
-            Mode::Exact if workers > 1 => {
-                engine.solve_exact_parallel(cutoff, workers, parallel.per_worker)
-            }
             Mode::Exact => engine.solve_exact(cutoff),
             Mode::Greedy => engine.solve_greedy().filter(|s| s.len() < cutoff),
         };
@@ -393,10 +383,8 @@ mod tests {
     ) -> Deviation {
         let mut feed = CursorFeed::default();
         feed.sweep_minus_center(view);
-        let SolverScratch { eval, engine, parallel, .. } = scratch;
-        guess_loop(spec, view, mode, engine, eval, *parallel, |engine, r| {
-            feed.grow_covers_to(engine, r)
-        })
+        let SolverScratch { eval, engine, .. } = scratch;
+        guess_loop(spec, view, mode, engine, eval, |engine, r| feed.grow_covers_to(engine, r))
     }
 
     #[test]

@@ -13,10 +13,7 @@
 //!   at the player first: each connected component of `H ∖ {u}` is
 //!   solved on its own, with the center, and the strategies are merged
 //!   — the same comparator minimum, from searches whose sizes add up
-//!   where the whole view's multiply (DESIGN.md §9). Large views
-//!   and sub-views fan out over the work-stealing pool per the
-//!   scratch's [`ParallelPolicy`], with bit-identical results for any
-//!   worker count.
+//!   where the whole view's multiply (DESIGN.md §9).
 //! * [`Mode::Greedy`] is [`hill_climb`], the workspace's one greedy
 //!   climb (best improving add / drop / swap, repeated to a fixed
 //!   point or its step cap, priced from distance tables —
@@ -39,7 +36,7 @@ use ncg_graph::NodeId;
 
 use crate::front::hill_climb;
 use crate::sum_engine::{SumEngine, SumIncumbent};
-use crate::{Mode, ParallelPolicy, SolverScratch};
+use crate::{Mode, SolverScratch};
 
 /// Computes a SumNCG best response: the exact branch-and-bound in
 /// [`Mode::Exact`], hill climbing in [`Mode::Greedy`]. Never returns
@@ -55,12 +52,6 @@ pub fn sum_best_response(spec: &GameSpec, view: &PlayerView, mode: Mode) -> Devi
 /// per-depth pools and node buffers of the branch-and-bound (and the
 /// distance tables of the greedy climb) are reused across calls, so
 /// dynamics rounds warm-restart the solver exactly like `max_br`.
-///
-/// The scratch's [`ParallelPolicy`] governs when an exact solve of a
-/// view, or of one component's sub-view, fans out over the
-/// work-stealing pool; results are bit-identical under any policy and
-/// worker count (the canonical frontier fold of
-/// [`SumEngine::solve_parallel`]).
 pub fn sum_best_response_with(
     spec: &GameSpec,
     view: &PlayerView,
@@ -89,22 +80,21 @@ pub fn sum_best_response_with(
 /// the union of the components' minima (DESIGN.md §9). A view with one
 /// component is solved as it is; otherwise each component, with the
 /// center, is loaded into the split's sub-view slot and solved on its
-/// own by the same [`SumEngine`], in parallel when the policy says that
-/// sub-view is big enough. The merged strategy is re-scored through
+/// own by the same [`SumEngine`]. The merged strategy is re-scored through
 /// [`evaluate_total`] on the whole view, so the returned cost is, bit
 /// for bit, what the evaluator assigns the strategy
 /// ([`BestResponder`](ncg_core::equilibrium::BestResponder)'s contract).
 fn branch_and_bound(spec: &GameSpec, view: &PlayerView, scratch: &mut SolverScratch) -> Deviation {
-    let SolverScratch { eval, sum, split, parallel, .. } = scratch;
+    let SolverScratch { eval, sum, split, .. } = scratch;
     split.merged.clear();
     let components = split.group(view);
     if components == 1 {
-        solve_view(spec, view, sum, *parallel, &mut split.inc, eval);
+        solve_view(spec, view, sum, &mut split.inc, eval);
         split.merged.extend_from_slice(&split.inc.strategy);
     } else {
         for c in 0..components {
             split.load(view, c);
-            solve_view(spec, &split.sub, sum, *parallel, &mut split.inc, eval);
+            solve_view(spec, &split.sub, sum, &mut split.inc, eval);
             split.merged.extend(split.inc.strategy.iter().map(|&s| split.keep[s as usize]));
         }
         split.merged.sort_unstable();
@@ -113,18 +103,16 @@ fn branch_and_bound(spec: &GameSpec, view: &PlayerView, scratch: &mut SolverScra
     Deviation { strategy_local: split.merged.clone(), total_cost }
 }
 
-/// Prepares `sum` on `view` (warm restart) and solves it into `inc`,
-/// over the pool when `parallel` says the view is big enough.
+/// Prepares `sum` on `view` (warm restart) and solves it into `inc`.
 fn solve_view(
     spec: &GameSpec,
     view: &PlayerView,
     sum: &mut SumEngine,
-    parallel: ParallelPolicy,
     inc: &mut SumIncumbent,
     eval: &mut EvalScratch,
 ) {
     sum.prepare(spec, view);
-    sum.solve_into(parallel.workers(view.len()), parallel.per_worker, inc);
+    sum.solve_into(inc);
     debug_assert_eq!(
         evaluate_total(spec, view, &inc.strategy, eval).to_bits(),
         inc.cost.to_bits(),

@@ -128,20 +128,12 @@
 //! losing every stage of the tie-break — so *every* strategy that
 //! could still win is visited and the result is the same comparator
 //! minimum (cost, then fewer edges, then lexicographic) that
-//! exhaustive enumeration returns — independent of visit order. Parallel solves therefore need only a single racing
-//! pass: the root is expanded breadth-first into a canonical frontier
-//! (PR 5's in-place splitting rule), workers race the subproblems
-//! under a shared atomic bound, and a sequential comparator fold over
-//! the per-subproblem minima in canonical order reproduces the
-//! sequential answer bit for bit, for any worker count or steal
-//! schedule. The one caveat — costs that differ by a nonzero amount
-//! `≤ EPS` — is measure-zero in α and documented in DESIGN.md §9.
+//! exhaustive enumeration returns — independent of visit order. The
+//! one caveat — costs that differ by a nonzero amount `≤ EPS` — is
+//! measure-zero in α and documented in DESIGN.md §9.
 
 use ncg_core::{GameSpec, PlayerView, RowScratch};
 use ncg_graph::{NodeId, INFINITY};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The raise `δ = λ − α` of the tie-layer bound's facility price: a
 /// layer that could at best tie the incumbent is cut when `L(α + δ) −
@@ -181,22 +173,8 @@ pub struct SumIncumbent {
     pub cost: f64,
 }
 
-/// A frontier subproblem of the parallel solve: the include/exclude
-/// state of one branch-and-bound node, self-contained so a worker can
-/// solve it on an engine snapshot.
-#[derive(Debug, Clone)]
-struct SumNode {
-    chosen: Vec<NodeId>,
-    best: Vec<u32>,
-    und: Vec<NodeId>,
-    /// Starting duals of the node's ascent: its parent's final duals,
-    /// empty at the root (cold start).
-    duals: Vec<f64>,
-}
-
 /// Outcome of processing one node (bounds, reductions, stop
-/// evaluation) shared by the sequential recursion and the parallel
-/// frontier expansion.
+/// evaluation).
 enum SumStep {
     /// Bound exceeded or a constraint became unsatisfiable.
     Pruned,
@@ -281,10 +259,6 @@ pub struct SumEngine {
     lag_slack: Vec<f64>,
     forced: Vec<NodeId>,
     record_buf: Vec<NodeId>,
-    /// Racing incumbent cost (as f64 bits — nonnegative IEEE 754
-    /// floats order as unsigned integers) shared across workers of a
-    /// parallel solve.
-    shared_bound: Option<Arc<AtomicU64>>,
     /// Test-only audit of every dual ascent and greedy pick.
     #[cfg(test)]
     audit: Option<tests::SolveAudit>,
@@ -328,7 +302,6 @@ impl Default for SumEngine {
             lag_slack: Vec::new(),
             forced: Vec::new(),
             record_buf: Vec::new(),
-            shared_bound: None,
             #[cfg(test)]
             audit: None,
         }
@@ -377,117 +350,36 @@ impl SumEngine {
         self.seed.strategy.sort_unstable();
         self.seed.cost = ncg_core::deviation::current_total(spec, view);
         self.chosen.clear();
-        self.shared_bound = None;
     }
 
-    /// Sequential exact solve of the prepared view. Deterministic:
-    /// returns the comparator-minimal optimum (cost, then fewer edges,
-    /// then lexicographic — exhaustive enumeration's tie-break).
+    /// Exact solve of the prepared view. Deterministic: returns the
+    /// comparator-minimal optimum (cost, then fewer edges, then
+    /// lexicographic — exhaustive enumeration's tie-break).
     pub fn solve(&mut self) -> SumIncumbent {
-        let mut inc = self.seed.clone();
-        self.search(&mut inc);
+        let mut inc = SumIncumbent::default();
+        self.solve_into(&mut inc);
         inc
     }
 
-    /// [`Self::solve_parallel`] into a caller-held incumbent: a
-    /// sequential solve (`workers ≤ 1`) restarts `inc` from the seed in
-    /// place and searches into it, so a warm `inc` allocates nothing.
-    /// The Sum best response keeps one `inc` across all the components
-    /// of a view it solves one by one.
-    pub fn solve_into(&mut self, workers: usize, per_worker: usize, inc: &mut SumIncumbent) {
-        if workers > 1 {
-            *inc = self.solve_parallel(workers, per_worker);
-            return;
-        }
+    /// [`Self::solve`] into a caller-held incumbent: restarts `inc` from
+    /// the seed in place and searches into it, so a warm `inc`
+    /// allocates nothing. The Sum best response keeps one `inc` across
+    /// all the components of a view it solves one by one.
+    pub fn solve_into(&mut self, inc: &mut SumIncumbent) {
         inc.strategy.clear();
         inc.strategy.extend_from_slice(&self.seed.strategy);
         inc.cost = self.seed.cost;
-        self.search(inc);
-    }
-
-    /// The sequential search from the root, folding into `inc`.
-    fn search(&mut self, inc: &mut SumIncumbent) {
-        self.shared_bound = None;
-        self.load_root_at_depth_zero();
-        self.recurse(0, inc);
-    }
-
-    /// Parallel exact solve: canonical breadth-first frontier split,
-    /// one engine snapshot per worker racing under a shared atomic
-    /// bound, then a comparator fold over the per-subproblem minima in
-    /// canonical order. Bit-identical to [`Self::solve`] for every
-    /// `workers` count and steal schedule (module docs); `workers ≤ 1`
-    /// delegates to the sequential solver.
-    pub fn solve_parallel(&mut self, workers: usize, per_worker: usize) -> SumIncumbent {
-        if workers <= 1 {
-            return self.solve();
-        }
-        let mut inc = self.seed.clone();
-        self.shared_bound = None;
-        self.chosen.clear();
-        let root = SumNode {
-            chosen: Vec::new(),
-            best: self.base.clone(),
-            und: (0..self.n as NodeId).filter(|&v| v != self.center).collect(),
-            duals: Vec::new(),
-        };
-        let items = self.expand_frontier(root, &mut inc, workers * per_worker.max(1));
-        if items.is_empty() {
-            return inc;
-        }
-        let seed = inc.clone();
-        let shared = Arc::new(AtomicU64::new(inc.cost.to_bits()));
-        let this: &SumEngine = self;
-        let results: Vec<SumIncumbent> = items
-            .into_par_iter()
-            .map_init(
-                || {
-                    let mut engine = this.clone();
-                    engine.shared_bound = Some(shared.clone());
-                    engine
-                },
-                |engine, node| engine.solve_sub(&node, &seed),
-            )
-            .collect();
-        for r in results {
-            if Self::better(r.cost, &r.strategy, &inc) {
-                inc = r;
-            }
-        }
-        inc
-    }
-
-    /// Fills depth-0 pools with the root node (empty strategy,
-    /// incoming-only residuals, every non-center vertex a candidate,
-    /// no starting duals).
-    fn load_root_at_depth_zero(&mut self) {
+        // The root: empty strategy, incoming-only residuals, every
+        // non-center vertex a candidate, no starting duals.
         self.chosen.clear();
         self.acquire_depth(0);
         self.best_pool[0].clear();
-        let base = std::mem::take(&mut self.base);
-        self.best_pool[0].extend_from_slice(&base);
-        self.base = base;
+        self.best_pool[0].extend_from_slice(&self.base);
         self.und_pool[0].clear();
         let center = self.center;
         self.und_pool[0].extend((0..self.n as NodeId).filter(|&v| v != center));
         self.dual_pool[0].clear();
-    }
-
-    /// Solves one frontier subproblem on this (worker-local) engine,
-    /// seeding the incumbent with the post-expansion root incumbent.
-    fn solve_sub(&mut self, node: &SumNode, seed: &SumIncumbent) -> SumIncumbent {
-        let mut inc = seed.clone();
-        self.chosen.clear();
-        self.chosen.extend_from_slice(&node.chosen);
-        self.acquire_depth(0);
-        self.best_pool[0].clear();
-        self.best_pool[0].extend_from_slice(&node.best);
-        self.und_pool[0].clear();
-        self.und_pool[0].extend_from_slice(&node.und);
-        self.dual_pool[0].clear();
-        self.dual_pool[0].extend_from_slice(&node.duals);
-        self.recurse(0, &mut inc);
-        inc
+        self.recurse(0, inc);
     }
 
     fn acquire_depth(&mut self, depth: usize) {
@@ -759,8 +651,7 @@ impl SumEngine {
     }
 
     /// Records the current chosen set (the node's all-exclude
-    /// completion) against the incumbent and publishes an improved
-    /// cost to the racing bound.
+    /// completion) against the incumbent.
     fn record(&mut self, inc: &mut SumIncumbent, usage: u64) {
         let cost = self.spec.total_cost(self.chosen.len(), Some(usage));
         let mut buf = std::mem::take(&mut self.record_buf);
@@ -771,21 +662,8 @@ impl SumEngine {
             inc.cost = cost;
             inc.strategy.clear();
             inc.strategy.extend_from_slice(&buf);
-            if let Some(shared) = &self.shared_bound {
-                shared.fetch_min(cost.to_bits(), Ordering::Relaxed);
-            }
         }
         self.record_buf = buf;
-    }
-
-    /// The effective pruning bound: the local incumbent, tightened by
-    /// the racing bound when one is attached.
-    fn current_bound(&self, inc: &SumIncumbent) -> f64 {
-        let mut bound = inc.cost;
-        if let Some(shared) = &self.shared_bound {
-            bound = bound.min(f64::from_bits(shared.load(Ordering::Relaxed)));
-        }
-        bound
     }
 
     /// Bounds, reductions and the stop evaluation for one node; `best`
@@ -793,8 +671,7 @@ impl SumEngine {
     /// residuals, eliminations shrink the candidate list) and
     /// `self.chosen` grows by any forced includes. `start` holds the
     /// node's starting duals (empty at the root); on a branch,
-    /// `self.dual_v` holds its final duals. Shared by the sequential
-    /// recursion and the parallel frontier expansion.
+    /// `self.dual_v` holds its final duals.
     fn process_node(
         &mut self,
         best: &mut [u32],
@@ -857,7 +734,7 @@ impl SumEngine {
                 }
                 self.record(inc, usage);
             }
-            let bound = self.current_bound(inc) + ncg_core::EPS;
+            let bound = inc.cost + ncg_core::EPS;
             let bought = self.chosen.len();
             let e_star = inc.strategy.len();
             // Reachability bound LB₀.
@@ -1373,62 +1250,6 @@ impl SumEngine {
         self.best_pool[depth] = child_best;
         self.und_pool[depth] = child_und;
     }
-
-    /// Breadth-first expansion of the root into at least `target`
-    /// subproblems in canonical order: each generation replaces every
-    /// branching node in place by its include- then exclude-child, so
-    /// the concatenated DFS orders of the frontier equal the
-    /// sequential DFS order. Stop evaluations fold into `inc`
-    /// sequentially; pruned and leaf nodes simply vanish.
-    fn expand_frontier(
-        &mut self,
-        root: SumNode,
-        inc: &mut SumIncumbent,
-        target: usize,
-    ) -> Vec<SumNode> {
-        let mut items = vec![root];
-        while !items.is_empty() && items.len() < target {
-            let mut next = Vec::with_capacity(items.len() * 2);
-            let mut branched = false;
-            for mut node in items {
-                std::mem::swap(&mut self.chosen, &mut node.chosen);
-                let step = self.process_node(&mut node.best, &mut node.und, &node.duals, inc);
-                std::mem::swap(&mut self.chosen, &mut node.chosen);
-                if let SumStep::Branch(c) = step {
-                    branched = true;
-                    let mut inc_best = node.best.clone();
-                    let row = &self.rows[c as usize * self.n..(c as usize + 1) * self.n];
-                    for (b, &r) in inc_best.iter_mut().zip(row) {
-                        if r < *b {
-                            *b = r;
-                        }
-                    }
-                    let child_und: Vec<NodeId> =
-                        node.und.iter().copied().filter(|&x| x != c).collect();
-                    let mut inc_chosen = node.chosen.clone();
-                    inc_chosen.push(c);
-                    next.push(SumNode {
-                        chosen: inc_chosen,
-                        best: inc_best,
-                        und: child_und.clone(),
-                        duals: self.dual_v.clone(),
-                    });
-                    next.push(SumNode {
-                        chosen: node.chosen,
-                        best: node.best,
-                        und: child_und,
-                        duals: self.dual_v.clone(),
-                    });
-                }
-            }
-            items = next;
-            if !branched {
-                break;
-            }
-        }
-        self.chosen.clear();
-        items
-    }
 }
 
 #[cfg(test)]
@@ -1588,17 +1409,12 @@ mod tests {
                             ..SumEngine::default()
                         };
                         engine.prepare(&spec, &view);
-                        let seq = engine.solve();
+                        engine.solve();
                         let audit = engine.audit.take().expect("set above");
                         total.ascents += audit.ascents;
                         total.warm += audit.warm;
                         total.raised += audit.raised;
                         total.picks += audit.picks;
-                        // The parallel frontier hands each subproblem its
-                        // starting duals; worker snapshots audit too.
-                        engine.audit = Some(SolveAudit::default());
-                        engine.prepare(&spec, &view);
-                        assert_eq!(engine.solve_parallel(2, 2), seq, "u={u} α={alpha} k={k}");
                     }
                 }
             }
@@ -1619,32 +1435,5 @@ mod tests {
         let (inc, view) = solve_for(&state, &spec, 0);
         assert_eq!(inc.strategy.len(), 29);
         assert_eq!(inc.cost.to_bits(), ncg_core::deviation::current_total(&spec, &view).to_bits());
-    }
-
-    #[test]
-    fn parallel_solve_is_bit_identical() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let g = ncg_graph::generators::gnp_connected(20, 0.15, 100, &mut rng).unwrap();
-        let state = GameState::from_graph_random_ownership(&g, &mut rng);
-        for alpha in [0.3, 1.0, 3.0, 40.0] {
-            let spec = GameSpec::sum(alpha, 1000);
-            for u in (0..state.n() as NodeId).step_by(3) {
-                let view = PlayerView::build(&state, u, spec.k);
-                let mut engine = SumEngine::default();
-                engine.prepare(&spec, &view);
-                let seq = engine.solve();
-                for workers in [2usize, 4] {
-                    let pool =
-                        rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-                    let par = pool.install(|| {
-                        let mut e = SumEngine::default();
-                        e.prepare(&spec, &view);
-                        e.solve_parallel(workers, 2)
-                    });
-                    assert_eq!(seq.strategy, par.strategy, "u={u} α={alpha} w={workers}");
-                    assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "u={u} α={alpha}");
-                }
-            }
-        }
     }
 }

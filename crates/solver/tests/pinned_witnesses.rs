@@ -8,10 +8,9 @@
 //! The witness — which optimal strategy the branch-and-bound returns,
 //! not only its cost — decides the move, so it is part of the output
 //! contract (DESIGN.md §4.1). A change to the engine's internal state
-//! must leave every digest alone; the full-knowledge views are also
-//! solved through the parallel frontier, which must return the same
-//! witnesses. A deliberate tie-break change re-pins: copy the digest
-//! the failure message prints and record the reason in the change log.
+//! must leave every digest alone. A deliberate tie-break change
+//! re-pins: copy the digest the failure message prints and record the
+//! reason in the change log.
 
 use ncg_core::equilibrium::{Deviation, EXHAUSTIVE_CAP};
 use ncg_core::{GameSpec, GameState, Objective, PlayerView, Scenario};
@@ -19,7 +18,7 @@ use ncg_graph::NodeId;
 use ncg_solver::front::best_response_with;
 use ncg_solver::max_br::max_best_response_with;
 use ncg_solver::sum_br::sum_best_response_with;
-use ncg_solver::{Mode, ParallelPolicy, SolverScratch};
+use ncg_solver::{Mode, SolverScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -115,60 +114,44 @@ fn tree200_k2_witnesses_are_pinned() {
 }
 
 /// A connected G(70, 0.15) under full knowledge: the whole-graph views
-/// of the `er_full` benchmark class, solved sequentially and through
-/// the parallel frontier of a two-thread pool.
+/// of the `er_full` benchmark class.
 #[test]
-fn er70_full_witnesses_are_pinned_sequential_and_parallel() {
+fn er70_full_witnesses_are_pinned() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x6572);
     let g = ncg_graph::generators::gnp_connected(70, 0.15, 10_000, &mut rng).unwrap();
     let state = GameState::from_graph_random_ownership(&g, &mut rng);
-    let mut seq = SolverScratch::new();
-    seq.parallel = ParallelPolicy::sequential();
-    let mut par = SolverScratch::new();
-    par.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-    let mut sequential = Vec::new();
-    let mut parallel = Vec::new();
-    for alpha in [0.3, 2.0] {
-        let spec = GameSpec::max(alpha, 1000);
-        let respond = max_best_response_with;
-        sequential.push((alpha, witness_digest(2, &state, spec, respond, &mut seq)));
-        parallel.push((alpha, pool.install(|| witness_digest(2, &state, spec, respond, &mut par))));
-    }
-    assert_eq!(sequential, parallel, "the parallel frontier must return the sequential witnesses");
+    let mut scratch = SolverScratch::new();
+    let actual: Vec<(f64, u64)> = [0.3, 2.0]
+        .into_iter()
+        .map(|alpha| {
+            let spec = GameSpec::max(alpha, 1000);
+            (alpha, witness_digest(2, &state, spec, max_best_response_with, &mut scratch))
+        })
+        .collect();
     assert_pins(
         "G(70, 0.15), k = 1000",
-        &sequential,
+        &actual,
         &[(0.3, 0xf043_d2d9_5ec4_458a), (2.0, 0x6c7e_e5e3_f001_2b5c)],
     );
 }
 
 /// A random 30-node tree under SumNCG: the `sum_tree` benchmark class,
 /// across the α ≈ 1 tie plateau, at radius 2 and under full knowledge.
-/// The full-knowledge views are solved again through the parallel
-/// frontier of a two-thread pool, so the layer cuts meet both the
-/// sequential recursion and the frontier expansion.
 #[test]
-fn tree30_sum_witnesses_are_pinned_sequential_and_parallel() {
+fn tree30_sum_witnesses_are_pinned() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x73_756d);
     let tree = ncg_graph::generators::random_tree(30, &mut rng);
     let state = GameState::from_graph_random_ownership(&tree, &mut rng);
-    let mut seq = SolverScratch::new();
-    seq.parallel = ParallelPolicy::sequential();
-    let mut par = SolverScratch::new();
-    par.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+    let mut scratch = SolverScratch::new();
     let respond = sum_best_response_with;
     let mut local = Vec::new();
     let mut full = Vec::new();
-    let mut parallel = Vec::new();
     for alpha in [0.5, 1.0, 2.0] {
-        local.push((alpha, witness_digest(3, &state, GameSpec::sum(alpha, 2), respond, &mut seq)));
+        let spec = GameSpec::sum(alpha, 2);
+        local.push((alpha, witness_digest(3, &state, spec, respond, &mut scratch)));
         let spec = GameSpec::sum(alpha, 1000);
-        full.push((alpha, witness_digest(4, &state, spec, respond, &mut seq)));
-        parallel.push((alpha, pool.install(|| witness_digest(4, &state, spec, respond, &mut par))));
+        full.push((alpha, witness_digest(4, &state, spec, respond, &mut scratch)));
     }
-    assert_eq!(full, parallel, "the parallel frontier must return the sequential witnesses");
     assert_pins(
         "sum tree30, k = 2",
         &local,

@@ -11,7 +11,7 @@ use ncg_solver::bitset::BitSet;
 use ncg_solver::dominating::DominationInstance;
 use ncg_solver::engine::DominationEngine;
 use ncg_solver::sum_engine::SumEngine;
-use ncg_solver::{max_br, sum_br, Mode, ParallelPolicy, SolverScratch};
+use ncg_solver::{max_br, sum_br, Mode, SolverScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,18 +53,18 @@ fn ball_instance(g: &ncg_graph::Graph, r: u32, forced: Vec<u32>) -> DominationIn
 }
 
 proptest! {
-    // Each case runs 4·(n + 2) solves of a 63–70-element instance,
-    // ~1 s for a radius-1 case in a debug build (sparser graphs take
-    // far longer): four cases keep the debug tier-1 run within
-    // seconds; the weekly deep run raises the count.
+    // Each case runs n + 3 solves of a 63–70-element instance (sparser
+    // graphs take far longer than dense ones): four cases keep the
+    // debug tier-1 run within seconds; the weekly deep run raises the
+    // count.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Every cutoff gets exactly the unbounded optimum's answer — the
     /// root gate (which answers low cutoffs without an incumbent)
-    /// included — sequentially and in 1-, 2- and 4-thread pools, on
+    /// included — from one engine solved again and again, on
     /// radius-0..2 ball systems across the word boundary.
     #[test]
-    fn every_cutoff_agrees_with_the_unbounded_optimum(
+    fn solve_exact_agrees_with_the_unbounded_optimum_at_every_cutoff(
         seed in 0u64..10_000,
         n in 63usize..71,
         radius in 0u32..3,
@@ -76,17 +76,9 @@ proptest! {
         let inst = ball_instance(&g, radius, if forced { vec![n as u32 - 2] } else { vec![] });
         let mut engine = DominationEngine::from_instance(&inst);
         let optimum = engine.solve_exact(usize::MAX);
-        let pools: Vec<(usize, rayon::ThreadPool)> = [1usize, 2, 4]
-            .into_iter()
-            .map(|t| (t, rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap()))
-            .collect();
         for cutoff in 0..=n + 1 {
             let expected = optimum.clone().filter(|s| s.len() < cutoff);
             prop_assert_eq!(&engine.solve_exact(cutoff), &expected, "cutoff {}", cutoff);
-            for (threads, pool) in &pools {
-                let got = pool.install(|| engine.solve_exact_parallel(cutoff, *threads, 3));
-                prop_assert_eq!(&got, &expected, "cutoff {}, {} threads", cutoff, threads);
-            }
         }
     }
 }
@@ -231,82 +223,6 @@ proptest! {
         }
     }
 
-    /// The parallel branch-and-bound returns the *bit-identical*
-    /// solution (not just the same size) as the sequential solver, for
-    /// every worker count and under real thread pools — including
-    /// cutoff (`None`) and infeasible instances. This is the §8
-    /// two-pass canonical-selection contract the CI determinism job
-    /// relies on.
-    #[test]
-    fn parallel_solve_is_bit_identical_across_thread_counts(
-        seed in 0u64..400,
-        p in 0.08f64..0.35,
-        forced in any::<bool>(),
-        sabotage in any::<bool>(),
-        cutoff_slack in 0usize..3,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = 24usize;
-        let g = ncg_graph::generators::gnp(n, p, &mut rng).unwrap();
-        let mut inst = DominationInstance::closed_neighborhoods(
-            &g,
-            if forced { vec![3] } else { vec![] },
-        );
-        if sabotage {
-            // Vertex 0 loses every dominator and, to keep the coverage
-            // symmetric, its own cover: the instance is infeasible and
-            // every solver must say `None`.
-            for c in &mut inst.covers {
-                c.remove(0);
-            }
-            inst.covers[0].clear();
-        }
-        let opt = DominationEngine::from_instance(&inst).solve_exact(usize::MAX);
-        let cutoff = match (&opt, cutoff_slack) {
-            (Some(sol), 0) => sol.len(),     // optimum is not < cutoff → None
-            (Some(sol), 1) => sol.len() + 1, // tightest feasible cutoff
-            _ => usize::MAX,
-        };
-        let expected = DominationEngine::from_instance(&inst).solve_exact(cutoff);
-        for workers in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-            let got = pool.install(|| {
-                DominationEngine::from_instance(&inst).solve_exact_parallel(cutoff, workers, 3)
-            });
-            prop_assert_eq!(&got, &expected, "workers = {}", workers);
-        }
-    }
-
-    /// Forcing the parallel policy all the way down (every view
-    /// parallelises) leaves the full best-response reduction
-    /// bit-identical — strategy and cost — to the sequential-only
-    /// policy: the `ParallelPolicy` is purely a performance knob.
-    #[test]
-    fn max_br_parallel_policy_is_transparent(
-        seed in 0u64..60,
-        k in 2u32..5,
-        alpha in 0.1f64..4.0,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = ncg_graph::generators::gnp_connected(26, 0.12, 500, &mut rng).unwrap();
-        let state = GameState::from_graph_random_ownership(&g, &mut rng);
-        let spec = GameSpec::max(alpha, k);
-        let mut seq = SolverScratch::new();
-        seq.parallel = ParallelPolicy::sequential();
-        let mut par = SolverScratch::new();
-        par.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        for u in (0..state.n() as NodeId).step_by(7) {
-            let view = PlayerView::build(&state, u, k);
-            let a = max_br::max_best_response_with(&spec, &view, Mode::Exact, &mut seq);
-            let b = pool.install(|| {
-                max_br::max_best_response_with(&spec, &view, Mode::Exact, &mut par)
-            });
-            prop_assert_eq!(&a.strategy_local, &b.strategy_local, "u = {}", u);
-            prop_assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits(), "u = {}", u);
-        }
-    }
-
     /// The sum branch-and-bound agrees with exhaustive subset
     /// enumeration — strategy and cost bits, not just cost — on every
     /// view small enough to enumerate (all of them sit under the old
@@ -399,13 +315,10 @@ proptest! {
         }
     }
 
-    /// Forcing the sum solves to parallelise leaves the best response
-    /// bit-identical — strategy and cost — to the sequential policy,
-    /// for worker pools of 1, 2 and 4 threads (the `NCG_THREADS`
-    /// determinism contract, sum side), and a warm scratch reused
-    /// across every solve matches a cold one per call.
+    /// A warm scratch reused across every solve returns what a cold
+    /// one per call returns, strategy and cost bits.
     #[test]
-    fn sum_bnb_parallel_and_warm_scratch_are_transparent(
+    fn sum_bnb_warm_scratch_is_transparent(
         seed in 0u64..60,
         k in 2u32..6,
         alpha in 0.1f64..4.0,
@@ -414,30 +327,14 @@ proptest! {
         let g = ncg_graph::generators::gnp_connected(24, 0.14, 500, &mut rng).unwrap();
         let state = GameState::from_graph_random_ownership(&g, &mut rng);
         let spec = GameSpec::sum(alpha, k);
-        let mut seq = SolverScratch::new();
-        seq.parallel = ParallelPolicy::sequential();
         let mut warm = SolverScratch::new();
-        warm.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
         for u in (0..state.n() as NodeId).step_by(7) {
             let view = PlayerView::build(&state, u, k);
-            let a = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut seq);
-            for workers in [1usize, 2, 4] {
-                let pool =
-                    rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-                let b = pool.install(|| {
-                    sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut warm)
-                });
-                // Cold scratch, same pool: warm reuse must be invisible.
-                let c = pool.install(|| {
-                    let mut cold = SolverScratch::new();
-                    cold.parallel = ParallelPolicy { min_ground: 0, per_worker: 2 };
-                    sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut cold)
-                });
-                prop_assert_eq!(&a.strategy_local, &b.strategy_local, "u = {}", u);
-                prop_assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits(), "u = {}", u);
-                prop_assert_eq!(&b.strategy_local, &c.strategy_local, "u = {}", u);
-                prop_assert_eq!(b.total_cost.to_bits(), c.total_cost.to_bits(), "u = {}", u);
-            }
+            let a = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut warm);
+            let mut cold = SolverScratch::new();
+            let b = sum_br::sum_best_response_with(&spec, &view, Mode::Exact, &mut cold);
+            prop_assert_eq!(&a.strategy_local, &b.strategy_local, "u = {}", u);
+            prop_assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits(), "u = {}", u);
         }
     }
 
