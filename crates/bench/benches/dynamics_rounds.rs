@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::{GameSpec, GameState, Objective};
 use ncg_dynamics::{run, DynamicsConfig};
-use ncg_experiments::{sweep, workloads};
+use ncg_experiments::sweep::{run_spec_cells, Shard, SweepSpec};
 use ncg_graph::NodeId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -72,11 +72,20 @@ fn bench_sweep_skewed(c: &mut Criterion) {
     // 2 α × 2 k × 4 reps = 16 cells; the k = 1000 column dominates the
     // total work by a wide margin, so static chunking leaves most
     // workers idle while one grinds through the heavy cells.
-    let states = workloads::tree_states(60, 4, 5);
-    let alphas = [0.5, 2.0];
-    let ks = [2u32, 1000];
+    let spec = SweepSpec::tree("t", 60, 4, 5, vec![0.5, 2.0], vec![2, 1000], Objective::Max);
     group.bench_function("tree60_heavy_tail", |b| {
-        b.iter(|| sweep::sweep(&states, &alphas, &ks, Objective::Max, None))
+        b.iter(|| {
+            run_spec_cells(
+                &spec,
+                true,
+                Shard::all(),
+                &|_| false,
+                &|_, record| {
+                    std::hint::black_box(record.expect("no cell may fail"));
+                },
+                &|_| false,
+            )
+        })
     });
     group.finish();
 }

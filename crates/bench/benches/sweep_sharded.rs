@@ -74,7 +74,6 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
             &|_, _| {
                 count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             },
-            None,
             &|_| false,
         );
         count.into_inner()

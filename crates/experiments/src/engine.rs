@@ -22,13 +22,19 @@
 //!   re-derived from its record under the merge target's grid, so
 //!   shards run with *different* `--reps` splits of one grid merge
 //!   cleanly — completeness is checked on the union.
-//! * **Plan** — run nothing and journal nothing; report the specs to
-//!   [`collect_plan`] so callers (the work-queue coordinator and its
-//!   workers) can learn an experiment's cell work-list without
-//!   executing it.
+//! * **Plan** — run nothing and journal nothing; report the journal
+//!   name and the specs to [`collect_plan`] so callers (the work-queue
+//!   coordinator and its workers) can learn an experiment's [`Plan`] —
+//!   its journal and cell work-list — without executing it.
 //!
 //! The fold callback receives `(sweep index, cell, record)` strictly
 //! in canonical order: sweeps in plan order, cells by linear index.
+//!
+//! A journal belongs to a grid, not to a figure: `execute`'s
+//! `experiment` argument names the journal (`<experiment>_runs.jsonl`,
+//! or its shard files), and two experiments that fold the same grid
+//! pass the same name. Figure 9 folds [`crate::figure8::plan`] under
+//! `figure8`, so after Figure 8 it resumes every cell and solves none.
 //!
 //! Failure isolation: a cell whose solve panics (caught in
 //! [`SweepSpec::solve_record`]) is journaled as a `CellFailed` marker
@@ -141,18 +147,29 @@ impl ExecReport {
     }
 }
 
-thread_local! {
-    static PLAN_SINK: RefCell<Option<Vec<SweepSpec>>> = const { RefCell::new(None) };
+/// What an experiment's sweeps are: the journal they fold and their
+/// specs, in plan order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Plan {
+    /// The journal name passed to [`execute`] (`<journal>_runs.jsonl`);
+    /// empty when the experiment plans no sweep.
+    pub journal: String,
+    /// The sweeps, in plan order.
+    pub specs: Vec<SweepSpec>,
 }
 
-/// Runs `f` with plan collection armed on this thread and returns
-/// every spec that [`execute`] calls under a [`SweepMode::Plan`]
-/// context reported while it ran. This is how the queue layer turns
-/// "experiment name" into "cell work-list" without running anything:
-/// drive the experiment with a Plan context inside `collect_plan`
-/// and read the specs off.
-pub fn collect_plan(f: impl FnOnce()) -> Vec<SweepSpec> {
-    PLAN_SINK.with(|sink| *sink.borrow_mut() = Some(Vec::new()));
+thread_local! {
+    static PLAN_SINK: RefCell<Option<Plan>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with plan collection armed on this thread and returns the
+/// journal name and every spec that [`execute`] calls under a
+/// [`SweepMode::Plan`] context reported while it ran. This is how the
+/// queue layer turns "experiment name" into "journal and cell
+/// work-list" without running anything: drive the experiment with a
+/// Plan context inside `collect_plan` and read the plan off.
+pub fn collect_plan(f: impl FnOnce()) -> Plan {
+    PLAN_SINK.with(|sink| *sink.borrow_mut() = Some(Plan::default()));
     f();
     PLAN_SINK.with(|sink| sink.borrow_mut().take()).unwrap_or_default()
 }
@@ -185,8 +202,9 @@ impl SinkState<'_> {
 
 /// Executes an experiment's sweeps under the given context, driving
 /// `fold(sweep index, cell, record)` in canonical order (Local and
-/// Merge modes). Returns what happened; in shard and plan modes the
-/// fold is never called. Panics on journal I/O errors, on merge
+/// Merge modes); `experiment` names the journal the sweeps resume and
+/// write. Returns what happened; in shard and plan modes the fold is
+/// never called. Panics on journal I/O errors, on merge
 /// journals that are incomplete or from a different profile, on an
 /// invalid shard selection, and — after journaling `CellFailed`
 /// markers and compacting — when any cell's solve panicked.
@@ -206,10 +224,16 @@ pub fn execute(
         SweepMode::Plan => {
             PLAN_SINK.with(|sink| {
                 let mut sink = sink.borrow_mut();
-                let sink = sink
+                let plan = sink
                     .as_mut()
                     .expect("SweepMode::Plan requires running inside engine::collect_plan");
-                sink.extend(specs.iter().cloned());
+                assert!(
+                    plan.journal.is_empty() || plan.journal == experiment,
+                    "an experiment folds one journal, not both '{}' and '{experiment}'",
+                    plan.journal
+                );
+                plan.journal = experiment.to_string();
+                plan.specs.extend(specs.iter().cloned());
             });
             // Report as a pseudo-shard so figures take their existing
             // journal-only early return and render nothing.
@@ -327,7 +351,6 @@ fn run_shard(
                     failures.lock().push((spec.label.clone(), cell.index, message));
                 }
             },
-            None,
             &|cell| fault.as_ref().is_some_and(|f| f.panics_at_cell(si, cell)),
         );
         let mut s = sink.into_inner();

@@ -90,27 +90,28 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
-    use ncg_dynamics::Outcome;
 
     #[test]
     fn convergence_is_fast_on_trees() {
         // The paper's ≤7-rounds claim, scaled down.
         let reps = 4;
-        let states = workloads::tree_states(30, reps, 17);
-        let results = sweep(&states, &[0.5, 2.0, 10.0], &[2, 1000], Objective::Max, None);
+        let spec =
+            SweepSpec::tree("t", 30, reps, 17, vec![0.5, 2.0, 10.0], vec![2, 1000], Objective::Max);
+        let mut records = Vec::new();
+        engine::execute(&SweepContext::local(), "figure10", &[spec], &mut |_, _, rec| {
+            records.push((rec.converged, rec.rounds))
+        });
         let mut converged = 0;
-        for c in &results {
-            if let Outcome::Converged { rounds } = c.result.outcome {
+        for &(done, rounds) in &records {
+            if done {
                 converged += 1;
                 assert!(rounds <= 12, "slow convergence: {rounds} rounds");
             }
         }
         assert!(
-            converged * 10 >= results.len() * 9,
+            converged * 10 >= records.len() * 9,
             "≥90% of runs should converge: {converged}/{}",
-            results.len()
+            records.len()
         );
     }
 

@@ -69,8 +69,17 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
+
+    /// Mean final quality over `reps` random trees of `n` players at
+    /// one `(α, k)` cell.
+    fn mean_quality(n: usize, reps: usize, seed: u64, alpha: f64, k: u32) -> f64 {
+        let spec = SweepSpec::tree("t", n, reps, seed, vec![alpha], vec![k], Objective::Max);
+        let mut vals = Vec::new();
+        engine::execute(&SweepContext::local(), "figure6", &[spec], &mut |_, _, rec| {
+            vals.extend(rec.quality)
+        });
+        vals.iter().sum::<f64>() / vals.len() as f64
+    }
 
     #[test]
     fn two_panels_with_one_row_per_n() {
@@ -85,13 +94,7 @@ mod tests {
     fn quality_degrades_with_n_for_small_k() {
         // The Θ(n) regime: at α = 10, k = 2, quality grows with n.
         let profile = Profile { reps: 4, ..Profile::smoke() };
-        let q = |n: usize| {
-            let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-            let results = sweep(&states, &[10.0], &[2], Objective::Max, None);
-            let vals: Vec<f64> =
-                results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
-            vals.iter().sum::<f64>() / vals.len() as f64
-        };
+        let q = |n: usize| mean_quality(n, profile.reps, profile.base_seed, 10.0, 2);
         let q_small = q(16);
         let q_large = q(48);
         assert!(
@@ -105,13 +108,7 @@ mod tests {
         // At k = 1000 and α = 1 the equilibria are near-optimal stars
         // or low-diameter graphs; quality stays small and flat-ish.
         let profile = Profile { reps: 3, ..Profile::smoke() };
-        let q = |n: usize| {
-            let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-            let results = sweep(&states, &[1.0], &[1000], Objective::Max, None);
-            let vals: Vec<f64> =
-                results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
-            vals.iter().sum::<f64>() / vals.len() as f64
-        };
+        let q = |n: usize| mean_quality(n, profile.reps, profile.base_seed, 1.0, 1000);
         let a = q(16);
         let b = q(40);
         assert!(a < 3.0 && b < 3.0, "full-knowledge equilibria should be near-optimal: {a}, {b}");

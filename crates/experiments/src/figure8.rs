@@ -5,13 +5,33 @@
 //! Paper shape: for `k ≥ 4` and small `α` the max degree exceeds 80
 //! (hub formation) while no player ever buys more than ≈9 edges — the
 //! asymmetry that motivates the fairness discussion of Figure 9.
+//!
+//! Figure 9 folds the same grid, so [`plan`] is shared: both figures
+//! fold the `figure8` journal, and the grid is solved once.
 
 use ncg_core::Objective;
 
-use crate::engine::{self, MetricGrid, SweepContext};
+use crate::engine::{self, MetricGrid, Plan, SweepContext};
 use crate::output::grid_table;
 use crate::sweep::SweepSpec;
 use crate::{ExperimentOutput, Profile};
+
+/// The plan Figures 8 and 9 share: the headline `G(n, p)` grid under
+/// MaxNCG, journaled as `figure8_runs.jsonl`.
+pub fn plan(profile: &Profile) -> Plan {
+    let (n, p) = profile.headline_er();
+    let main = SweepSpec::er(
+        "main",
+        n,
+        p,
+        profile.reps,
+        profile.base_seed,
+        profile.alphas.clone(),
+        profile.ks.clone(),
+        Objective::Max,
+    );
+    Plan { journal: "figure8".into(), specs: vec![main] }
+}
 
 /// Runs the Figure 8 sweep under the given profile (local mode).
 pub fn run(profile: &Profile) -> ExperimentOutput {
@@ -22,20 +42,11 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
 pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
     let (n, p) = profile.headline_er();
     let mut out = ExperimentOutput::new("figure8");
-    let specs = vec![SweepSpec::er(
-        "main",
-        n,
-        p,
-        profile.reps,
-        profile.base_seed,
-        profile.alphas.clone(),
-        profile.ks.clone(),
-        Objective::Max,
-    )];
+    let plan = plan(profile);
     let (rows, cols) = (profile.alphas.len(), profile.ks.len());
     let mut deg = MetricGrid::new(rows, cols);
     let mut bought = MetricGrid::new(rows, cols);
-    let report = engine::execute(ctx, "figure8", &specs, &mut |_, cell, rec| {
+    let report = engine::execute(ctx, &plan.journal, &plan.specs, &mut |_, cell, rec| {
         deg.push(cell.ai, cell.ki, Some(rec.max_degree as f64));
         bought.push(cell.ai, cell.ki, Some(rec.max_bought as f64));
     });
@@ -63,33 +74,34 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
 
     #[test]
     fn hubs_form_under_cheap_edges_with_wide_views() {
-        let reps = 3;
-        let states = workloads::er_states(30, 0.15, reps, 11);
-        let results = sweep(&states, &[0.1], &[1000], Objective::Max, None);
-        for c in &results {
+        let spec = SweepSpec::er("t", 30, 0.15, 3, 11, vec![0.1], vec![1000], Objective::Max);
+        let mut max_degrees = Vec::new();
+        engine::execute(&SweepContext::local(), "figure8", &[spec], &mut |_, _, rec| {
+            max_degrees.push(rec.max_degree)
+        });
+        assert_eq!(max_degrees.len(), 3);
+        for max_degree in max_degrees {
             // With α = 0.1 and full knowledge the equilibrium is
             // near-star-like: some node has high degree, yet no single
             // player buys anywhere near n edges herself... but the
             // *degree* of the hub (incoming purchases) is large.
-            assert!(
-                c.result.final_metrics.max_degree >= 15,
-                "expected hub formation, max_degree = {}",
-                c.result.final_metrics.max_degree
-            );
+            assert!(max_degree >= 15, "expected hub formation, max_degree = {max_degree}");
         }
     }
 
     #[test]
     fn bought_edges_bounded_by_degree() {
-        let out_states = workloads::er_states(24, 0.2, 2, 3);
-        let results = sweep(&out_states, &[0.5, 5.0], &[2, 1000], Objective::Max, None);
-        for c in &results {
-            assert!(c.result.final_metrics.max_bought <= c.result.final_metrics.max_degree);
+        let spec = SweepSpec::er("t", 24, 0.2, 2, 3, vec![0.5, 5.0], vec![2, 1000], Objective::Max);
+        let mut cells = Vec::new();
+        engine::execute(&SweepContext::local(), "figure8", &[spec], &mut |_, _, rec| {
+            cells.push((rec.max_bought, rec.max_degree))
+        });
+        assert_eq!(cells.len(), 8);
+        for (max_bought, max_degree) in cells {
+            assert!(max_bought <= max_degree);
         }
     }
 

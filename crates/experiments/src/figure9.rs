@@ -4,12 +4,17 @@
 //!
 //! Paper observation: *small* values of `k` yield more fair equilibria
 //! — restricting the players' views flattens the cost distribution.
-
-use ncg_core::Objective;
+//!
+//! Figures 8 and 9 plot two statistics of the same dynamics, so this
+//! module runs no sweep of its own: it folds [`figure8::plan`] under
+//! Figure 8's journal. After `figure8` (or in `all`) it resumes every
+//! cell and solves none; run alone, it writes `figure8_runs.jsonl`,
+//! which a later `figure8` resumes. Shards and `merge figure9` read
+//! and write Figure 8's shard journals.
 
 use crate::engine::{self, MetricGrid, SweepContext};
+use crate::figure8;
 use crate::output::grid_table;
-use crate::sweep::SweepSpec;
 use crate::{ExperimentOutput, Profile};
 
 /// Runs the Figure 9 sweep under the given profile (local mode).
@@ -21,18 +26,9 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
 pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
     let (n, p) = profile.headline_er();
     let mut out = ExperimentOutput::new("figure9");
-    let specs = vec![SweepSpec::er(
-        "main",
-        n,
-        p,
-        profile.reps,
-        profile.base_seed,
-        profile.alphas.clone(),
-        profile.ks.clone(),
-        Objective::Max,
-    )];
+    let plan = figure8::plan(profile);
     let mut unfair = MetricGrid::new(profile.alphas.len(), profile.ks.len());
-    let report = engine::execute(ctx, "figure9", &specs, &mut |_, cell, rec| {
+    let report = engine::execute(ctx, &plan.journal, &plan.specs, &mut |_, cell, rec| {
         unfair.push(cell.ai, cell.ki, rec.unfairness);
     });
     if let Some(note) = report.shard_note("figure9") {
@@ -55,26 +51,43 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{by_cell, sweep};
-    use crate::workloads;
+
+    /// Figure 9's unfairness values on `G(n, p)` — `reps` repetitions
+    /// from `seed` over `alphas × ks`, through Figure 8's plan — grouped
+    /// by `k` index.
+    fn unfairness_by_k(
+        (n, p): (usize, f64),
+        reps: usize,
+        seed: u64,
+        alphas: Vec<f64>,
+        ks: Vec<u32>,
+    ) -> Vec<Vec<f64>> {
+        let k_count = ks.len();
+        let profile = Profile {
+            reps,
+            alphas,
+            ks,
+            er_configs: vec![(n, p)],
+            base_seed: seed,
+            ..Profile::smoke()
+        };
+        let plan = figure8::plan(&profile);
+        let mut unfair = vec![Vec::new(); k_count];
+        engine::execute(&SweepContext::local(), &plan.journal, &plan.specs, &mut |_, cell, rec| {
+            unfair[cell.ki].extend(rec.unfairness)
+        });
+        unfair
+    }
 
     #[test]
     fn local_views_are_more_fair_than_full_knowledge() {
         // The paper's qualitative claim, scaled down: compare the mean
         // unfairness at k = 2 against k = 1000 for a cheap α where
         // full knowledge builds hub-dominated (unfair) networks.
-        let reps = 3;
-        let states = workloads::er_states(28, 0.15, reps, 13);
-        let results = sweep(&states, &[0.3], &[2, 1000], Objective::Max, None);
-        let grouped = by_cell(&results, &[0.3], &[2, 1000], reps);
-        let mean_unfair = |i: usize| {
-            let (_, cells) = grouped[i];
-            let v: Vec<f64> =
-                cells.iter().filter_map(|c| c.result.final_metrics.unfairness).collect();
-            v.iter().sum::<f64>() / v.len() as f64
-        };
-        let local = mean_unfair(0);
-        let full = mean_unfair(1);
+        let unfair = unfairness_by_k((28, 0.15), 3, 13, vec![0.3], vec![2, 1000]);
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let local = mean(&unfair[0]);
+        let full = mean(&unfair[1]);
         assert!(
             local <= full + 0.75,
             "local views should be at least comparably fair: k=2 → {local}, k=1000 → {full}"
@@ -83,12 +96,8 @@ mod tests {
 
     #[test]
     fn unfairness_at_least_one() {
-        let out_states = workloads::er_states(20, 0.2, 2, 5);
-        let results = sweep(&out_states, &[1.0], &[3], Objective::Max, None);
-        for c in &results {
-            if let Some(u) = c.result.final_metrics.unfairness {
-                assert!(u >= 1.0 - 1e-9);
-            }
+        for u in unfairness_by_k((20, 0.2), 2, 5, vec![1.0], vec![3]).concat() {
+            assert!(u >= 1.0 - 1e-9);
         }
     }
 

@@ -19,7 +19,7 @@
 //! | [`figure6`] | Figure 6 — equilibrium quality vs `n` (α = 1 and 10) |
 //! | [`figure7`] | Figure 7 — equilibrium quality vs `k` (α = 2) + trend |
 //! | [`figure8`] | Figure 8 — max degree / max bought edges vs `α` |
-//! | [`figure9`] | Figure 9 — unfairness ratio vs `α` |
+//! | [`figure9`] | Figure 9 — unfairness ratio vs `α` (folds Figure 8's journal) |
 //! | [`figure10`] | Figure 10 — convergence rounds vs `α` and vs `n` |
 //! | [`lower_bounds`] | Lemma 3.1 / 3.2, Theorems 3.12 / 4.2 certifications |
 //! | [`scale_dynamics`] | *extension*: million-node approximate dynamics tier |
@@ -44,6 +44,11 @@
 //! byte-identical artifacts, killed runs resume from their journal,
 //! and dynamics are warm-started per repetition
 //! ([`ncg_dynamics::CacheArena`]). See DESIGN.md §7.
+//!
+//! A journal belongs to a grid: each experiment's [`Plan`] names the
+//! journal its sweeps fold, and Figure 9 names Figure 8's, so `all`
+//! solves that grid once. The engine's fold is the one route from
+//! cells to results, for figures, tests and examples alike.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -74,7 +79,7 @@ pub mod table1;
 pub mod table2;
 pub mod workloads;
 
-pub use engine::{ExecReport, MetricGrid, SweepContext, SweepMode};
+pub use engine::{ExecReport, MetricGrid, Plan, SweepContext, SweepMode};
 pub use output::ExperimentOutput;
 pub use profile::Profile;
 
@@ -108,16 +113,16 @@ pub fn run_experiment(
     Some(out)
 }
 
-/// The sweep specs an experiment would run under `profile`, without
-/// running anything — the cell work-list the queue coordinator hands
-/// out and its workers solve. Empty for experiments that run no
-/// `(α, k, rep)` sweeps (tables, constructions). `None` for an
-/// unknown name.
-pub fn sweep_plan(name: &str, profile: &Profile) -> Option<Vec<sweep::SweepSpec>> {
+/// The [`Plan`] an experiment would run under `profile`, without
+/// running anything: the journal its sweeps fold, and the cell
+/// work-list the queue coordinator hands out and its workers solve.
+/// Empty for experiments that run no `(α, k, rep)` sweeps (tables,
+/// constructions). `None` for an unknown name.
+pub fn sweep_plan(name: &str, profile: &Profile) -> Option<Plan> {
     let plan_ctx = SweepContext { mode: SweepMode::Plan, journal_dir: None, warm_start: true };
     let mut known = false;
-    let specs = engine::collect_plan(|| {
+    let plan = engine::collect_plan(|| {
         known = run_experiment(name, profile, &plan_ctx).is_some();
     });
-    known.then_some(specs)
+    known.then_some(plan)
 }

@@ -1,8 +1,8 @@
 //! CLI for the experiment harness.
 //!
 //! ```text
-//! NCG_THREADS=N ncg-experiments <experiment> [--full] [--paper] [--out DIR] [--seed N]
-//!                              [--reps N] [--shards M --shard I] [--cold]
+//! NCG_THREADS=N ncg-experiments <experiment> [--full|--paper|--smoke] [--out DIR]
+//!                              [--seed N] [--reps N] [--shards M --shard I] [--cold]
 //! ncg-experiments merge <experiment> --shards M [--out DIR] [profile flags]
 //! ncg-experiments serve <experiment> [--listen ADDR] [--port-file PATH]
 //!                       [--lease-timeout SECS] [--max-retries N] [profile flags]
@@ -17,6 +17,7 @@
 //!                  profile (with the paper's 20 repetitions this can
 //!                  take hours; combine with --reps to trade CI width
 //!                  for time)
+//! --smoke          the smallest grid, used by the CLI tests and CI
 //! --out DIR        results directory (default: results/)
 //! --seed N         override the base seed
 //! --reps N         override the repetition count of the profile
@@ -35,6 +36,11 @@
 //! byte-for-byte — and the shard journals may even have been written
 //! under different --reps splits of the same grid, as long as their
 //! union covers the merge's repetition count.
+//!
+//! A journal belongs to a grid, and each experiment's plan names it:
+//! figure9 folds figure8's journal (`figure8_runs.jsonl`), so after
+//! figure8, or in `all`, it solves nothing, and its shards, `merge`,
+//! `serve` and `work` read and write figure8's files.
 //!
 //! `serve` + `work` are the fault-tolerant alternative to static
 //! sharding: the coordinator owns the cell work-list and a crash-safe
@@ -64,7 +70,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncg_experiments::{fault, queue, run_experiment, sweep_plan, Profile, SweepContext, SweepMode};
+use ncg_experiments::{
+    fault, queue, run_experiment, sweep_plan, Plan, Profile, SweepContext, SweepMode,
+};
 
 const EXPERIMENTS: &[&str] = &[
     "table1",
@@ -102,16 +110,10 @@ const SWEEP_EXPERIMENTS: &[&str] = &[
     "nonuniform",
 ];
 
-/// Journals (and the wire protocol) key experiments by their module
-/// name; the CLI spells them with hyphens.
-fn journal_name(cli_name: &str) -> String {
-    cli_name.replace('-', "_")
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ncg-experiments <experiment|all> [--full|--paper] [--out DIR] [--seed N] \
-         [--reps N] [--shards M --shard I] [--cold]\n\
+        "usage: ncg-experiments <experiment|all> [--full|--paper|--smoke] [--out DIR] \
+         [--seed N] [--reps N] [--shards M --shard I] [--cold]\n\
          \u{20}      ncg-experiments merge <experiment|all> --shards M [--out DIR] [profile flags]\n\
          \u{20}      ncg-experiments serve <experiment> [--listen ADDR] [--port-file PATH] \
          [--lease-timeout SECS] [--max-retries N] [profile flags]\n\
@@ -390,11 +392,11 @@ fn serve(
     lease_timeout: Duration,
     max_retries: usize,
 ) -> ExitCode {
-    let Some(specs) = plan_for(target, profile) else { return usage() };
+    let Some(plan) = plan_for(target, profile) else { return usage() };
     let coordinator = match queue::Coordinator::open(
         out_dir,
-        &journal_name(target),
-        specs,
+        &plan.journal,
+        plan.specs,
         queue::QueueOptions { lease: lease_timeout, max_retries },
     ) {
         Ok(c) => Arc::new(c),
@@ -433,7 +435,7 @@ fn work(
     port_file: Option<PathBuf>,
     worker_id: Option<String>,
 ) -> ExitCode {
-    let Some(specs) = plan_for(target, profile) else { return usage() };
+    let Some(plan) = plan_for(target, profile) else { return usage() };
     let connect = match (connect, port_file) {
         (Some(addr), _) => addr,
         (None, Some(path)) => {
@@ -462,7 +464,7 @@ fn work(
     };
     let worker_id = worker_id.unwrap_or_else(|| format!("worker-{}", std::process::id()));
     let opts = queue::WorkOptions { connect, worker_id, warm_start };
-    match queue::work(&journal_name(target), &specs, &opts) {
+    match queue::work(&plan.journal, &plan.specs, &opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("[ncg-experiments] work {target}: {e}");
@@ -471,9 +473,10 @@ fn work(
     }
 }
 
-/// The sweep plan for a serve/work target; `None` (after an error
-/// message) if the target is unknown, is `all`, or has no sweep.
-fn plan_for(target: &str, profile: &Profile) -> Option<Vec<ncg_experiments::sweep::SweepSpec>> {
+/// The sweep plan for a serve/work target — its journal and specs;
+/// `None` (after an error message) if the target is unknown, is `all`,
+/// or has no sweep.
+fn plan_for(target: &str, profile: &Profile) -> Option<Plan> {
     if !SWEEP_EXPERIMENTS.contains(&target) {
         eprintln!(
             "serve/work need a single sweep experiment (one of: {}); '{target}' does not \
@@ -482,10 +485,10 @@ fn plan_for(target: &str, profile: &Profile) -> Option<Vec<ncg_experiments::swee
         );
         return None;
     }
-    let specs = sweep_plan(target, profile).expect("membership checked above");
-    if specs.is_empty() {
+    let plan = sweep_plan(target, profile).expect("membership checked above");
+    if plan.specs.is_empty() {
         eprintln!("'{target}' plans no sweep cells under this profile");
         return None;
     }
-    Some(specs)
+    Some(plan)
 }

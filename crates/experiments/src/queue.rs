@@ -1140,7 +1140,6 @@ mod tests {
                 Shard::all(),
                 &|_| false,
                 &|cell, entry| streamed.lock().push((cell.index, entry.expect("no cell may fail"))),
-                None,
                 &|_| false,
             );
             let mut streamed = streamed.into_inner();

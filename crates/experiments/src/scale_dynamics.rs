@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn plan_exposes_one_scale_sweep() {
-        let specs = crate::sweep_plan("scale-dynamics", &tiny()).expect("known experiment");
+        let specs = crate::sweep_plan("scale-dynamics", &tiny()).expect("known experiment").specs;
         assert_eq!(specs.len(), 1);
         assert_eq!(specs[0].class(), "scale_er");
         assert_eq!(specs[0].n, 300);

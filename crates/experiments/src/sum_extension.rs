@@ -109,7 +109,6 @@ pub fn run_ctx_stats(profile: &Profile, ctx: &SweepContext) -> (ExperimentOutput
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{by_cell, sweep};
     use crate::workloads;
 
     #[test]
@@ -128,17 +127,19 @@ mod tests {
 
     #[test]
     fn sum_equilibria_are_denser_for_small_alpha() {
-        use ncg_core::Objective;
+        // Edge counts are not in the journal's records, so this runs
+        // the dynamics directly.
         let states = workloads::tree_states(16, 3, 99);
-        let results = sweep(&states, &[0.5, 5.0], &[4], Objective::Sum, None);
-        let grouped = by_cell(&results, &[0.5, 5.0], &[4], 3);
-        let avg_edges = |i: usize| {
-            let (_, cells) = grouped[i];
-            cells.iter().map(|c| c.result.final_metrics.edges as f64).sum::<f64>()
-                / cells.len() as f64
+        let avg_edges = |alpha: f64| {
+            let config = ncg_dynamics::DynamicsConfig::new(ncg_core::GameSpec::sum(alpha, 4));
+            states
+                .iter()
+                .map(|s| ncg_dynamics::run(s.clone(), &config).final_metrics.edges as f64)
+                .sum::<f64>()
+                / states.len() as f64
         };
         assert!(
-            avg_edges(0) >= avg_edges(1),
+            avg_edges(0.5) >= avg_edges(5.0),
             "cheap edges must give at least as dense SumNCG equilibria"
         );
     }

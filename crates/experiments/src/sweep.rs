@@ -13,30 +13,23 @@
 //! * cells are identified by a [`CellId`] with a canonical linear
 //!   index (`α`-major, then `k`, then `rep`) — the order every
 //!   journal, fold, and table is defined over;
-//! * one rep-major loop parallelises over *repetitions*, so one
-//!   [`SweepArena`] per rep is reused across all `(α, k)` cells
-//!   sharing that initial state — the warm-start path of DESIGN.md §7;
-//!   outcomes are bit-identical to cold runs, which take a fresh arena
-//!   per cell;
+//! * one rep-major loop, [`run_spec_cells`], parallelises over
+//!   *repetitions*, so one [`SweepArena`] per rep is reused across all
+//!   `(α, k)` cells sharing that initial state — the warm-start path of
+//!   DESIGN.md §7; outcomes are bit-identical to cold runs, which take
+//!   a fresh arena per cell;
 //! * `--shards M --shard i` process-level sharding partitions cells
 //!   by `rep % M` (see [`Shard`]), keeping warm-start groups intact
 //!   and the partition deterministic;
-//! * finished cells are *streamed* to a sink (the higher-level
-//!   [`crate::engine`] journals them as JSONL and folds `O(grid)`
-//!   aggregates) instead of being collected, and the progress counter
-//!   is a lock-free `AtomicUsize`.
-//!
-//! [`run_spec_cells`] is the streaming entry point; [`sweep`] and
-//! [`by_cell`] remain as the collect-style conveniences for tests,
-//! examples, and small library use. Both drive the same loop, so both
-//! warm-start.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! * finished cells are *streamed* to a sink instead of being
+//!   collected: the higher-level [`crate::engine`] journals them as
+//!   JSONL and folds `O(grid)` aggregates in canonical order, and
+//!   that fold is the one route from cells to results — figures,
+//!   tests and examples alike.
 
 use ncg_core::{EdgeCostModel, GameState, MoveRulePolicy, Objective, Scenario};
 use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig, ScaleRunResult, ScaleState};
 use ncg_dynamics::{run_with_cache, CacheArena, DynamicsConfig, RunResult};
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -234,9 +227,11 @@ impl SweepSpec {
         CellId { index, ai: rest / self.ks.len(), ki: rest % self.ks.len(), rep }
     }
 
-    /// The canonical linear index of `(ai, ki, rep)`.
+    /// The canonical linear index of `(ai, ki, rep)` — `α`-major, then
+    /// `k`, then `rep`: the one definition every journal, fold,
+    /// resume-skip and merge shares.
     pub fn index_of(&self, ai: usize, ki: usize, rep: usize) -> usize {
-        cell_index(ai, ki, rep, self.ks.len(), self.reps)
+        (ai * self.ks.len() + ki) * self.reps + rep
     }
 
     /// Recomputes the canonical index of a journaled record under
@@ -400,14 +395,6 @@ impl SweepSpec {
     }
 }
 
-/// The canonical linear cell index — `α`-major, then `k`, then `rep`.
-/// The single definition every journal, fold, resume-skip, and merge
-/// shares (via [`SweepSpec::index_of`] and the sweep loop).
-#[inline]
-pub fn cell_index(ai: usize, ki: usize, rep: usize, ks_len: usize, reps: usize) -> usize {
-    (ai * ks_len + ki) * reps + rep
-}
-
 /// A process-level shard selection: this process owns the cells whose
 /// repetition satisfies `rep % count == index`. Partitioning by rep
 /// (rather than raw cell index) keeps every warm-start group — all
@@ -540,88 +527,44 @@ pub fn solve_scale_cell_guarded(
 /// Runs this shard's cells of one grid, on either tier, streaming each
 /// finished cell's [`RunRecord`] — or the panic payload of a failed
 /// solve — to `sink`; the sweep carries on past a failed cell. This is
-/// the engine's single entry point.
+/// the one rep-major loop under every sweep: one parallel item per
+/// repetition, whose [`SweepArena`] persists across its whole `(α, k)`
+/// column (the warm-start win), cells in canonical order within it.
 ///
 /// Cells for which `skip(index)` returns `true` (already journaled, on
 /// resume) are not run and not reported; `inject_panic(index)` makes a
 /// cell's solve panic (the `panic_cell` fault). `warm_start = false`
 /// gives every cell a fresh arena. `sink` may be called from worker
 /// threads in any completion order; the canonical order is
-/// re-established downstream (see `crate::engine`). `progress`, if
-/// given, is called after each finished cell with `(done, total)`
-/// where `total` counts this shard's non-skipped cells.
+/// re-established downstream (see `crate::engine`).
 pub fn run_spec_cells(
     spec: &SweepSpec,
     warm_start: bool,
     shard: Shard,
     skip: &(dyn Fn(usize) -> bool + Sync),
     sink: &(dyn Fn(CellId, Result<RunRecord, String>) + Sync),
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
     inject_panic: &(dyn Fn(usize) -> bool + Sync),
 ) {
-    let states = spec.sample();
-    for_each_cell(&spec.alphas, &spec.ks, spec.reps, shard, skip, progress, &|cell, arena| {
-        let inject = inject_panic(cell.index);
-        sink(cell, spec.solve_record(&states, cell.index, arena, warm_start, inject));
-    });
-}
-
-/// The one rep-major loop under every sweep: runs `shard`'s cells of
-/// an `α × k × reps` grid, one parallel item per repetition, calling
-/// `solve` on every cell `skip` does not claim, in canonical order
-/// within the repetition. The repetition's [`SweepArena`] persists
-/// across its whole `(α, k)` column, which is the warm-start win.
-/// `progress` is as in [`run_spec_cells`].
-fn for_each_cell(
-    alphas: &[f64],
-    ks: &[u32],
-    reps: usize,
-    shard: Shard,
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    solve: &(dyn Fn(CellId, &mut SweepArena) + Sync),
-) {
     assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let cells_of = |rep: usize| {
-        (0..alphas.len())
-            .flat_map(move |ai| {
-                (0..ks.len()).map(move |ki| CellId {
-                    index: cell_index(ai, ki, rep, ks.len(), reps),
-                    ai,
-                    ki,
-                    rep,
-                })
-            })
-            .filter(move |cell| !skip(cell.index))
-    };
-    let my_reps: Vec<usize> = (0..reps).filter(|&r| shard.owns_rep(r)).collect();
-    let total: usize = my_reps.iter().map(|&rep| cells_of(rep).count()).sum();
-    let done = AtomicUsize::new(0);
+    let states = spec.sample();
+    let my_reps: Vec<usize> = (0..spec.reps).filter(|&r| shard.owns_rep(r)).collect();
     let _: Vec<()> = my_reps
         .into_par_iter()
         .map(|rep| {
             let mut arena = SweepArena::default();
-            for cell in cells_of(rep) {
-                solve(cell, &mut arena);
-                if let Some(cb) = progress {
-                    cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
+            for ai in 0..spec.alphas.len() {
+                for ki in 0..spec.ks.len() {
+                    let index = spec.index_of(ai, ki, rep);
+                    if skip(index) {
+                        continue;
+                    }
+                    let inject = inject_panic(index);
+                    let record = spec.solve_record(&states, index, &mut arena, warm_start, inject);
+                    sink(CellId { index, ai, ki, rep }, record);
                 }
             }
         })
         .collect();
-}
-
-/// One completed dynamics run with its cell coordinates.
-#[derive(Debug)]
-pub struct CellResult {
-    /// Edge price of the cell.
-    pub alpha: f64,
-    /// Knowledge radius of the cell.
-    pub k: u32,
-    /// Repetition index (selects the starting network).
-    pub rep: usize,
-    /// The dynamics result.
-    pub result: RunResult,
 }
 
 /// A compact serialisable record of one run — the unit the sweep
@@ -666,9 +609,10 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Builds a record straight from a finished run — the streaming
-    /// path: the [`RunResult`] (and its `GameState`) is dropped as
-    /// soon as this returns.
+    /// Builds a record from a finished exact-tier run. Capped runs
+    /// record the rounds actually executed plus `capped: true`, never
+    /// the `usize::MAX` sentinel. The sweep drops the [`RunResult`]
+    /// (and its `GameState`) as soon as this returns.
     pub fn new(class: &str, n: usize, alpha: f64, k: u32, rep: usize, result: &RunResult) -> Self {
         let m = &result.final_metrics;
         RunRecord {
@@ -731,137 +675,18 @@ impl RunRecord {
         }
     }
 
-    /// Builds a record from a collected cell result. Capped runs used
-    /// to leak the `usize::MAX` sentinel into the JSON `rounds` field;
-    /// they now record the rounds actually executed plus `capped: true`.
-    pub fn from_cell(class: &str, n: usize, cell: &CellResult) -> Self {
-        Self::new(class, n, cell.alpha, cell.k, cell.rep, &cell.result)
-    }
-
     /// Whether the run ended in a detected best-response cycle.
     pub fn cycled(&self) -> bool {
         !self.converged && !self.capped
     }
 }
 
-/// Runs dynamics for every `(α, k)` in the grid and every starting
-/// state, in parallel, returning results sorted by
-/// `(α-index, k-index, rep)` — the collect-style convenience on the
-/// streaming engine's loop (tests, examples, small grids). Warm-starts
-/// per repetition like the streaming path; the progress counter is a
-/// lock-free atomic, so the callback does not serialise workers.
-/// The scenario handle is a bare [`Objective`] for the canonical
-/// games or a full [`Scenario`] for model-zoo variants.
-pub fn sweep(
-    states: &[GameState],
-    alphas: &[f64],
-    ks: &[u32],
-    scenario: impl Into<Scenario>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Vec<CellResult> {
-    let scenario = scenario.into();
-    let collected: Mutex<Vec<(usize, CellResult)>> =
-        Mutex::new(Vec::with_capacity(alphas.len() * ks.len() * states.len()));
-    for_each_cell(alphas, ks, states.len(), Shard::all(), &|_| false, progress, &|cell, arena| {
-        let (alpha, k) = (alphas[cell.ai], ks[cell.ki]);
-        let result = solve_cell_guarded(
-            &states[cell.rep],
-            scenario,
-            alpha,
-            k,
-            true,
-            &mut arena.exact,
-            false,
-        )
-        .unwrap_or_else(|message| panic!("cell {} failed: {message}", cell.index));
-        collected.lock().push((cell.index, CellResult { alpha, k, rep: cell.rep, result }));
-    });
-    let mut results = collected.into_inner();
-    results.sort_by_key(|(index, _)| *index);
-    results.into_iter().map(|(_, c)| c).collect()
-}
-
-/// Groups cell results by `(α, k)` preserving grid order, yielding
-/// `((α, k), &[CellResult])` slices of length `reps`. Empty grids
-/// (no `α`s, no `k`s, or zero reps) yield the matching number of
-/// empty groups.
-pub fn by_cell<'a>(
-    results: &'a [CellResult],
-    alphas: &[f64],
-    ks: &[u32],
-    reps: usize,
-) -> Vec<((f64, u32), &'a [CellResult])> {
-    let mut out = Vec::with_capacity(alphas.len() * ks.len());
-    let mut offset = 0;
-    for &alpha in alphas {
-        for &k in ks {
-            let slice = &results[offset..offset + reps];
-            debug_assert!(slice.iter().all(|c| c.alpha == alpha && c.k == k));
-            out.push(((alpha, k), slice));
-            offset += reps;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use parking_lot::Mutex;
+
     use super::*;
     use crate::workloads;
-
-    #[test]
-    fn sweep_covers_the_grid_in_order() {
-        let states = workloads::tree_states(14, 2, 1);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32, 1000];
-        let results = sweep(&states, &alphas, &ks, Objective::Max, None);
-        assert_eq!(results.len(), 8);
-        // Order: α-major, then k, then rep.
-        assert_eq!((results[0].alpha, results[0].k, results[0].rep), (0.5, 2, 0));
-        assert_eq!((results[1].alpha, results[1].k, results[1].rep), (0.5, 2, 1));
-        assert_eq!((results[2].alpha, results[2].k, results[2].rep), (0.5, 1000, 0));
-        assert_eq!((results[7].alpha, results[7].k, results[7].rep), (2.0, 1000, 1));
-        for c in &results {
-            assert!(c.result.outcome.converged() || c.result.total_moves > 0);
-        }
-    }
-
-    #[test]
-    fn by_cell_groups_correctly() {
-        let states = workloads::tree_states(12, 3, 2);
-        let alphas = [1.0];
-        let ks = [2u32, 3];
-        let results = sweep(&states, &alphas, &ks, Objective::Max, None);
-        let grouped = by_cell(&results, &alphas, &ks, 3);
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0].0, (1.0, 2));
-        assert_eq!(grouped[0].1.len(), 3);
-        assert_eq!(grouped[1].0, (1.0, 3));
-    }
-
-    #[test]
-    fn by_cell_handles_empty_grids() {
-        // No αs / no ks / zero reps: no groups, or empty groups.
-        assert!(by_cell(&[], &[], &[2], 3).is_empty());
-        assert!(by_cell(&[], &[1.0], &[], 3).is_empty());
-        let grouped = by_cell(&[], &[1.0, 2.0], &[2, 3], 0);
-        assert_eq!(grouped.len(), 4);
-        assert!(grouped.iter().all(|(_, cells)| cells.is_empty()));
-        assert_eq!(grouped[3].0, (2.0, 3));
-    }
-
-    #[test]
-    fn progress_callback_counts_to_total() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let states = workloads::tree_states(10, 2, 3);
-        let max_seen = AtomicUsize::new(0);
-        let cb = |done: usize, total: usize| {
-            assert!(done <= total);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-        };
-        sweep(&states, &[1.0], &[2], Objective::Max, Some(&cb));
-        assert_eq!(max_seen.load(Ordering::Relaxed), 2);
-    }
 
     #[test]
     fn cell_index_round_trips() {
@@ -904,7 +729,6 @@ mod tests {
             shard,
             &|_| false,
             &|cell, entry| got.lock().push((cell.index, entry)),
-            None,
             inject_panic,
         );
         let mut got = got.into_inner();
@@ -923,31 +747,31 @@ mod tests {
         assert_eq!(seen, (0..6).collect::<Vec<_>>(), "shards must partition the grid exactly");
     }
 
+    /// Skipped cells are neither solved nor reported, so the sink's
+    /// total is the count of cells left to run.
     #[test]
     fn skip_suppresses_cells_and_progress_total() {
         let spec = SweepSpec::tree("t", 10, 2, 9, vec![1.0], vec![2, 3], Objective::Max);
         let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let totals: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         run_spec_cells(
             &spec,
             true,
             Shard::all(),
             &|index| index % 2 == 0,
             &|cell, _| ran.lock().push(cell.index),
-            Some(&|_, total| totals.lock().push(total)),
             &|_| false,
         );
         let mut ran = ran.into_inner();
         ran.sort_unstable();
         assert_eq!(ran, vec![1, 3]);
-        assert!(totals.into_inner().iter().all(|&t| t == 2));
     }
 
     #[test]
     fn run_record_extracts_fields() {
         let states = workloads::tree_states(12, 1, 4);
-        let results = sweep(&states, &[2.0], &[3], Objective::Max, None);
-        let rec = RunRecord::from_cell("tree", 12, &results[0]);
+        let config = DynamicsConfig::new(ncg_core::GameSpec::max(2.0, 3));
+        let result = ncg_dynamics::run(states[0].clone(), &config);
+        let rec = RunRecord::new("tree", 12, 2.0, 3, 0, &result);
         assert_eq!(rec.class, "tree");
         assert_eq!(rec.n, 12);
         assert_eq!(rec.alpha, 2.0);
@@ -972,8 +796,7 @@ mod tests {
         let mut config = DynamicsConfig::new(spec);
         config.max_rounds = 0;
         let result = ncg_dynamics::run(state, &config);
-        let cell = CellResult { alpha: spec.alpha, k: spec.k, rep: 0, result };
-        let rec = RunRecord::from_cell("tree", 3, &cell);
+        let rec = RunRecord::new("tree", 3, spec.alpha, spec.k, 0, &result);
         assert!(rec.capped);
         assert!(!rec.converged);
         assert_eq!(rec.rounds, 0, "rounds must be the executed count, not usize::MAX");

@@ -57,6 +57,31 @@ fn is_orchestration_artifact(name: &str) -> bool {
     name.ends_with("_leases.log") || name == "port"
 }
 
+/// Asserts that `dist` holds the same result files as `reference`,
+/// byte for byte, orchestration artifacts aside.
+fn assert_same_results(reference: &Path, dist: &Path) {
+    let names = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| !is_orchestration_artifact(n))
+            .collect();
+        names.sort();
+        names
+    };
+    let ref_names = names(reference);
+    assert!(
+        ref_names.iter().any(|n| n.ends_with(".csv")),
+        "reference run produced no tables: {ref_names:?}"
+    );
+    assert_eq!(ref_names, names(dist), "artifact sets differ");
+    for name in &ref_names {
+        let a = std::fs::read(reference.join(name)).unwrap();
+        let b = std::fs::read(dist.join(name)).unwrap();
+        assert_eq!(a, b, "artifact {name} differs between local and distributed runs");
+    }
+}
+
 #[test]
 fn killed_worker_mid_sweep_still_yields_byte_identical_artifacts() {
     // Reference: single-process run, cold (warm starts are
@@ -137,26 +162,70 @@ fn killed_worker_mid_sweep_still_yields_byte_identical_artifacts() {
     );
 
     // Byte-diff every artifact the two runs produced.
-    let names = |dir: &Path| -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| !is_orchestration_artifact(n))
-            .collect();
-        names.sort();
-        names
-    };
-    let ref_names = names(&ref_dir);
+    assert_same_results(&ref_dir, &dist_dir);
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&dist_dir);
+}
+
+/// Figure 9's plan names Figure 8's journal, so the queue journals and
+/// leases under `figure8`: `serve figure9` plus one `work figure9`
+/// leave `figure8_runs.jsonl` and `figure8_leases.log`, no
+/// `figure9_runs.jsonl`, and every other artifact equal to a local
+/// `figure9` run's.
+#[test]
+fn serve_figure9_journals_and_leases_under_figure8() {
+    let ref_dir = temp_dir("figure9_reference");
+    let output = binary()
+        .args(["figure9"])
+        .args(PROFILE_ARGS)
+        .arg("--out")
+        .arg(&ref_dir)
+        .output()
+        .expect("spawning the reference run");
     assert!(
-        ref_names.iter().any(|n| n.ends_with(".csv")),
-        "reference run produced no tables: {ref_names:?}"
+        output.status.success(),
+        "reference run failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
     );
-    assert_eq!(ref_names, names(&dist_dir), "artifact sets differ");
-    for name in &ref_names {
-        let a = std::fs::read(ref_dir.join(name)).unwrap();
-        let b = std::fs::read(dist_dir.join(name)).unwrap();
-        assert_eq!(a, b, "artifact {name} differs between local and distributed runs");
+
+    let dist_dir = temp_dir("figure9_queue");
+    let port_file = dist_dir.join("port");
+    let mut serve = binary()
+        .args(["serve", "figure9"])
+        .args(PROFILE_ARGS)
+        .args(["--listen", "127.0.0.1:0", "--port-file"])
+        .arg(&port_file)
+        .arg("--out")
+        .arg(&dist_dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the coordinator");
+    let mut worker = binary()
+        .args(["work", "figure9"])
+        .args(PROFILE_ARGS)
+        .args(["--worker-id", "figure9-worker", "--port-file"])
+        .arg(&port_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning the worker");
+    let worker_status = wait_with_deadline(&mut worker, "worker", Duration::from_secs(300));
+    assert!(worker_status.success(), "the worker must finish the sweep");
+    let serve_status = wait_with_deadline(&mut serve, "coordinator", Duration::from_secs(300));
+    let mut serve_stderr = String::new();
+    if let Some(mut err) = serve.stderr.take() {
+        use std::io::Read as _;
+        let _ = err.read_to_string(&mut serve_stderr);
     }
+    assert!(serve_status.success(), "coordinator failed; stderr:\n{serve_stderr}");
+
+    for name in ["figure8_runs.jsonl", "figure8_leases.log"] {
+        assert!(dist_dir.join(name).is_file(), "the queue must write {name}");
+    }
+    assert!(!dist_dir.join("figure9_runs.jsonl").exists(), "figure9 has no journal of its own");
+    assert_same_results(&ref_dir, &dist_dir);
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dist_dir);

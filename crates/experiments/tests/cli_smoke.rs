@@ -139,6 +139,67 @@ fn figure5_two_shard_merge_round_trips_byte_identically() {
     let _ = std::fs::remove_dir_all(&shard_dir);
 }
 
+/// Figure 9 folds Figure 8's journal, so a `figure9` run after
+/// `figure8` into the same `--out` solves no cell: under
+/// `NCG_FAULT=panic_cell:0`, which would fail the first cell it
+/// solved, it exits 0, leaves `figure8_runs.jsonl` as it was, and
+/// writes the same `figure9_*` bytes as a standalone `figure9`.
+#[test]
+fn figure9_after_figure8_solves_nothing() {
+    let shared = temp_out_dir().with_extension("figure8_then_9");
+    let alone = temp_out_dir().with_extension("figure9_alone");
+    let _ = std::fs::remove_dir_all(&shared);
+    let _ = std::fs::remove_dir_all(&alone);
+    let run = |experiment: &str, out: &Path, fault: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_ncg-experiments"));
+        cmd.args([experiment, "--smoke", "--seed", "7", "--out"]).arg(out);
+        if let Some(fault) = fault {
+            cmd.env("NCG_FAULT", fault);
+        }
+        let output = cmd.output().expect("spawning the ncg-experiments binary");
+        assert!(
+            output.status.success(),
+            "{experiment} (fault {fault:?}) exited with {:?}; stderr:\n{}",
+            output.status.code(),
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    run("figure8", &shared, None);
+    let journal = std::fs::read(shared.join("figure8_runs.jsonl")).expect("figure8's journal");
+    run("figure9", &shared, Some("panic_cell:0"));
+    assert_eq!(
+        std::fs::read(shared.join("figure8_runs.jsonl")).unwrap(),
+        journal,
+        "figure9 must leave figure8's journal as it was"
+    );
+    run("figure9", &alone, None);
+    let figure9_files = |dir: &Path| -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.file_name().unwrap().to_string_lossy().starts_with("figure9_"))
+            .map(|path| {
+                let bytes = std::fs::read(&path).unwrap();
+                (path.file_name().unwrap().to_string_lossy().into_owned(), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let standalone = figure9_files(&alone);
+    let names: Vec<&str> = standalone.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["figure9_notes.txt", "figure9_unfairness.csv"]);
+    assert_eq!(figure9_files(&shared), standalone, "figure9 artifacts differ after figure8");
+    assert_eq!(
+        std::fs::read(alone.join("figure8_runs.jsonl")).unwrap(),
+        journal,
+        "a standalone figure9 writes figure8's journal"
+    );
+
+    let _ = std::fs::remove_dir_all(&shared);
+    let _ = std::fs::remove_dir_all(&alone);
+}
+
 #[test]
 fn rejects_unknown_experiment_with_usage() {
     let output = Command::new(env!("CARGO_BIN_EXE_ncg-experiments"))

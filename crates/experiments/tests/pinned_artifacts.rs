@@ -206,8 +206,8 @@ fn figure9_smoke_artifacts_are_pinned() {
     assert_pinned(
         "figure9",
         &[
+            ("figure8_runs.jsonl", 0xab04_c5d9_dc49_8f53),
             ("figure9_notes.txt", 0xedb7_cb1c_d6fe_304b),
-            ("figure9_runs.jsonl", 0xab04_c5d9_dc49_8f53),
             ("figure9_unfairness.csv", 0x1939_61a0_fc17_880b),
         ],
     );

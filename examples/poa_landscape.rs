@@ -9,7 +9,8 @@
 
 use ncg::bounds::maxncg;
 use ncg::core::Objective;
-use ncg::experiments::{sweep, workloads};
+use ncg::experiments::engine::{self, SweepContext};
+use ncg::experiments::sweep::SweepSpec;
 
 fn main() {
     let n = 40;
@@ -24,19 +25,22 @@ fn main() {
         "{:>7} {:>6} {:>14} {:>12} {:>12} {:>12}",
         "α", "k", "region", "theory LB", "theory UB", "measured"
     );
-    let states = workloads::tree_states(n, reps, 0x9a9a);
-    let results = sweep::sweep(&states, &alphas, &ks, Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &alphas, &ks, reps);
-    for (i, ((alpha, k), cells)) in grouped.iter().enumerate() {
-        let _ = i;
-        let vals: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.quality).collect();
+    // Fold every run's quality into its (α, k) cell, in grid order.
+    let spec =
+        SweepSpec::tree("poa", n, reps, 0x9a9a, alphas.to_vec(), ks.to_vec(), Objective::Max);
+    let mut quality = vec![Vec::new(); alphas.len() * ks.len()];
+    engine::execute(&SweepContext::local(), "poa_landscape", &[spec], &mut |_, cell, rec| {
+        quality[cell.ai * ks.len() + cell.ki].extend(rec.quality)
+    });
+    for (i, vals) in quality.iter().enumerate() {
+        let (alpha, k) = (alphas[i / ks.len()], ks[i % ks.len()]);
         let measured = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-        let b = maxncg::bounds(n, *alpha, *k);
+        let b = maxncg::bounds(n, alpha, k);
         println!(
             "{:>7} {:>6} {:>14} {:>12.2} {:>12.2} {:>12.2}",
             alpha,
             k,
-            format!("{:?}", maxncg::region(n, *alpha, *k)),
+            format!("{:?}", maxncg::region(n, alpha, k)),
             b.lower,
             b.upper,
             measured

@@ -6,8 +6,24 @@
 
 use ncg::constructions::{cycle, TorusGrid};
 use ncg::core::{GameSpec, GameState, Objective};
-use ncg::dynamics::Outcome;
-use ncg::experiments::{sweep, workloads};
+use ncg::experiments::engine::{self, SweepContext};
+use ncg::experiments::sweep::{RunRecord, SweepSpec};
+
+/// Runs `spec` through the sweep engine (local, no journal) and folds
+/// `metric` of every run into its `(α, k)` cell, in grid order; runs
+/// where the metric is undefined are skipped.
+fn per_cell(spec: SweepSpec, metric: fn(&RunRecord) -> Option<f64>) -> Vec<Vec<f64>> {
+    let ks = spec.ks.len();
+    let mut cells = vec![Vec::new(); spec.alphas.len() * ks];
+    engine::execute(&SweepContext::local(), "paper_claims", &[spec], &mut |_, cell, rec| {
+        cells[cell.ai * ks + cell.ki].extend(metric(rec))
+    });
+    cells
+}
+
+fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len() as f64
+}
 
 /// Section 3.1 / Lemma 3.1: stable cycles make the PoA grow linearly
 /// in `n` for fixed `α ≥ k − 1`.
@@ -48,15 +64,9 @@ fn claim_torus_diameter_linear_in_n() {
 fn claim_view_size_trends() {
     let n = 36;
     let reps = 4;
-    let states = workloads::tree_states(n, reps, 0xBEEF);
-    let alphas = [0.1, 5.0];
-    let ks = [2u32, 4];
-    let results = sweep::sweep(&states, &alphas, &ks, Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &alphas, &ks, reps);
-    let avg_view = |ai: usize, ki: usize| {
-        let (_, cells) = grouped[ai * ks.len() + ki];
-        cells.iter().map(|c| c.result.final_metrics.avg_view).sum::<f64>() / cells.len() as f64
-    };
+    let spec = SweepSpec::tree("t", n, reps, 0xBEEF, vec![0.1, 5.0], vec![2, 4], Objective::Max);
+    let views = per_cell(spec, |rec| Some(rec.avg_view));
+    let avg_view = |ai: usize, ki: usize| mean(&views[ai * 2 + ki]);
     // Growing k widens views dramatically.
     assert!(avg_view(0, 1) > avg_view(0, 0));
     assert!(avg_view(1, 1) > avg_view(1, 0));
@@ -69,26 +79,21 @@ fn claim_view_size_trends() {
 #[test]
 fn claim_fast_convergence_and_rare_cycles() {
     let reps = 6;
-    let states = workloads::tree_states(30, reps, 0xCAFE);
-    let alphas = [0.5, 2.0];
-    let ks = [2u32, 5, 1000];
-    let results = sweep::sweep(&states, &alphas, &ks, Objective::Max, None);
-    let total = results.len();
-    let mut converged = 0;
-    let mut cycled = 0;
-    let mut fast = 0;
-    for c in &results {
-        match c.result.outcome {
-            Outcome::Converged { rounds } => {
-                converged += 1;
-                if rounds <= 7 {
-                    fast += 1;
-                }
+    let spec =
+        SweepSpec::tree("t", 30, reps, 0xCAFE, vec![0.5, 2.0], vec![2, 5, 1000], Objective::Max);
+    let (mut total, mut converged, mut cycled, mut fast) = (0, 0, 0, 0);
+    engine::execute(&SweepContext::local(), "paper_claims", &[spec], &mut |_, _, rec| {
+        total += 1;
+        if rec.converged {
+            converged += 1;
+            if rec.rounds <= 7 {
+                fast += 1;
             }
-            Outcome::Cycled { .. } => cycled += 1,
-            Outcome::MaxRoundsExceeded { .. } => {}
+        } else if rec.cycled() {
+            cycled += 1;
         }
-    }
+    });
+    assert_eq!(total, 2 * 3 * reps);
     assert!(converged + cycled == total, "no run may hit the round cap");
     assert!(cycled * 20 <= total, "cycles must be rare: {cycled}/{total}");
     assert!(
@@ -105,10 +110,8 @@ fn claim_quality_gap_small_k_vs_full_knowledge() {
     let reps = 4;
     let alpha = 10.0;
     let quality = |n: usize, k: u32| {
-        let states = workloads::tree_states(n, reps, 0xD00D);
-        let results = sweep::sweep(&states, &[alpha], &[k], Objective::Max, None);
-        let v: Vec<f64> = results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
-        v.iter().sum::<f64>() / v.len() as f64
+        let spec = SweepSpec::tree("t", n, reps, 0xD00D, vec![alpha], vec![k], Objective::Max);
+        mean(&per_cell(spec, |rec| rec.quality)[0])
     };
     let q_local = quality(48, 2);
     let q_full = quality(48, 1000);
@@ -151,16 +154,10 @@ fn claim_solver_matches_bruteforce_on_random_views() {
 #[test]
 fn claim_full_knowledge_hubs_are_less_fair() {
     let reps = 4;
-    let states = workloads::er_states(26, 0.18, reps, 0xFA1);
-    let results = sweep::sweep(&states, &[0.2], &[2, 1000], Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &[0.2], &[2, 1000], reps);
-    let unfair = |i: usize| {
-        let (_, cells) = grouped[i];
-        let v: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.unfairness).collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    };
-    let local = unfair(0);
-    let full = unfair(1);
+    let spec = SweepSpec::er("t", 26, 0.18, reps, 0xFA1, vec![0.2], vec![2, 1000], Objective::Max);
+    let unfair = per_cell(spec, |rec| rec.unfairness);
+    let local = mean(&unfair[0]);
+    let full = mean(&unfair[1]);
     assert!(
         local <= full + 0.5,
         "restricted views should be at least comparably fair: k=2 {local:.2} vs full {full:.2}"
