@@ -16,11 +16,15 @@
 //!   benchmark ledger's `scale_er` cell. At α = 1 almost nobody
 //!   proposes; at α = 3 every round does, so the responder's
 //!   add/drop/swap pricing carries the run.
+//! * `scale_rounds/window_map_512` — one parallel map of 512 trivial
+//!   items at 2 threads: the pool's fixed cost per resolve window,
+//!   which a round pays once per 512 dirty players.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::GameSpec;
 use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig};
 use ncg_experiments::workloads;
+use rayon::prelude::*;
 
 fn bench_scale_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_rounds");
@@ -54,6 +58,11 @@ fn bench_scale_rounds(c: &mut Criterion) {
             let mut state = small.clone();
             run_scale(&mut state, &alpha3, &mut arena)
         })
+    });
+
+    let two = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("never fails");
+    group.bench_function("window_map_512", |b| {
+        b.iter(|| two.install(|| (0..512u32).into_par_iter().map(|u| u ^ 1).collect::<Vec<_>>()))
     });
     group.finish();
 }

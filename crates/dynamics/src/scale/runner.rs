@@ -75,10 +75,12 @@ use super::state::{ApplyScratch, ScaleState};
 use crate::{CycleDetector, Outcome};
 
 /// Dirty players per resolve window. Any size accepts the same moves
-/// (see the module doc); smaller windows skip more players an earlier
-/// window already marked, larger ones give the workers more to share
-/// per parallel call. Fixed, because the per-round counters depend on
-/// it and must not depend on the worker count.
+/// (see the module doc). Smaller windows skip more players that an
+/// earlier window already marked, but issue more parallel maps, each
+/// with a fixed cost (waking the pool's parked helpers, DESIGN.md §8)
+/// and a tail in which the window's last responses run alone. Fixed,
+/// because the per-round counters depend on it and must not depend on
+/// the worker count.
 const WINDOW: usize = 512;
 
 /// How players take turns within a round.

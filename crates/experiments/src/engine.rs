@@ -54,7 +54,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ncg_stats::{Accumulator, Summary};
@@ -130,8 +130,9 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// In shard (and plan) mode, the note replacing the experiment's
-    /// tables; `None` otherwise.
-    pub fn shard_note(&self, experiment: &str) -> Option<String> {
+    /// tables; `None` otherwise. `command` is the experiment's CLI
+    /// name, which the note tells the user to merge.
+    pub fn shard_note(&self, command: &str) -> Option<String> {
         let (index, count) = self.shard?;
         let path = self
             .journal
@@ -139,9 +140,9 @@ impl ExecReport {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "<no journal>".into());
         Some(format!(
-            "{experiment} — shard {index} of {count}: journaled {} new cells \
-             ({} resumed) to {path}; run `merge {experiment} --shards {count}` \
-             once every shard has finished.",
+            "{command} — shard {index} of {count}: journaled {} new cells \
+             ({} resumed) to {path}; run `merge {command} --shards {count}` \
+             with the same profile flags and --out once every shard has finished.",
             self.cells_run, self.cells_resumed
         ))
     }
@@ -397,6 +398,15 @@ fn run_shard(
     }
 }
 
+/// The first of the `count` shard journals of `experiment`'s journal
+/// that `dir` lacks, as `(shard index, path)`; `None` once every shard
+/// has run. Merge mode refuses to run until this is `None`.
+pub fn missing_shard(dir: &Path, experiment: &str, count: usize) -> Option<(usize, PathBuf)> {
+    (0..count)
+        .map(|index| (index, journal::shard_journal_path(dir, experiment, index, count)))
+        .find(|(_, path)| !path.is_file())
+}
+
 fn merge(
     ctx: &SweepContext,
     experiment: &str,
@@ -406,6 +416,9 @@ fn merge(
 ) -> ExecReport {
     assert!(count >= 1, "merge needs at least one shard");
     let dir = ctx.journal_dir.as_ref().expect("merge mode requires a results directory");
+    if let Some((index, path)) = missing_shard(dir, experiment, count) {
+        panic!("missing shard journal {}; run shard {index} of {count} first", path.display());
+    }
     // The union of every shard's cells, keyed by (sweep position,
     // canonical index under the *merge target's* grid), so shards run
     // under different --reps splits of one grid land in one keyspace.
@@ -414,11 +427,6 @@ fn merge(
     let mut shard_entries = Vec::new();
     for index in 0..count {
         let path = journal::shard_journal_path(dir, experiment, index, count);
-        assert!(
-            path.is_file(),
-            "missing shard journal {}; run `{experiment} --shards {count} --shard {index}` first",
-            path.display()
-        );
         shard_entries.extend(journal::read(&path).expect("reading shard journal"));
     }
     let (mut union, dropped) = journal::index(shard_entries, specs);

@@ -35,7 +35,8 @@
 //! tables and canonical JSONL a single-process run produces,
 //! byte-for-byte — and the shard journals may even have been written
 //! under different --reps splits of the same grid, as long as their
-//! union covers the merge's repetition count.
+//! union covers the merge's repetition count. A merge with a shard
+//! journal missing exits 1 and names the command that writes it.
 //!
 //! A journal belongs to a grid, and each experiment's plan names it:
 //! figure9 folds figure8's journal (`figure8_runs.jsonl`), so after
@@ -71,7 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncg_experiments::{
-    fault, queue, run_experiment, sweep_plan, Plan, Profile, SweepContext, SweepMode,
+    engine, fault, queue, run_experiment, sweep_plan, Plan, Profile, SweepContext, SweepMode,
 };
 
 const EXPERIMENTS: &[&str] = &[
@@ -346,6 +347,20 @@ fn run() -> ExitCode {
         };
         if !verb.is_empty() {
             eprintln!("[ncg-experiments] {verb} {name} with the '{}' profile…", profile.name);
+        }
+        if let (SweepMode::Merge { count }, true) = (mode, is_sweep) {
+            let plan = sweep_plan(name, &profile).expect("name validated above");
+            let missing = (!plan.specs.is_empty())
+                .then(|| engine::missing_shard(&out_dir, &plan.journal, count))
+                .flatten();
+            if let Some((index, path)) = missing {
+                eprintln!(
+                    "[ncg-experiments] merge {name}: missing shard journal {}; run \
+                     `{name} --shards {count} --shard {index}` with the same profile flags first",
+                    path.display()
+                );
+                return ExitCode::FAILURE;
+            }
         }
         if !render_and_write(name, &profile, &ctx, &out_dir) {
             return ExitCode::FAILURE;

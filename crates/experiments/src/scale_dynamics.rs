@@ -67,7 +67,7 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
         max_degree.push(cell.ai, cell.ki, Some(rec.max_degree as f64));
         avg_view.push(cell.ai, cell.ki, Some(rec.avg_view));
     });
-    if let Some(note) = report.shard_note("scale_dynamics") {
+    if let Some(note) = report.shard_note("scale-dynamics") {
         out.notes = note;
         return out;
     }

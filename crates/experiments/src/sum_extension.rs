@@ -81,7 +81,7 @@ pub fn run_ctx_stats(profile: &Profile, ctx: &SweepContext) -> (ExperimentOutput
             }
         }
     });
-    if let Some(note) = report.shard_note("sum_extension") {
+    if let Some(note) = report.shard_note("sum-extension") {
         out.notes = note;
         return (out, check);
     }

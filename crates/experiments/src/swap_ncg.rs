@@ -75,7 +75,7 @@ pub fn run_ctx_stats(profile: &Profile, ctx: &SweepContext) -> (ExperimentOutput
         diameter.push(cell.ai, cell.ki, rec.diameter.map(f64::from));
     });
     let mut check = SwapCheck::default();
-    if let Some(note) = report.shard_note("swap_ncg") {
+    if let Some(note) = report.shard_note("swap-ncg") {
         out.notes = note;
         return (out, check);
     }

@@ -532,7 +532,8 @@ pub fn solve_scale_cell_guarded(
 /// column (the warm-start win), cells in canonical order within it.
 ///
 /// Cells for which `skip(index)` returns `true` (already journaled, on
-/// resume) are not run and not reported; `inject_panic(index)` makes a
+/// resume) are not run and not reported, and a run with no cell left
+/// in this shard returns without sampling; `inject_panic(index)` makes a
 /// cell's solve panic (the `panic_cell` fault). `warm_start = false`
 /// gives every cell a fresh arena. `sink` may be called from worker
 /// threads in any completion order; the canonical order is
@@ -546,8 +547,17 @@ pub fn run_spec_cells(
     inject_panic: &(dyn Fn(usize) -> bool + Sync),
 ) {
     assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
+    let cells_left = |rep: usize| {
+        (0..spec.alphas.len())
+            .any(|ai| (0..spec.ks.len()).any(|ki| !skip(spec.index_of(ai, ki, rep))))
+    };
+    let my_reps: Vec<usize> =
+        (0..spec.reps).filter(|&rep| shard.owns_rep(rep) && cells_left(rep)).collect();
+    if my_reps.is_empty() {
+        // Nothing left to run here: do not sample the initial states.
+        return;
+    }
     let states = spec.sample();
-    let my_reps: Vec<usize> = (0..spec.reps).filter(|&r| shard.owns_rep(r)).collect();
     let _: Vec<()> = my_reps
         .into_par_iter()
         .map(|rep| {
@@ -764,6 +774,20 @@ mod tests {
         let mut ran = ran.into_inner();
         ran.sort_unstable();
         assert_eq!(ran, vec![1, 3]);
+    }
+
+    /// A run with nothing left to do returns before it samples: this
+    /// spec's sampling panics (`G(8, 0)` is never connected), yet a
+    /// fully skipped run and a shard that owns no repetition both
+    /// return without reporting a cell.
+    #[test]
+    fn nothing_left_to_run_samples_nothing() {
+        let spec = SweepSpec::er("e", 8, 0.0, 1, 3, vec![1.0], vec![2, 3], Objective::Max);
+        assert!(std::panic::catch_unwind(|| spec.sample()).is_err(), "sampling must panic");
+        let reported = |cell: CellId, _| panic!("cell {} was reported", cell.index);
+        let (all, none) = (|_: usize| true, |_: usize| false);
+        run_spec_cells(&spec, true, Shard::all(), &all, &reported, &none);
+        run_spec_cells(&spec, true, Shard { count: 2, index: 1 }, &none, &reported, &none);
     }
 
     #[test]

@@ -200,6 +200,52 @@ fn figure9_after_figure8_solves_nothing() {
     let _ = std::fs::remove_dir_all(&alone);
 }
 
+/// The commands a merge error and a shard note name run as written,
+/// with the run's profile flags and `--out`, for a hyphenated
+/// experiment too: `merge sum-extension` before any shard has run names
+/// shard 0's command, and the note shard 1 leaves in
+/// `sum_extension_notes.txt` names the merge.
+#[test]
+fn shard_notes_and_merge_errors_name_commands_that_run() {
+    let out = temp_out_dir().with_extension("sum_extension_shards");
+    let _ = std::fs::remove_dir_all(&out);
+    let run = |command: &str| {
+        Command::new(env!("CARGO_BIN_EXE_ncg-experiments"))
+            .args(command.split_whitespace())
+            .args(["--smoke", "--seed", "7", "--out"])
+            .arg(&out)
+            .output()
+            .expect("spawning the ncg-experiments binary")
+    };
+    let run_ok = |command: &str| {
+        let output = run(command);
+        assert!(
+            output.status.success(),
+            "`{command}` exited with {:?}; stderr:\n{}",
+            output.status.code(),
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    // The first command quoted in backticks.
+    let named = |text: &str| -> String {
+        text.split('`').nth(1).unwrap_or_else(|| panic!("no command named in:\n{text}")).to_string()
+    };
+
+    let early = run("merge sum-extension --shards 2");
+    let stderr = String::from_utf8_lossy(&early.stderr);
+    assert_eq!(early.status.code(), Some(1), "a merge without shards must fail:\n{stderr}");
+    let shard0 = named(&stderr);
+    assert_eq!(shard0, "sum-extension --shards 2 --shard 0");
+    run_ok(&shard0);
+    run_ok("sum-extension --shards 2 --shard 1");
+    let note = std::fs::read_to_string(out.join("sum_extension_notes.txt")).expect("shard note");
+    let merge = named(&note);
+    assert_eq!(merge, "merge sum-extension --shards 2");
+    run_ok(&merge);
+
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 #[test]
 fn rejects_unknown_experiment_with_usage() {
     let output = Command::new(env!("CARGO_BIN_EXE_ncg-experiments"))
